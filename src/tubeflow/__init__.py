@@ -12,7 +12,6 @@ from .expansion import (
     ExpansionFields,
     FluidParams,
     StationData,
-    assemble_solution,
     evaluate_station,
     verify_coefficient_tables,
 )
@@ -27,7 +26,7 @@ __all__ = [
     "BodyForce", "CenterCurve", "DiscPoly", "ElasticWall", "ExpansionFields",
     "FluidParams", "FrenetFrame", "PressureBC", "PressureExpansion",
     "RigidWall", "StationData", "TrigSeries", "TubeMapParams", "WallState",
-    "advance_time_step", "apply_wall_law", "assemble_solution",
+    "advance_time_step", "apply_wall_law",
     "check_compatibility", "check_mass_conservation", "disc_integral",
     "evaluate_station", "flow_rates", "frenet_frame", "restrict_to_boundary",
     "solve_p0", "solve_p02", "solve_p1", "verify_coefficient_tables",

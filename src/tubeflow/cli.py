@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,9 @@ from . import coupling, expansion, geometry, plotting, pressure, verify
 from .errors import ConfigurationError, TubeflowError
 
 _FMT = "%.17g"
+
+# ExpansionFields terms that can be exported; tuples are vector fields.
+_FIELD_NAMES = ("u1_0", "u1_1", "u1_2", "p2", "p3", "g", "U1", "U2", "F", "W")
 
 
 # -- config ------------------------------------------------------------------
@@ -165,6 +168,14 @@ class RunConfig:
             raise ConfigurationError(f"unknown wall law {self.wall_law!r}")
         if not self.steady and self.dt <= 0:
             raise ConfigurationError("unsteady runs need dt > 0")
+        for s1 in self.stations:
+            if not 0.0 <= s1 <= self.length:
+                raise ConfigurationError(
+                    f"output station {s1!r} outside [0, geometry.length ="
+                    f" {self.length!r}]")
+        for name in self.out_fields:
+            if name not in _FIELD_NAMES:
+                raise ConfigurationError(f"unknown output field {name!r}")
 
     # -- constructors for the model objects --------------------------------
     def build_curve(self) -> geometry.CenterCurve:
@@ -297,46 +308,50 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 # -- field sampling and export --------------------------------------------------
 
-_SCALAR_FIELDS = {
-    "u1_0": lambda f: f.u1_0, "u1_1": lambda f: f.u1_1,
-    "u1_2": lambda f: f.u1_2, "p2": lambda f: f.p2, "p3": lambda f: f.p3,
-    "g": lambda f: f.g,
-}
-_VECTOR_FIELDS = {
-    "U1": lambda f: f.U1, "U2": lambda f: f.U2, "F": lambda f: f.F,
-    "W": lambda f: f.W,
-}
-
-
-def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
-                  names=None) -> dict:
-    """Tabulate disc fields on a polar product grid.
+def _disc_grid(n_disc: int) -> list:
+    """(s2, s3, z2, z3) of the polar product grid on the unit disc.
 
     Radii are half-offset ((i + 1/2) / n) so the axis point, where the
-    angle is ambiguous, is never sampled.  Scalars yield (z2, z3, value)
-    rows, vectors (z2, z3, v2, v3).
+    angle is ambiguous, is never sampled.
     """
-    if n_disc < 8:
-        raise ConfigurationError("n_disc must be at least 8")
-    names = names or tuple(_SCALAR_FIELDS) + tuple(_VECTOR_FIELDS)
     grid = []
     for i in range(n_disc):
         s3 = (i + 0.5) / n_disc
         for j in range(2 * n_disc):
             s2 = np.pi * j / n_disc
-            grid.append((s3 * np.cos(s2), s3 * np.sin(s2)))
+            grid.append((s2, s3, s3 * np.cos(s2), s3 * np.sin(s2)))
+    return grid
 
+
+def _float_terms(fields: expansion.ExpansionFields):
+    """Copy of one station's fields with every exportable term in floats."""
+    def convert(term):
+        if isinstance(term, tuple):
+            return tuple(q.to_float() for q in term)
+        return term.to_float()
+    return replace(fields, **{
+        name: convert(getattr(fields, name)) for name in _FIELD_NAMES})
+
+
+def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
+                  names=None) -> dict:
+    """Tabulate disc fields on the polar grid of :func:`_disc_grid`.
+
+    Scalars yield (z2, z3, value) rows, vectors (z2, z3, v2, v3).  The
+    polynomials are evaluated as given; the export passes the float copies
+    it makes once per station.
+    """
+    if n_disc < 8:
+        raise ConfigurationError("n_disc must be at least 8")
+    grid = _disc_grid(n_disc)
     out = {}
-    for name in names:
-        if name in _SCALAR_FIELDS:
-            p = _SCALAR_FIELDS[name](fields).to_float()
-            out[name] = [(z2, z3, p.evaluate(z2, z3)) for z2, z3 in grid]
-        elif name in _VECTOR_FIELDS:
-            p2, p3 = (q.to_float() for q in _VECTOR_FIELDS[name](fields))
-            out[name] = [(z2, z3, p2.evaluate(z2, z3), p3.evaluate(z2, z3))
-                         for z2, z3 in grid]
-        else:
+    for name in names or _FIELD_NAMES:
+        if name not in _FIELD_NAMES:
             raise ConfigurationError(f"unknown field {name!r}")
+        term = getattr(fields, name)
+        polys = term if isinstance(term, tuple) else (term,)
+        out[name] = [(z2, z3, *(p.evaluate(z2, z3) for p in polys))
+                     for _, _, z2, z3 in grid]
     return out
 
 
@@ -369,27 +384,40 @@ def _export_grids(result: PipelineResult, outdir: Path):
     write_csv(outdir / "grids.csv", [n for n, _ in cols], rows)
 
 
-def _export_station_fields(result: PipelineResult, outdir: Path):
-    cfg = result.config
+def _export_stations(result: PipelineResult, outdir: Path, order: int):
+    """Disc samples, plots and the assembled solution per requested station.
+
+    Each requested s1 resolves to the nearest grid node; every file of the
+    station is evaluated there.  The solution rows hold the world-frame
+    velocity and the pressure of the expansion truncated at ``order``.
+    """
+    cfg, wall, pexp = result.config, result.wall, result.pexp
+    grid = _disc_grid(cfg.n_disc)
     for target in cfg.stations:
-        idx = int(np.argmin(np.abs(result.wall.s1 - target)))
+        idx = int(np.argmin(np.abs(wall.s1 - target)))
         tag = f"station{idx:04d}"
-        tables = sample_fields(result.fields[idx], cfg.n_disc, cfg.out_fields)
+        f = _float_terms(result.fields[idx])
+        tables = sample_fields(f, cfg.n_disc, cfg.out_fields)
         for name, rows in tables.items():
             header = (["z2", "z3", name] if len(rows[0]) == 3
                       else ["z2", "z3", f"{name}_2", f"{name}_3"])
             write_csv(outdir / f"field_{name}_{tag}.csv", header, rows)
         for name in cfg.out_fields:
-            f = result.fields[idx]
-            svg_path = outdir / f"plot_{name}_{tag}.svg"
-            if name in _SCALAR_FIELDS:
-                svg = plotting.heatmap_svg(_SCALAR_FIELDS[name](f),
-                                           title=f"{name} at s1 index {idx}")
-            else:
-                v2, v3 = _VECTOR_FIELDS[name](f)
-                svg = plotting.quiver_svg(v2, v3,
-                                          title=f"{name} at s1 index {idx}")
-            svg_path.write_text(svg)
+            term = getattr(f, name)
+            title = f"{name} at s1 index {idx}"
+            svg = (plotting.quiver_svg(*term, title=title)
+                   if isinstance(term, tuple)
+                   else plotting.heatmap_svg(term, title=title))
+            (outdir / f"plot_{name}_{tag}.svg").write_text(svg)
+
+        basis = result.curve.frame(float(wall.s1[idx])).basis_matrix()
+        rows = []
+        for s2, s3, z2, z3 in grid:
+            u, p = expansion.truncated_solution(
+                f, pexp.p0[idx], pexp.p1[idx], cfg.eps, order, z2, z3)
+            rows.append((s2, s3, *(np.array(u) @ basis), p))
+        write_csv(outdir / f"solution_{tag}.csv",
+                  ["s2", "s3", "ux", "uy", "uz", "p"], rows)
 
 
 def _export_reports(result: PipelineResult, outdir: Path):
@@ -430,8 +458,7 @@ def export_bundle(result: PipelineResult, outdir, order: int = 2,
     outdir.mkdir(parents=True, exist_ok=True)
     if fields:
         _export_grids(result, outdir)
-        _export_station_fields(result, outdir)
-        _export_assembled(result, outdir, order)
+        _export_stations(result, outdir, order)
         _export_meta(result, outdir)
     if reports:
         _export_reports(result, outdir)
@@ -539,27 +566,6 @@ def main(argv=None) -> int:
             else ""
         print(f"error [{type(exc).__name__}]{where}: {exc}", file=sys.stderr)
         return 1
-
-
-def _export_assembled(result: PipelineResult, outdir: Path, order: int):
-    """World-frame velocity samples of the truncated expansion."""
-    cfg = result.config
-    solution = expansion.assemble_solution(
-        cfg.eps, result.curve, result.wall, result.pexp, result.fields,
-        order=order)
-    for target in cfg.stations:
-        idx = int(np.argmin(np.abs(result.wall.s1 - target)))
-        s1 = float(result.wall.s1[idx])
-        rows = []
-        for i in range(cfg.n_disc):
-            s3 = (i + 0.5) / cfg.n_disc
-            for j in range(2 * cfg.n_disc):
-                s2 = np.pi * j / cfg.n_disc
-                vel = solution.velocity(s1, s2, s3)
-                pres = solution.pressure(s1, s2, s3)
-                rows.append((s2, s3, *vel, pres))
-        write_csv(outdir / f"solution_station{idx:04d}.csv",
-                  ["s2", "s3", "ux", "uy", "uz", "p"], rows)
 
 
 if __name__ == "__main__":

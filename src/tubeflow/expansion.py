@@ -15,7 +15,7 @@ zero-residual verification suite runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -690,67 +690,27 @@ def stations_from_grids(wall, pexp, curve, fluid: FluidParams,
 
 # -- physical assembly --------------------------------------------------------
 
-@dataclass
-class PhysicalSolution:
-    """Truncated expansion mapped back to world coordinates (one snapshot)."""
+def truncated_solution(f: ExpansionFields, p0, p1, eps, order: int, z2, z3):
+    """Truncated expansion at the disc point (z2, z3) of one station.
 
-    eps: float
-    order: int
-    curve: object
-    wall: object
-    pexp: object
-    fields: list = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.order not in (0, 1, 2):
-            raise TubeflowError(f"unsupported expansion order {self.order}")
-
-    def _index(self, s1):
-        i = int(np.argmin(np.abs(np.asarray(self.wall.s1) - s1)))
-        return i
-
-    def velocity_frenet(self, s1, s2, s3):
-        """(u1, u2, u3) of the truncated expansion at a reference point."""
-        i = self._index(s1)
-        f = self.fields[i]
-        z2 = s3 * np.cos(s2)
-        z3 = s3 * np.sin(s2)
-        u1 = float(f.u1_0.to_float().evaluate(z2, z3))
-        u2 = u3 = 0.0
-        if self.order >= 1:
-            u1 += self.eps * float(f.u1_1.to_float().evaluate(z2, z3))
-            u2 += self.eps * float(f.U1[0].to_float().evaluate(z2, z3))
-            u3 += self.eps * float(f.U1[1].to_float().evaluate(z2, z3))
-        if self.order >= 2:
-            u1 += self.eps**2 * float(f.u1_2.to_float().evaluate(z2, z3))
-            u2 += self.eps**2 * float(f.U2[0].to_float().evaluate(z2, z3))
-            u3 += self.eps**2 * float(f.U2[1].to_float().evaluate(z2, z3))
-        return np.array([u1, u2, u3])
-
-    def velocity(self, s1, s2, s3):
-        """World-frame velocity vector."""
-        u = self.velocity_frenet(s1, s2, s3)
-        fr = self.curve.frame(float(s1))
-        return u @ fr.basis_matrix()
-
-    def pressure(self, s1, s2, s3, include_third: bool = False):
-        """Truncated pressure; order k keeps terms through eps^(k-2)."""
-        i = self._index(s1)
-        p = self.pexp.p0[i] / self.eps**2
-        if self.order >= 1:
-            p += self.pexp.p1[i] / self.eps
-        if self.order >= 2:
-            z2 = s3 * np.cos(s2)
-            z3 = s3 * np.sin(s2)
-            p += float(self.fields[i].p2.to_float().evaluate(z2, z3))
-            if include_third:
-                p += self.eps * float(
-                    self.fields[i].p3.to_float().evaluate(z2, z3))
-        return float(p)
-
-
-def assemble_solution(eps, curve, wall, pexp, fields, order: int = 2
-                      ) -> PhysicalSolution:
-    """Bundle solved grids and disc fields into a physical evaluator."""
-    return PhysicalSolution(eps=float(eps), order=order, curve=curve,
-                            wall=wall, pexp=pexp, fields=fields)
+    Order k keeps the velocity terms through eps^k and the pressure terms
+    through eps^(k-2); ``p0``/``p1`` are the axial pressures at the
+    station's node.  Returns the Frenet components (u1, u2, u3) and the
+    pressure.
+    """
+    if order not in (0, 1, 2):
+        raise TubeflowError(f"unsupported expansion order {order}")
+    u1 = f.u1_0.evaluate(z2, z3)
+    u2 = u3 = 0
+    p = p0 / eps**2
+    if order >= 1:
+        u1 += eps * f.u1_1.evaluate(z2, z3)
+        u2 += eps * f.U1[0].evaluate(z2, z3)
+        u3 += eps * f.U1[1].evaluate(z2, z3)
+        p += p1 / eps
+    if order >= 2:
+        u1 += eps**2 * f.u1_2.evaluate(z2, z3)
+        u2 += eps**2 * f.U2[0].evaluate(z2, z3)
+        u3 += eps**2 * f.U2[1].evaluate(z2, z3)
+        p += f.p2.evaluate(z2, z3)
+    return (u1, u2, u3), p

@@ -13,6 +13,7 @@ from tubeflow.cli import (
     run_pipeline,
     sample_fields,
 )
+from tubeflow.coupling import wall_law_residual
 from tubeflow.errors import ConfigurationError
 from tubeflow.polydisc import DiscPoly
 
@@ -73,6 +74,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="fluid.nu"):
             RunConfig.from_mapping({"fluid.nu": "viscous"})
 
+    @pytest.mark.parametrize("station", ["1.5", "-2"])
+    def test_station_outside_pipe_rejected(self, station):
+        with pytest.raises(ConfigurationError,
+                           match=repr(float(station))):
+            RunConfig.from_mapping({"output.stations": f"0.5, {station}"})
+
+    def test_unknown_output_field_rejected(self):
+        with pytest.raises(ConfigurationError, match="vorticity"):
+            RunConfig.from_mapping({"output.fields": "u1_0, vorticity"})
+        cfg = RunConfig.from_mapping({"output.fields": "all"})
+        assert cfg.out_fields == RunConfig.out_fields
+
 
 class TestPresets:
     def test_straight_rigid_zero_corrections(self):
@@ -99,6 +112,17 @@ class TestPresets:
         assert amp > 0
         assert checks["u1_1_faster_on_normal_side"]
         assert checks["u1_1_skew_sign_matches_kappa_dp0"]
+        assert res.verification_passed()
+
+    @pytest.mark.parametrize("E, max_R", [("2e3", 1.04), ("100", 1.8)])
+    def test_steady_elastic_wall_equilibrium(self, E, max_R):
+        cfg = RunConfig.from_mapping({
+            **STRAIGHT, "wall.law": "elastic", "wall.E": E, "wall.h0": "0.1",
+            "bc.p0.inlet": "8"})
+        res = run_pipeline(cfg)
+        law = cfg.build_wall_law()
+        assert wall_law_residual(law, res.pexp.p0, res.wall.R).max() <= 1e-10
+        assert res.wall.R.max() == pytest.approx(max_R, abs=1e-9)
         assert res.verification_passed()
 
     def test_moving_wall_radial_boundary(self):
@@ -218,6 +242,14 @@ class TestCommandLine:
                      str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error" in err and str(bad) in err
+
+    def test_bad_output_config_writes_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**STRAIGHT,
+                                   "output.fields": "u1_0, vorticity"})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "vorticity" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg"),

@@ -18,7 +18,6 @@ from tubeflow.expansion import (
     FluidParams,
     StationData,
     WQ_TABLE,
-    assemble_solution,
     build_U2_rhs,
     derive_wq_table,
     eval_U1,
@@ -33,6 +32,7 @@ from tubeflow.expansion import (
     stokes_disc_solve,
     stream_function,
     transversal_potential,
+    truncated_solution,
     u1_1_problem_rhs,
     u1_2_problem_rhs,
     U1_divergence_data,
@@ -289,46 +289,50 @@ class TestStationAssembly:
 
 
 class TestPhysicalAssembly:
-    def build(self, order=2):
+    MID = 8  # n = 17 is odd: node 8 sits exactly at s1 = 1/2
+
+    def build(self):
         from tubeflow.coupling import WallState
         from tubeflow.geometry import CenterCurve
         from tubeflow.pressure import PressureBC, solve_pressures
 
-        n = 17  # odd: a node sits exactly at s1 = 1/2
-        s = np.linspace(0.0, 1.0, n)
+        s = np.linspace(0.0, 1.0, 17)
         wall = WallState.from_radius(s, 1.0)
         curve = CenterCurve.straight(1.0)
         fluid = FluidParams(1.0, 1.0)
         pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0),
-                               np.zeros(n), BodyForce())
+                               np.zeros(s.size), BodyForce())
         stations = stations_from_grids(wall, pexp, curve, fluid, BodyForce())
-        fields = [evaluate_station(sd) for sd in stations]
-        return assemble_solution(0.1, curve, wall, pexp, fields, order=order)
+        return curve, pexp, evaluate_station(stations[self.MID])
+
+    def solution(self, order, s2, s3):
+        _, pexp, f = self.build()
+        i = self.MID
+        return truncated_solution(f, pexp.p0[i], pexp.p1[i], 0.1, order,
+                                  s3 * np.cos(s2), s3 * np.sin(s2))
 
     def test_leading_order_is_poiseuille(self):
-        sol = self.build(order=0)
-        u = sol.velocity_frenet(0.5, 0.0, 0.0)
+        u, _ = self.solution(0, 0.0, 0.0)
         assert u[0] == pytest.approx(0.25, abs=1e-10)
         assert u[1] == u[2] == 0.0
 
     def test_straight_rigid_orders_agree(self):
         # corrections vanish for the straight rigid steady pipe
-        u0 = self.build(order=0).velocity_frenet(0.5, 0.3, 0.5)
-        u2 = self.build(order=2).velocity_frenet(0.5, 0.3, 0.5)
+        u0, _ = self.solution(0, 0.3, 0.5)
+        u2, _ = self.solution(2, 0.3, 0.5)
         assert np.allclose(u0, u2, atol=1e-12)
 
     def test_world_frame_is_isometric(self):
-        sol = self.build()
-        uf = sol.velocity_frenet(0.5, 0.7, 0.6)
-        uw = sol.velocity(0.5, 0.7, 0.6)
+        curve = self.build()[0]
+        uf, _ = self.solution(2, 0.7, 0.6)
+        uw = np.array(uf) @ curve.frame(0.5).basis_matrix()
         assert np.linalg.norm(uf) == pytest.approx(np.linalg.norm(uw))
 
     def test_pressure_truncation(self):
-        sol = self.build()
-        p = sol.pressure(0.5, 0.0, 0.0)
+        _, p = self.solution(2, 0.0, 0.0)
         assert p == pytest.approx(0.5 / 0.1**2, rel=1e-10)
         with pytest.raises(TubeflowError):
-            assemble_solution(0.1, None, None, None, None, order=3)
+            self.solution(3, 0.0, 0.0)
 
 
 def test_fluid_params_validated():
