@@ -237,22 +237,14 @@ class PipelineResult:
         )
 
 
-def _steady_elastic_equilibrium(s1, law, fluid, bc, max_iter=100, tol=1e-12):
-    """Quasi-static wall: iterate p0 (dR/dt = 0) against the elastic law."""
-    r = law.rest_radius(len(s1))
-    for _ in range(max_iter):
-        wall = coupling.WallState.from_radius(s1, r)
-        p0 = pressure.solve_p0(wall, fluid, bc)[0]
-        r_new = coupling.apply_wall_law(law, p0)
-        if np.max(np.abs(r_new - r)) <= tol * np.max(r):
-            return coupling.WallState.from_radius(s1, r_new)
-        r = r + 0.5 * (r_new - r)
-    raise TubeflowError("steady elastic equilibrium did not converge")
-
-
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Geometry -> pressures -> expansion -> verification, in memory."""
     curve = cfg.build_curve()
+    # a sampled curve brings its own length; the axis grid must span it
+    if abs(curve.length - cfg.length) > 1e-12:
+        raise ConfigurationError(
+            f"geometry.length = {cfg.length!r} differs from the arc length "
+            f"{curve.length!r} of the sampled curve")
     fluid = cfg.build_fluid()
     body = cfg.build_body()
     bc = cfg.build_bc()
@@ -262,16 +254,14 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     kappa = np.array([curve.frame(x).curvature for x in s1])
     history = []
 
+    wall = coupling.WallState.from_radius(
+        s1, law.rest_radius(cfg.n_s1)
+        if isinstance(law, coupling.ElasticWall) else cfg.wall_R0)
     if cfg.steady:
         if isinstance(law, coupling.ElasticWall):
-            wall = _steady_elastic_equilibrium(s1, law, fluid, bc)
-        else:
-            wall = coupling.WallState.from_radius(s1, cfg.wall_R0)
+            wall = coupling.solve_wall(wall, law, fluid, bc, 0.0, tol=1e-12)
         pexp = pressure.solve_pressures(wall, fluid, bc, kappa, body)
     else:
-        wall = coupling.WallState.from_radius(
-            s1, law.rest_radius(cfg.n_s1)
-            if isinstance(law, coupling.ElasticWall) else cfg.wall_R0)
         pexp = None
         prev_dp0 = None
         t = 0.0
@@ -286,7 +276,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                             float(pexp.p0[0]), float(pexp.p0[-1])))
 
     # tube-map sanity for the configured eps
-    geometry.TubeMapParams(cfg.eps, curve, wall).check_invertibility()
+    geometry.check_invertibility(cfg.eps, curve, wall)
 
     stations = expansion.stations_from_grids(wall, pexp, curve, fluid, body)
     fields = [expansion.evaluate_station(sd) for sd in stations]

@@ -5,9 +5,10 @@ algebraic elastic law
 
     p0 - p_e = (E h0 / R0^2) (R - R0),
 
-in which case each time step solves the leading-order pressure and the law
-simultaneously by an under-relaxed fixed point with an implicit-Euler wall
-velocity.
+in which case the leading-order pressure and the law are solved together
+by one under-relaxed fixed point, :func:`solve_wall`: once per implicit
+time step with the wall velocity (R - R_old)/dt, or once for the steady
+equilibrium with dR/dt = 0.
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ class WallState:
     @property
     def h(self):
         return float(self.s1[1] - self.s1[0])
-
-    # interpolators used by the geometry map
-    def radius_at(self, s1):
-        return float(np.interp(s1, self.s1, self.R))
-
-    def slope_at(self, s1):
-        return float(np.interp(s1, self.s1, self.dR_ds1))
-
-    def rate_at(self, s1):
-        return float(np.interp(s1, self.s1, self.dR_dt))
 
 
 @dataclass(frozen=True)
@@ -116,17 +107,50 @@ def wall_law_residual(law: ElasticWall, p0, R):
         / np.maximum(scale, 1e-300)
 
 
+def solve_wall(state: WallState, law: ElasticWall, fluid, bc: PressureBC, t,
+               dt=None, max_iter: int = 100, tol: float = 1e-10) -> WallState:
+    """Elastic wall and leading-order pressure at time t, solved together.
+
+    Starting from ``state.R``, iterates {solve p0 with dR/dt = (R - R_old)/dt,
+    or dR/dt = 0 when ``dt`` is None; update R from the law} with
+    relaxation factor 0.5 until max |change| <= tol * max R, halving the
+    factor whenever the residual stops decreasing after the first three
+    sweeps.  Raises CouplingDivergenceError, with the residual history,
+    after ``max_iter`` sweeps.
+    """
+    r_old = state.R
+
+    def wall(r):
+        rate = None if dt is None else (r - r_old) / dt
+        return WallState.from_radius(state.s1, r, dR_dt=rate, t=t)
+
+    r_cur = r_old.copy()
+    omega = 0.5
+    history = []
+    for _ in range(max_iter):
+        p0 = solve_p0(wall(r_cur), fluid, bc, t=t)[0]
+        r_target = apply_wall_law(law, p0)
+        resid = float(np.max(np.abs(r_target - r_cur)))
+        history.append(resid)
+        if resid <= tol * float(np.max(r_cur)):
+            return wall(r_cur + omega * (r_target - r_cur))
+        if len(history) > 3 and history[-1] > history[-2]:
+            omega *= 0.5
+        r_cur = r_cur + omega * (r_target - r_cur)
+    raise CouplingDivergenceError(
+        f"wall coupling did not converge in {max_iter} iterations "
+        f"(last residual {history[-1]:.3e})", history,
+    )
+
+
 def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt,
                       kappa=None, body=None, prev_dp0=None,
-                      relax: float = 0.5, max_iter: int = 100,
-                      tol: float = 1e-10) -> tuple:
+                      max_iter: int = 100) -> tuple:
     """Advance the coupled wall/pressure system by one implicit step.
 
-    Rigid walls short-circuit to a single solve with dR/dt = 0.  Elastic
-    walls iterate {solve p0 with dR/dt = (R_new - R_old)/dt; update R from
-    the law} under-relaxed until max |change| <= tol * max R, halving the
-    relaxation factor whenever the residual stops decreasing after the
-    first three sweeps.  Returns (new WallState, PressureExpansion).
+    Rigid walls short-circuit to a single solve with dR/dt = 0; elastic
+    walls run :func:`solve_wall` at the new time.  Returns
+    (new WallState, PressureExpansion).
     """
     from .expansion import BodyForce
 
@@ -147,31 +171,8 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt,
     if not isinstance(law, ElasticWall):
         raise TubeflowError(f"unknown wall law {law!r}")
 
-    r_old = state.R
-    r_cur = r_old.copy()
-    omega = relax
-    history = []
-    for _ in range(max_iter):
-        trial = WallState.from_radius(state.s1, r_cur,
-                                      dR_dt=(r_cur - r_old) / dt, t=t_new)
-        p0 = solve_p0(trial, fluid, bc, t=t_new)[0]
-        r_target = apply_wall_law(law, p0)
-        resid = float(np.max(np.abs(r_target - r_cur)))
-        history.append(resid)
-        if resid <= tol * float(np.max(r_cur)):
-            r_cur = r_cur + omega * (r_target - r_cur)
-            break
-        if len(history) > 3 and history[-1] > history[-2]:
-            omega *= 0.5
-        r_cur = r_cur + omega * (r_target - r_cur)
-    else:
-        raise CouplingDivergenceError(
-            f"wall coupling did not converge in {max_iter} iterations "
-            f"(last residual {history[-1]:.3e})", history,
-        )
-
-    new_state = WallState.from_radius(state.s1, r_cur,
-                                      dR_dt=(r_cur - r_old) / dt, t=t_new)
+    new_state = solve_wall(state, law, fluid, bc, t_new, dt=dt,
+                           max_iter=max_iter)
     pexp = solve_pressures(new_state, fluid, bc, kappa, body, t=t_new,
                            prev_dp0=prev_dp0, dt=dt, unsteady=True)
     return new_state, pexp

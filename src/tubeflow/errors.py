@@ -13,10 +13,6 @@ class MapError(TubeflowError):
     """The tube map is not invertible for the given parameters."""
 
 
-class SingularAxisError(TubeflowError):
-    """An inverse-Jacobian row was requested on the axis s3 = 0."""
-
-
 class SolverError(TubeflowError):
     """A pressure boundary-value solve failed (singular system)."""
 

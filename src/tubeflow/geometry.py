@@ -1,13 +1,14 @@
-"""Center-curve geometry, Frenet apparatus, and the tube coordinate map.
+"""Center-curve geometry, Frenet apparatus, and the tube-map bound.
 
 The pipe interior is the image of the reference domain
 [0, L] x [0, 2 pi] x [0, 1] under
 
     x(t, s1, s2, s3) = c(s1) + eps * s3 * R(t, s1) * (cos s2 N + sin s2 B),
 
-where (T, N, B) is the Frenet frame of the center curve c.  This module
-provides the frame (with curvature/torsion and their rates), the map, and
-the rows of the inverse Jacobian both exactly and as a power series in eps.
+where (T, N, B) is the Frenet frame of the center curve c.  The pipeline
+solves on the reference domain, so this module provides only the frame
+(with curvature/torsion and their rates) and the bound
+eps * max(kappa R) < 1 under which the map is invertible.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import GeometryError, MapError, SingularAxisError
-
-_ORTHO_TOL = 1e-12
+from .errors import GeometryError, MapError
 
 
 @dataclass(frozen=True)
@@ -66,18 +65,14 @@ class CenterCurve:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def straight(cls, length, direction=(0.0, 0.0, 1.0), origin=(0.0, 0.0, 0.0),
-                 normal=None):
-        """Straight axis; kappa = 0 so N, B are a declared constant frame."""
+    def straight(cls, length, direction=(0.0, 0.0, 1.0)):
+        """Straight axis through the origin; kappa = 0, so N, B are a fixed
+        frame perpendicular to the direction."""
         d = _unit(np.asarray(direction, dtype=float))
-        o = np.asarray(origin, dtype=float)
-        n = _unit(np.asarray(normal, dtype=float)) if normal is not None \
-            else _any_perpendicular(d)
-        if abs(np.dot(n, d)) > 1e-9:
-            raise GeometryError("supplied normal is not perpendicular to axis")
+        n = _any_perpendicular(d)
         b = np.cross(d, n)
         frame = FrenetFrame(d, n, b, 0.0, 0.0, 0.0, 0.0)
-        return cls("straight", length, lambda s: o + s * d, lambda s: frame, 0.0)
+        return cls("straight", length, lambda s: s * d, lambda s: frame, 0.0)
 
     @classmethod
     def circular_arc(cls, radius, length):
@@ -126,8 +121,9 @@ class CenterCurve:
     def from_samples(cls, s, points):
         """Cubic-spline curve through sampled points, parametrized by s.
 
-        The s column is taken as arc length (tangents are renormalized but
-        the parameter itself is not re-fit).  Curvature must stay away from
+        The s column is taken as arc length measured from the first sample,
+        so it is rebased to start at 0 (tangents are renormalized but the
+        parameter itself is not re-fit).  Curvature must stay away from
         zero: sampled curves with straight segments are not supported.
         """
         s = np.asarray(s, dtype=float)
@@ -136,6 +132,7 @@ class CenterCurve:
             raise GeometryError("samples must be (n,) s values and (n, 3) points")
         if s.size < 4:
             raise GeometryError("need at least 4 samples for a cubic spline")
+        s = s - s[0]
         if np.any(np.diff(s) <= 0):
             raise GeometryError("sample arc lengths must be strictly increasing")
         if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) < 1e-14):
@@ -183,7 +180,7 @@ class CenterCurve:
                 float(tau_spl(si)), float(dtau_spl(si)),
             )
 
-        return cls("sampled", s[-1] - s[0],
+        return cls("sampled", s[-1],
                    lambda si: np.asarray(spline(si)), frame,
                    float(kt[:, 0].max()))
 
@@ -222,123 +219,24 @@ def frenet_frame(curve: CenterCurve, s1: float) -> FrenetFrame:
     return fr
 
 
-@dataclass(frozen=True)
-class TubeMapParams:
-    """Dimensionless radius scale eps plus the axis and wall it applies to."""
+def check_invertibility(eps: float, curve: CenterCurve, wall) -> float:
+    """Bound eps * max(kappa) * max(R) of the tube map; must stay below 1.
 
-    eps: float
-    curve: CenterCurve
-    wall: "WallState"  # duck-typed: needs radius_at / slope_at / rate_at
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise MapError("eps must be positive")
-
-    def check_invertibility(self):
-        """eps * max(kappa) * max(R) must stay below 1 (warn above 0.5)."""
-        bound = self.eps * self.curve.max_curvature * float(np.max(self.wall.R))
-        if bound >= 1.0:
-            worst = float(self.wall.s1[int(np.argmax(self.wall.R))])
-            raise MapError(
-                f"tube map not invertible: eps*max(kappa R) = {bound:.3g} "
-                f">= 1 (widest station s1 = {worst:.6g})"
-            )
-        if bound > 0.5:
-            warnings.warn(
-                f"eps*max(kappa R) = {bound:.3g} > 0.5: asymptotic regime "
-                "questionable", stacklevel=2,
-            )
-        return bound
-
-
-def map_to_physical(params: TubeMapParams, t, s1, s2, s3) -> np.ndarray:
-    """World point of reference coordinates (s1, s2, s3) at time t."""
-    params.check_invertibility()
-    fr = params.curve.frame(s1)
-    r = params.wall.radius_at(s1)
-    radial = np.cos(s2) * fr.normal + np.sin(s2) * fr.binormal
-    return params.curve.point(s1) + params.eps * s3 * r * radial
-
-
-@dataclass(frozen=True)
-class JacobianRows:
-    """Inverse-Jacobian rows at one point, in Frenet components (T, N, B).
-
-    ``series`` maps (q, k) to the Frenet components of the eps^k coefficient
-    of row q (k = -1 is the 1/eps singular part).
+    ``wall`` needs the grid ``s1`` and the radius ``R`` on it.  Warns above
+    0.5, where the asymptotic regime becomes questionable.
     """
-
-    ds1_dx: np.ndarray
-    ds2_dx: np.ndarray
-    ds3_dx: np.ndarray
-    ds_dt: np.ndarray
-    series: dict
-
-
-def inverse_jacobian_rows(params: TubeMapParams, t, s1, s2, s3,
-                          series_order: int = 4) -> JacobianRows:
-    """Rows of the inverse Jacobian of the tube map, plus their eps series.
-
-    The s2 row carries a 1/s3 factor and is undefined on the axis.
-    """
-    if s3 <= 0:
-        raise SingularAxisError("ds2/dx is singular at s3 = 0")
-    eps = params.eps
-    fr = params.curve.frame(s1)
-    r = params.wall.radius_at(s1)
-    dr = params.wall.slope_at(s1)
-    rdot = params.wall.rate_at(s1)
-    kappa, tau = fr.curvature, fr.torsion
-
-    cos, sin = np.cos(s2), np.sin(s2)
-    denom = 1.0 - eps * kappa * s3 * r * cos
-    if denom <= 0:
-        raise MapError(f"tube map not invertible at s1 = {s1} (denominator {denom:.3g})")
-
-    ds1 = np.array([1.0 / denom, 0.0, 0.0])
-    ds2 = np.array([-tau / denom, -sin / (eps * s3 * r), cos / (eps * s3 * r)])
-    ds3 = np.array([-s3 * dr / (r * denom), cos / (eps * r), sin / (eps * r)])
-    ds_dt = np.array([0.0, 0.0, -s3 * rdot / r])
-
-    # geometric series of 1/denom: coefficient of eps^k is (kappa s3 R cos)^k
-    b = kappa * s3 * r * cos
-    series = {
-        (1, -1): np.zeros(3),
-        (2, -1): np.array([0.0, -sin / (r * s3), cos / (r * s3)]),
-        (3, -1): np.array([0.0, cos / r, sin / r]),
-    }
-    for k in range(series_order + 1):
-        series[(1, k)] = np.array([b**k, 0.0, 0.0])
-        series[(2, k)] = np.array([-tau * b**k, 0.0, 0.0])
-        series[(3, k)] = np.array([-(s3 * dr / r) * b**k, 0.0, 0.0])
-    return JacobianRows(ds1, ds2, ds3, ds_dt, series)
-
-
-def forward_jacobian(params: TubeMapParams, t, s1, s2, s3):
-    """Columns dx/ds1, dx/ds2, dx/ds3 and dx/dt, in Frenet components."""
-    eps = params.eps
-    fr = params.curve.frame(s1)
-    r = params.wall.radius_at(s1)
-    dr = params.wall.slope_at(s1)
-    rdot = params.wall.rate_at(s1)
-    kappa, tau = fr.curvature, fr.torsion
-    cos, sin = np.cos(s2), np.sin(s2)
-
-    dx_ds1 = np.array([
-        1.0 - eps * s3 * r * kappa * cos,
-        eps * s3 * (dr * cos - r * tau * sin),
-        eps * s3 * (dr * sin + r * tau * cos),
-    ])
-    dx_ds2 = np.array([0.0, -eps * s3 * r * sin, eps * s3 * r * cos])
-    dx_ds3 = np.array([0.0, eps * r * cos, eps * r * sin])
-    dx_dt = np.array([0.0, eps * s3 * rdot * cos, eps * s3 * rdot * sin])
-    return np.column_stack([dx_ds1, dx_ds2, dx_ds3]), dx_dt
-
-
-def evaluate_series_row(rows: JacobianRows, q: int, eps: float,
-                        order: int) -> np.ndarray:
-    """Assemble row q from its eps series truncated at the given order."""
-    total = rows.series[(q, -1)] / eps
-    for k in range(order + 1):
-        total = total + rows.series[(q, k)] * eps**k
-    return total
+    if eps <= 0:
+        raise MapError("eps must be positive")
+    bound = eps * curve.max_curvature * float(np.max(wall.R))
+    if bound >= 1.0:
+        worst = float(wall.s1[int(np.argmax(wall.R))])
+        raise MapError(
+            f"tube map not invertible: eps*max(kappa R) = {bound:.3g} "
+            f">= 1 (widest station s1 = {worst:.6g})"
+        )
+    if bound > 0.5:
+        warnings.warn(
+            f"eps*max(kappa R) = {bound:.3g} > 0.5: asymptotic regime "
+            "questionable", stacklevel=2,
+        )
+    return bound

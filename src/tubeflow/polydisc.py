@@ -139,9 +139,6 @@ class DiscPoly:
     def to_float(self):
         return DiscPoly({k: float(c) for k, c in self.coeffs.items()})
 
-    def map_coeffs(self, fn):
-        return DiscPoly({k: fn(c) for k, c in self.coeffs.items()})
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -431,12 +428,3 @@ def restrict_to_boundary(p: DiscPoly) -> TrigSeries:
                 cur[0 if kind == "cos" else 1] + total
             )
     return TrigSeries(modes)
-
-
-def max_abs_difference(p: DiscPoly, q: DiscPoly) -> float:
-    """Largest absolute coefficient difference between two polynomials."""
-    keys = set(p.coeffs) | set(q.coeffs)
-    return max(
-        (abs(float(p.coeff(m, n)) - float(q.coeff(m, n))) for m, n in keys),
-        default=0.0,
-    )

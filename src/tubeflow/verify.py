@@ -54,7 +54,6 @@ class ConservationReport:
 
     residual_q0: np.ndarray       # dQ0/ds1 + dA0/dt at interior nodes
     residual_q1: np.ndarray       # dQ1/ds1 at interior nodes
-    residual_q2_grad: np.ndarray  # dQ2/ds1, reported (nodal differencing)
     max_q0: float
     max_q1: float
 
@@ -80,11 +79,9 @@ def check_mass_conservation(flow: FlowRates, wall, pexp, fluid
     scale0 = max(np.max(np.abs(dq0)), np.max(np.abs(darea_dt)), 1.0)
     res1 = dq1
     scale1 = max(np.max(np.abs(flow.q1)), 1.0)
-    dq2 = np.gradient(flow.q2, h)
     return ConservationReport(
         residual_q0=res0,
         residual_q1=res1,
-        residual_q2_grad=dq2,
         max_q0=float(np.max(np.abs(res0)) / scale0),
         max_q1=float(np.max(np.abs(res1)) / scale1),
     )

@@ -14,6 +14,7 @@ from tubeflow.cli import (
     sample_fields,
 )
 from tubeflow.coupling import wall_law_residual
+from tubeflow.geometry import CenterCurve
 from tubeflow.errors import ConfigurationError
 from tubeflow.polydisc import DiscPoly
 
@@ -124,6 +125,37 @@ class TestPresets:
         assert wall_law_residual(law, res.pexp.p0, res.wall.R).max() <= 1e-10
         assert res.wall.R.max() == pytest.approx(max_R, abs=1e-9)
         assert res.verification_passed()
+
+    @staticmethod
+    def helix_file(tmp_path):
+        """Helix (3 cos th, 3 sin th, 4 th) sampled with s over [2, 7]."""
+        s = np.linspace(2.0, 7.0, 120)
+        th = (s - 2.0) / 5.0
+        path = tmp_path / "helix.csv"
+        np.savetxt(path, np.column_stack([s, 3 * np.cos(th), 3 * np.sin(th),
+                                          4 * th]),
+                   delimiter=",", header="s,x,y,z", comments="")
+        return path
+
+    def test_sampled_curve_spans_its_arc_length(self, tmp_path):
+        res = run_pipeline(RunConfig.from_mapping({
+            **STRAIGHT, "geometry.kind": "sampled",
+            "geometry.file": str(self.helix_file(tmp_path)),
+            "geometry.length": "5.0"}))
+        assert res.wall.s1[-1] == 5.0
+        assert np.allclose(res.curve.frame(0.0).basis_matrix(),
+                           CenterCurve.helix(3.0, 4.0, 5.0).frame(0.0)
+                           .basis_matrix(), atol=1e-6)
+
+    @pytest.mark.parametrize("length", ["1.0", "5.0625"])
+    def test_sampled_curve_length_mismatch(self, tmp_path, length):
+        cfg = RunConfig.from_mapping({
+            **STRAIGHT, "geometry.kind": "sampled",
+            "geometry.file": str(self.helix_file(tmp_path)),
+            "geometry.length": length})
+        with pytest.raises(ConfigurationError,
+                           match=rf"{length} differs .* 5\.0 "):
+            run_pipeline(cfg)
 
     def test_moving_wall_radial_boundary(self):
         res = run_pipeline(RunConfig.from_mapping(MOVING))

@@ -9,6 +9,7 @@ from tubeflow.coupling import (
     WallState,
     advance_time_step,
     apply_wall_law,
+    solve_wall,
     wall_law_residual,
 )
 from tubeflow.errors import (
@@ -37,13 +38,6 @@ class TestWallState:
     def test_positive_radius_enforced(self):
         with pytest.raises(TubeflowError):
             WallState.from_radius(grid(), -1.0)
-
-    def test_interpolators(self):
-        s = grid()
-        state = WallState.from_radius(s, 1.0 + s, dR_dt=2.0 * np.ones(N))
-        assert state.radius_at(0.25) == pytest.approx(1.25)
-        assert state.slope_at(0.5) == pytest.approx(1.0)
-        assert state.rate_at(0.9) == pytest.approx(2.0)
 
 
 class TestWallLaw:
@@ -129,6 +123,15 @@ class TestTimeStepping:
             advance_time_step(state, law, FLUID, PressureBC(10.0, 0.0),
                               dt=0.1, max_iter=20)
         assert len(err.value.history) == 20
+
+    def test_steady_divergence_raises_with_history(self):
+        # dt = None (steady) runs the same loop and reports the same way
+        law = ElasticWall(E=1e3, h0=0.1, R0=1.0)
+        state = WallState.from_radius(grid(), 1.0)
+        with pytest.raises(CouplingDivergenceError) as err:
+            solve_wall(state, law, FLUID, PressureBC(5.0, 0.0), 0.0,
+                       max_iter=3)
+        assert len(err.value.history) == 3
 
     def test_bad_dt_rejected(self):
         state = WallState.from_radius(grid(), 1.0)

@@ -1,19 +1,11 @@
-"""Center-curve frames, the tube map, and the inverse Jacobian."""
+"""Center-curve frames and the tube-map invertibility bound."""
 
 import numpy as np
 import pytest
 
 from tubeflow.coupling import WallState
-from tubeflow.errors import GeometryError, MapError, SingularAxisError
-from tubeflow.geometry import (
-    CenterCurve,
-    TubeMapParams,
-    evaluate_series_row,
-    forward_jacobian,
-    frenet_frame,
-    inverse_jacobian_rows,
-    map_to_physical,
-)
+from tubeflow.errors import GeometryError, MapError
+from tubeflow.geometry import CenterCurve, check_invertibility, frenet_frame
 
 from oracles import fd_frenet
 
@@ -114,6 +106,23 @@ class TestSampledCurves:
         assert curve.frame(smid).curvature_rate == pytest.approx(
             rate_fd, rel=1e-3)
 
+    def test_shifted_arc_length_column(self):
+        # an s column starting at 2 describes the same curve as one from 0
+        s, pts = self.make_helix_samples()
+        base = CenterCurve.from_samples(s, pts)
+        shifted = CenterCurve.from_samples(s + 2.0, pts)
+        assert shifted.length == pytest.approx(base.length, abs=1e-12)
+        for si in np.linspace(0.0, base.length, 11):
+            a, b = base.frame(si), shifted.frame(si)
+            assert np.abs(a.basis_matrix() - b.basis_matrix()).max() < 1e-12
+            assert np.abs(base.point(si) - shifted.point(si)).max() < 1e-12
+            # torsion takes the spline's third derivative, which amplifies
+            # the last-bit change of s + 2 - 2
+            for attr in ("curvature", "curvature_rate", "torsion",
+                         "torsion_rate"):
+                assert getattr(a, attr) == pytest.approx(getattr(b, attr),
+                                                         abs=1e-9)
+
     def test_degenerate_samples_rejected(self):
         s = np.array([0.0, 1.0, 2.0, 3.0])
         pts = np.zeros((4, 3))
@@ -146,103 +155,19 @@ class TestSampledCurves:
 
 
 class TestTubeMap:
-    def test_axis_point(self):
-        curve = CenterCurve.helix(3.0, 4.0, 5.0)
-        params = TubeMapParams(0.1, curve, unit_wall(length=5.0))
-        assert np.allclose(map_to_physical(params, 0.0, 2.0, 1.0, 0.0),
-                           curve.point(2.0))
-
-    def test_straight_offset(self):
-        curve = CenterCurve.straight(1.0, direction=(0, 0, 1))
-        params = TubeMapParams(0.1, curve, unit_wall())
-        fr = curve.frame(0.5)
-        expect = curve.point(0.5) + 0.1 * fr.normal
-        assert np.allclose(map_to_physical(params, 0.0, 0.5, 0.0, 1.0), expect)
-
     def test_invertibility_bound(self):
         curve = CenterCurve.circular_arc(1.0, 1.0)  # kappa = 1
-        params = TubeMapParams(0.1, curve, unit_wall())
-        assert params.check_invertibility() == pytest.approx(0.1)
+        assert check_invertibility(0.1, curve, unit_wall()) == \
+            pytest.approx(0.1)
 
     def test_invertibility_violation(self):
         curve = CenterCurve.circular_arc(0.5, 1.0)  # kappa = 2
-        params = TubeMapParams(0.6, curve, unit_wall())
         with pytest.raises(MapError):
-            map_to_physical(params, 0.0, 0.5, 0.0, 1.0)
+            check_invertibility(0.6, curve, unit_wall())
+        with pytest.raises(MapError):
+            check_invertibility(0.0, curve, unit_wall())
 
     def test_regime_warning(self):
         curve = CenterCurve.circular_arc(1.0, 1.0)
-        params = TubeMapParams(0.6, curve, unit_wall())
         with pytest.warns(UserWarning):
-            params.check_invertibility()
-
-
-class TestInverseJacobian:
-    def params(self, moving=True):
-        curve = CenterCurve.helix(3.0, 4.0, 5.0)
-        n = 32
-        s = np.linspace(0.0, 5.0, n)
-        radius = 1.0 + 0.1 * np.sin(2 * np.pi * s / 5.0)
-        rate = 0.3 * np.ones(n) if moving else None
-        return TubeMapParams(0.05, curve, WallState.from_radius(s, radius,
-                                                                dR_dt=rate))
-
-    def test_straight_row_is_tangent(self):
-        curve = CenterCurve.straight(1.0)
-        params = TubeMapParams(0.1, curve, unit_wall())
-        rows = inverse_jacobian_rows(params, 0.0, 0.5, 0.7, 0.4)
-        assert np.allclose(rows.ds1_dx, [1.0, 0.0, 0.0])
-
-    def test_rigid_wall_time_row_zero(self):
-        params = self.params(moving=False)
-        rows = inverse_jacobian_rows(params, 0.0, 2.0, 0.7, 0.4)
-        assert np.allclose(rows.ds_dt, 0.0)
-
-    def test_moving_wall_time_row(self):
-        params = self.params()
-        s1, s3 = 2.0, 0.4
-        rows = inverse_jacobian_rows(params, 0.0, s1, 0.7, s3)
-        expect = -s3 * params.wall.rate_at(s1) / params.wall.radius_at(s1)
-        assert rows.ds_dt[2] == pytest.approx(expect)
-        assert rows.ds_dt[0] == rows.ds_dt[1] == 0.0
-
-    def test_product_with_forward_jacobian_is_identity(self):
-        params = self.params()
-        rng = np.random.default_rng(42)
-        for _ in range(12):
-            s1 = rng.uniform(0.1, 4.9)
-            s2 = rng.uniform(0.0, 2 * np.pi)
-            s3 = rng.uniform(0.05, 1.0)
-            rows = inverse_jacobian_rows(params, 0.0, s1, s2, s3)
-            inv = np.vstack([rows.ds1_dx, rows.ds2_dx, rows.ds3_dx])
-            fwd, dx_dt = forward_jacobian(params, 0.0, s1, s2, s3)
-            assert np.abs(inv @ fwd - np.eye(3)).max() < 1e-12
-            # time row consistency: ds/dt = -(grad s) dx/dt
-            assert np.allclose(rows.ds_dt, -inv @ dx_dt, atol=1e-13)
-
-    def test_axis_singularity(self):
-        params = self.params()
-        with pytest.raises(SingularAxisError):
-            inverse_jacobian_rows(params, 0.0, 2.0, 0.3, 0.0)
-
-    def test_eps_series_order_five(self):
-        # truncated at k = 4 the series error scales like eps^5; a tight
-        # helix keeps the signal above round-off at both eps values
-        curve = CenterCurve.helix(0.2, 0.1, 1.0)  # kappa = 4, tau = 2
-        n = 32
-        s = np.linspace(0.0, 1.0, n)
-        radius = 1.2 + 0.1 * np.sin(2 * np.pi * s)
-        wall = WallState.from_radius(s, radius, dR_dt=0.3 * np.ones(n))
-        point = (0.5, 0.1, 1.0)
-        errs = {}
-        for eps in (1e-2, 1e-3):
-            params = TubeMapParams(eps, curve, wall)
-            rows = inverse_jacobian_rows(params, 0.0, *point, series_order=4)
-            exact = np.vstack([rows.ds1_dx, rows.ds2_dx, rows.ds3_dx])
-            approx = np.vstack([evaluate_series_row(rows, q, eps, 4)
-                                for q in (1, 2, 3)])
-            # the 1/eps (normal/binormal) parts are represented exactly
-            assert np.allclose(exact[:, 1:], approx[:, 1:], rtol=1e-14)
-            errs[eps] = np.abs(exact[:, 0] - approx[:, 0]).max()
-        ratio = errs[1e-2] / errs[1e-3]
-        assert 1e5 / 2 < ratio < 1e5 * 2
+            check_invertibility(0.6, curve, unit_wall())

@@ -17,7 +17,6 @@ from tubeflow.polydisc import (
     disc_moment_over_pi,
     from_polar_fourier,
     laplacian,
-    max_abs_difference,
     polar_fourier,
     restrict_to_boundary,
     scaled_radial_derivative,
@@ -177,9 +176,3 @@ def test_repr_is_readable():
     text = repr(p)
     assert "z2^2" in text and "z3" in text and "1/2" in text
     assert repr(DiscPoly.zero()) == "0"
-
-
-def test_max_abs_difference():
-    a = DiscPoly({(1, 1): 1.0})
-    b = DiscPoly({(1, 1): 1.0 + 1e-9, (0, 2): 1e-12})
-    assert max_abs_difference(a, b) == pytest.approx(1e-9)
