@@ -166,8 +166,19 @@ class RunConfig:
             raise ConfigurationError(f"unknown geometry {self.geometry_kind!r}")
         if self.wall_law not in ("rigid", "elastic"):
             raise ConfigurationError(f"unknown wall law {self.wall_law!r}")
-        if not self.steady and self.dt <= 0:
-            raise ConfigurationError("unsteady runs need dt > 0")
+        if len(self.direction) != 3 or not np.all(np.isfinite(self.direction)):
+            raise ConfigurationError(f"geometry.direction {self.direction!r}"
+                                     " needs 3 finite components")
+        if not self.steady:  # steps of dt from 0 reach t_end exactly
+            steps = self.t_end / self.dt if self.dt > 0 else np.nan
+            if not (self.t_end > 0 and np.isfinite(steps)):
+                raise ConfigurationError(
+                    f"unsteady runs need finite dt > 0 and t_end > 0 "
+                    f"(time.dt = {self.dt!r}, time.t_end = {self.t_end!r})")
+            if abs(steps - round(steps)) > 1e-9 * steps:
+                raise ConfigurationError(
+                    f"time.t_end = {self.t_end!r} is not a whole multiple of "
+                    f"time.dt = {self.dt!r}")
         for s1 in self.stations:
             if not 0.0 <= s1 <= self.length:
                 raise ConfigurationError(
@@ -239,6 +250,7 @@ class PipelineResult:
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Geometry -> pressures -> expansion -> verification, in memory."""
+    cfg.validate()  # the step count below needs a valid time grid
     curve = cfg.build_curve()
     # a sampled curve brings its own length; the axis grid must span it
     if abs(curve.length - cfg.length) > 1e-12:
@@ -254,25 +266,18 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     kappa = np.array([curve.frame(x).curvature for x in s1])
     history = []
 
-    wall = coupling.WallState.from_radius(
-        s1, law.rest_radius(cfg.n_s1)
-        if isinstance(law, coupling.ElasticWall) else cfg.wall_R0)
-    if cfg.steady:
-        if isinstance(law, coupling.ElasticWall):
-            wall = coupling.solve_wall(wall, law, fluid, bc, 0.0, tol=1e-12)
-        pexp = pressure.solve_pressures(wall, fluid, bc, kappa, body)
-    else:
-        pexp = None
-        prev_dp0 = None
-        t = 0.0
-        nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
-        for _ in range(nsteps):
-            wall, pexp = coupling.advance_time_step(
-                wall, law, fluid, bc, cfg.dt, kappa=kappa, body=body,
-                prev_dp0=prev_dp0)
-            prev_dp0 = pexp.dp0
-            t = wall.t
-            history.append((t, float(wall.R.max()), float(wall.R.min()),
+    # a steady run is one implicit step with dR/dt = 0 (dt None)
+    dt = None if cfg.steady else cfg.dt
+    n_steps = 1 if cfg.steady else int(round(cfg.t_end / cfg.dt))
+    wall = coupling.WallState.from_radius(s1, cfg.wall_R0)
+    prev_dp0 = None
+    for _ in range(n_steps):
+        wall, pexp = coupling.advance_time_step(
+            wall, law, fluid, bc, dt, kappa=kappa, body=body,
+            prev_dp0=prev_dp0)
+        prev_dp0 = pexp.dp0
+        if dt is not None:
+            history.append((wall.t, float(wall.R.max()), float(wall.R.min()),
                             float(pexp.p0[0]), float(pexp.p0[-1])))
 
     # tube-map sanity for the configured eps

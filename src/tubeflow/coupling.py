@@ -6,9 +6,12 @@ algebraic elastic law
     p0 - p_e = (E h0 / R0^2) (R - R0),
 
 in which case the leading-order pressure and the law are solved together
-by one under-relaxed fixed point, :func:`solve_wall`: once per implicit
-time step with the wall velocity (R - R_old)/dt, or once for the steady
-equilibrium with dR/dt = 0.
+by one under-relaxed fixed point, :func:`solve_wall`.
+
+Every run advances through :func:`advance_time_step`: one implicit step
+with the wall velocity (R - R_old)/dt, or, with ``dt`` None, the steady
+equilibrium with dR/dt = 0.  Rigid and elastic walls share that step and
+end in the same single solve of the pressure hierarchy.
 """
 
 from __future__ import annotations
@@ -108,17 +111,19 @@ def wall_law_residual(law: ElasticWall, p0, R):
 
 
 def solve_wall(state: WallState, law: ElasticWall, fluid, bc: PressureBC, t,
-               dt=None, max_iter: int = 100, tol: float = 1e-10) -> WallState:
+               dt=None, max_iter: int = 100) -> WallState:
     """Elastic wall and leading-order pressure at time t, solved together.
 
     Starting from ``state.R``, iterates {solve p0 with dR/dt = (R - R_old)/dt,
     or dR/dt = 0 when ``dt`` is None; update R from the law} with
     relaxation factor 0.5 until max |change| <= tol * max R, halving the
     factor whenever the residual stops decreasing after the first three
-    sweeps.  Raises CouplingDivergenceError, with the residual history,
+    sweeps.  tol is 1e-12 for the steady equilibrium and 1e-10 per time
+    step.  Raises CouplingDivergenceError, with the residual history,
     after ``max_iter`` sweeps.
     """
     r_old = state.R
+    tol = 1e-12 if dt is None else 1e-10
 
     def wall(r):
         rate = None if dt is None else (r - r_old) / dt
@@ -143,36 +148,32 @@ def solve_wall(state: WallState, law: ElasticWall, fluid, bc: PressureBC, t,
     )
 
 
-def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt,
+def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
                       kappa=None, body=None, prev_dp0=None,
                       max_iter: int = 100) -> tuple:
     """Advance the coupled wall/pressure system by one implicit step.
 
-    Rigid walls short-circuit to a single solve with dR/dt = 0; elastic
-    walls run :func:`solve_wall` at the new time.  Returns
+    With ``dt`` None the step is the steady equilibrium at ``state.t``
+    (dR/dt = 0); otherwise it ends at ``state.t + dt``.  A rigid wall keeps
+    its radius; an elastic wall runs :func:`solve_wall`.  The pressure
+    hierarchy is then solved once on the new wall.  Returns
     (new WallState, PressureExpansion).
     """
     from .expansion import BodyForce
 
-    if dt <= 0:
+    if dt is not None and dt <= 0:
         raise TubeflowError("time step must be positive")
     body = body or BodyForce()
     kappa = np.zeros_like(state.R) if kappa is None else np.asarray(kappa)
-    t_new = state.t + dt
+    t = state.t if dt is None else state.t + dt
 
     if isinstance(law, RigidWall):
-        new_state = WallState.from_radius(state.s1, state.R,
-                                          dR_dt=np.zeros_like(state.R),
-                                          t=t_new)
-        pexp = solve_pressures(new_state, fluid, bc, kappa, body, t=t_new,
-                               prev_dp0=prev_dp0, dt=dt, unsteady=False)
-        return new_state, pexp
-
-    if not isinstance(law, ElasticWall):
+        new_state = WallState.from_radius(state.s1, state.R, t=t)
+    elif isinstance(law, ElasticWall):
+        new_state = solve_wall(state, law, fluid, bc, t, dt=dt,
+                               max_iter=max_iter)
+    else:
         raise TubeflowError(f"unknown wall law {law!r}")
-
-    new_state = solve_wall(state, law, fluid, bc, t_new, dt=dt,
-                           max_iter=max_iter)
-    pexp = solve_pressures(new_state, fluid, bc, kappa, body, t=t_new,
-                           prev_dp0=prev_dp0, dt=dt, unsteady=True)
+    pexp = solve_pressures(new_state, fluid, bc, kappa, body, t=t,
+                           prev_dp0=prev_dp0, dt=dt)
     return new_state, pexp

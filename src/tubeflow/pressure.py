@@ -13,6 +13,11 @@ All three are discretized in conservative flux form on a uniform grid
 with a = R^4 averaged to midpoints, so the discrete flux a p' is exactly
 continuous across interior nodes and the mass-conservation residuals of the
 verify module cancel to round-off against the same stencils.
+
+Each solver returns the solved grid and its midpoint flux.
+:func:`solve_pressures` runs the three in order and is the one place where
+derivatives of the solved grids are taken: p0 up to the third, the mixed
+time derivative of p0', p1 up to the second and p02'.
 """
 
 from __future__ import annotations
@@ -202,35 +207,22 @@ def flux_residual(coef, h, p, rhs, rhs_is_bracket=False):
 # -- the three pressure problems -------------------------------------------
 
 def solve_p0(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
-             t: float = 0.0, prev_dp0=None, dt: float | None = None):
+             t: float = 0.0):
     """Leading-order pressure: (R^4 p0')' = 16 nu rho0 R dR/dt.
 
-    Returns (p0, dp0, d2p0, d3p0, dt_dp0, flux).  The mixed time derivative
-    is a backward difference of dp0 against ``prev_dp0`` (zero on the first
-    step and in steady mode).
+    Returns (p0, flux).
     """
     if np.any(wall.R <= 0):
         raise SolverError("wall radius must stay positive")
-    h = wall.h
     p_in, p_out = bc.p0_at(t)
     rhs = 16.0 * fluid.nu * fluid.rho0 * wall.R * wall.dR_dt
-    p0, flux = solve_flux_bvp(wall.R**4, h, rhs, p_in, p_out)
-    dp0 = fd_derivative(p0, h)
-    d2p0 = fd_second_derivative(p0, h)
-    d3p0 = fd_third_derivative(p0, h)
-    if prev_dp0 is not None and dt:
-        dt_dp0 = (dp0 - np.asarray(prev_dp0)) / dt
-    else:
-        dt_dp0 = np.zeros_like(p0)
-    return p0, dp0, d2p0, d3p0, dt_dp0, flux
+    return solve_flux_bvp(wall.R**4, wall.h, rhs, p_in, p_out)
 
 
 def solve_p1(wall: "WallState", fluid: "FluidParams", bc: PressureBC):
-    """First pressure correction: (R^4 p1')' = 0."""
-    h = wall.h
-    p1, flux = solve_flux_bvp(wall.R**4, h, np.zeros_like(wall.R),
-                              bc.p1_inlet, bc.p1_outlet)
-    return p1, fd_derivative(p1, h), fd_second_derivative(p1, h), flux
+    """First pressure correction: (R^4 p1')' = 0.  Returns (p1, flux)."""
+    return solve_flux_bvp(wall.R**4, wall.h, np.zeros_like(wall.R),
+                          bc.p1_inlet, bc.p1_outlet)
 
 
 def p02_bracket(wall: "WallState", fluid: "FluidParams", kappa, p0_data,
@@ -259,49 +251,41 @@ def p02_bracket(wall: "WallState", fluid: "FluidParams", kappa, p0_data,
 
 
 def solve_p02(wall: "WallState", fluid: "FluidParams", kappa, p0_data,
-              body: "BodyForce", bc: PressureBC, unsteady: bool = False):
-    """Axisymmetric second-order pressure: (R^4 p02')' = d/ds1 [bracket]."""
-    if unsteady and p0_data[3] is None:
-        raise ConfigurationError(
-            "unsteady p02 solve needs the mixed derivative d2 p0 / dt ds1"
-        )
-    data = list(p0_data)
-    if data[3] is None:
-        data[3] = np.zeros_like(wall.R)
-    bracket = p02_bracket(wall, fluid, kappa, tuple(data), body)
-    p02, flux = solve_flux_bvp(wall.R**4, wall.h, bracket,
-                               bc.p02_inlet, bc.p02_outlet, rhs_is_bracket=True)
-    return p02, fd_derivative(p02, wall.h), flux
+              body: "BodyForce", bc: PressureBC):
+    """Axisymmetric second-order pressure: (R^4 p02')' = d/ds1 [bracket].
+
+    ``p0_data`` is (dp0, d2p0, d3p0, dt_dp0).  Returns (p02, flux).
+    """
+    bracket = p02_bracket(wall, fluid, kappa, p0_data, body)
+    return solve_flux_bvp(wall.R**4, wall.h, bracket,
+                          bc.p02_inlet, bc.p02_outlet, rhs_is_bracket=True)
 
 
 def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
                     kappa, body: "BodyForce", t: float = 0.0,
-                    prev_dp0=None, dt: float | None = None,
-                    unsteady: bool = False) -> PressureExpansion:
-    """Solve the full pressure hierarchy on the wall's grid."""
-    p0, dp0, d2p0, d3p0, dt_dp0, flux0 = solve_p0(
-        wall, fluid, bc, t=t, prev_dp0=prev_dp0, dt=dt
-    )
-    p1, dp1, d2p1, flux1 = solve_p1(wall, fluid, bc)
-    p02, dp02, flux2 = solve_p02(
-        wall, fluid, kappa, (dp0, d2p0, d3p0, dt_dp0), body, bc,
-        unsteady=unsteady,
-    )
+                    prev_dp0=None,
+                    dt: float | None = None) -> PressureExpansion:
+    """Solve the full pressure hierarchy on the wall's grid.
+
+    The only place the derivatives of the solved grids are taken.  The
+    mixed time derivative dt_dp0 is a backward difference of dp0 against
+    ``prev_dp0`` (zero on the first step and in steady mode).
+    """
+    h = wall.h
+    p0, flux0 = solve_p0(wall, fluid, bc, t=t)
+    dp0 = fd_derivative(p0, h)
+    d2p0 = fd_second_derivative(p0, h)
+    d3p0 = fd_third_derivative(p0, h)
+    if prev_dp0 is not None and dt:
+        dt_dp0 = (dp0 - np.asarray(prev_dp0)) / dt
+    else:
+        dt_dp0 = np.zeros_like(p0)
+    p1, flux1 = solve_p1(wall, fluid, bc)
+    p02, flux2 = solve_p02(wall, fluid, kappa, (dp0, d2p0, d3p0, dt_dp0),
+                           body, bc)
     return PressureExpansion(
         s1=wall.s1, p0=p0, dp0=dp0, d2p0=d2p0, d3p0=d3p0, dt_dp0=dt_dp0,
-        p1=p1, dp1=dp1, d2p1=d2p1, p02=p02, dp02=dp02,
+        p1=p1, dp1=fd_derivative(p1, h), d2p1=fd_second_derivative(p1, h),
+        p02=p02, dp02=fd_derivative(p02, h),
         flux_p0=flux0, flux_p1=flux1, flux_p02=flux2,
     )
-
-
-def p0_compatibility_residual(wall: "WallState", fluid: "FluidParams",
-                              dp0, d2p0):
-    """Residual of (R / 16 rho0 nu)(2 (R^2 p0')' - R^2 p0'') = dR/dt.
-
-    Algebraically equivalent to the p0 equation, so it vanishes with the
-    discretization error of the solved grid.
-    """
-    r, dr = wall.R, wall.dR_ds1
-    d_r2dp0 = 2.0 * r * dr * dp0 + r**2 * d2p0
-    lhs = r / (16.0 * fluid.rho0 * fluid.nu) * (2.0 * d_r2dp0 - r**2 * d2p0)
-    return lhs - wall.dR_dt

@@ -1,6 +1,7 @@
 """Config parsing, pipeline presets, exports, and the command-line surface."""
 
 import filecmp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,8 +88,47 @@ class TestConfigParsing:
         cfg = RunConfig.from_mapping({"output.fields": "all"})
         assert cfg.out_fields == RunConfig.out_fields
 
+    @pytest.mark.parametrize("direction", ["1, 0", "1, 0, 0, 0", "nan, 0, 1"])
+    def test_direction_needs_three_components(self, direction):
+        with pytest.raises(ConfigurationError, match="direction"):
+            RunConfig.from_mapping({"geometry.direction": direction})
+
+    @pytest.mark.parametrize("t_end", ["0", "-1"])
+    def test_unsteady_end_time_must_be_positive(self, t_end):
+        with pytest.raises(ConfigurationError, match=repr(float(t_end))):
+            RunConfig.from_mapping({"time.steady": "false",
+                                    "time.t_end": t_end, "time.dt": "0.1"})
+
+    def test_unsteady_end_time_whole_multiple_of_dt(self):
+        # 1.0 / 0.3 used to stop silently at t = 0.9
+        with pytest.raises(ConfigurationError, match="1.0.*0.3"):
+            RunConfig.from_mapping({"time.steady": "false",
+                                    "time.t_end": "1.0", "time.dt": "0.3"})
+
+    @pytest.mark.parametrize("t_end, dt, steps", [
+        ("1.0", "0.0025", 400), ("1.0", "0.05", 20), ("0.3", "0.05", 6)])
+    def test_whole_step_counts_accepted(self, t_end, dt, steps):
+        cfg = RunConfig.from_mapping({"time.steady": "false",
+                                      "time.t_end": t_end, "time.dt": dt})
+        assert round(cfg.t_end / cfg.dt) == steps
+
+    def test_time_grid_ignored_when_steady(self):
+        RunConfig.from_mapping({"time.t_end": "0", "time.dt": "0.3"})
+
+    def test_shipped_unsteady_preset_accepted(self):
+        root = Path(__file__).resolve().parent.parent
+        cfg = RunConfig.from_file(root / "presets" / "elastic_pulse.cfg")
+        assert not cfg.steady
+
 
 class TestPresets:
+    def test_pipeline_revalidates_config(self):
+        # a config edited after parsing used to run one step to t = dt
+        cfg = RunConfig.from_mapping(STRAIGHT)
+        cfg.steady, cfg.t_end = False, 0.0
+        with pytest.raises(ConfigurationError, match="t_end"):
+            run_pipeline(cfg)
+
     def test_straight_rigid_zero_corrections(self):
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))
         mid = 16
@@ -274,6 +314,13 @@ class TestCommandLine:
                      str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error" in err and str(bad) in err
+
+    def test_short_direction_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**STRAIGHT, "geometry.direction": "1, 0"})
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error [ConfigurationError]" in err and "(1.0, 0.0)" in err
 
     def test_bad_output_config_writes_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**STRAIGHT,

@@ -17,8 +17,8 @@ from tubeflow.errors import (
     TubeflowError,
     WallCollapseError,
 )
-from tubeflow.expansion import FluidParams
-from tubeflow.pressure import PressureBC, flux_residual
+from tubeflow.expansion import BodyForce, FluidParams
+from tubeflow.pressure import PressureBC, flux_residual, solve_pressures
 
 FLUID = FluidParams(1.0, 1.0)
 N = 33
@@ -132,6 +132,34 @@ class TestTimeStepping:
             solve_wall(state, law, FLUID, PressureBC(5.0, 0.0), 0.0,
                        max_iter=3)
         assert len(err.value.history) == 3
+
+    def test_steady_rigid_step_is_one_pressure_solve(self):
+        # dt = None: the rigid step is solve_pressures on the same wall
+        s = grid()
+        state = WallState.from_radius(s, 1.0 + 0.2 * s, t=0.7)
+        kappa = 0.3 * np.ones(N)
+        bc = PressureBC(1.0, 0.0)
+        new_state, pexp = advance_time_step(state, RigidWall(), FLUID, bc,
+                                            kappa=kappa)
+        direct = solve_pressures(state, FLUID, bc, kappa, BodyForce(), t=0.7)
+        assert new_state.t == 0.7
+        for name in ("R", "dR_ds1", "d2R_ds12", "dR_dt"):
+            assert np.array_equal(getattr(new_state, name),
+                                  getattr(state, name))
+        for name in ("p0", "dp0", "d2p0", "d3p0", "dt_dp0", "p1", "dp1",
+                     "d2p1", "p02", "dp02", "flux_p0", "flux_p1",
+                     "flux_p02"):
+            assert np.array_equal(getattr(pexp, name), getattr(direct, name))
+
+    def test_steady_elastic_step_reaches_law(self):
+        law = ElasticWall(E=1e3, h0=0.1, R0=1.0)
+        state = WallState.from_radius(grid(), 1.0)
+        new_state, pexp = advance_time_step(state, law, FLUID,
+                                            PressureBC(5.0, 0.0))
+        assert new_state.t == 0.0
+        assert np.all(new_state.dR_dt == 0.0)
+        assert new_state.R.max() > 1.0
+        assert wall_law_residual(law, pexp.p0, new_state.R).max() <= 1e-12
 
     def test_bad_dt_rejected(self):
         state = WallState.from_radius(grid(), 1.0)

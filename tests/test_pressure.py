@@ -32,10 +32,18 @@ def make_wall(n=101, radius=None, rate=None, length=1.0):
     return WallState.from_radius(s, R, dR_dt=rate(s) if rate else None), s
 
 
+def steady_p0_data(wall, bc):
+    """(dp0, d2p0, d3p0, dt_dp0) of a steady solve, as solve_p02 takes it."""
+    pexp = solve_pressures(wall, FLUID, bc, np.zeros(wall.s1.size),
+                           BodyForce())
+    return pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0
+
+
 class TestP0:
     def test_constant_coefficient_linear(self):
         wall, s = make_wall()
-        p0, dp0, *_ = solve_p0(wall, FLUID, PressureBC(1.0, 0.0))
+        p0, _ = solve_p0(wall, FLUID, PressureBC(1.0, 0.0))
+        dp0 = steady_p0_data(wall, PressureBC(1.0, 0.0))[0]
         assert np.abs(p0 - (1 - s)).max() < 1e-13
         assert np.abs(dp0 + 1.0).max() < 1e-12
 
@@ -57,10 +65,11 @@ class TestP0:
     def test_mixed_time_derivative(self):
         wall, _ = make_wall()
         prev = np.full(101, 2.0)
-        _, dp0, _, _, dt_dp0, _ = solve_p0(
-            wall, FLUID, PressureBC(1.0, 0.0), prev_dp0=prev, dt=0.5)
-        assert np.allclose(dt_dp0, (dp0 - prev) / 0.5)
-        dt_dp0_steady = solve_p0(wall, FLUID, PressureBC(1.0, 0.0))[4]
+        pexp = solve_pressures(wall, FLUID, PressureBC(1.0, 0.0),
+                               np.zeros(101), BodyForce(), prev_dp0=prev,
+                               dt=0.5)
+        assert np.allclose(pexp.dt_dp0, (pexp.dp0 - prev) / 0.5)
+        dt_dp0_steady = steady_p0_data(wall, PressureBC(1.0, 0.0))[3]
         assert np.all(dt_dp0_steady == 0.0)
 
     def test_vanishing_radius_rejected(self):
@@ -97,21 +106,17 @@ class TestP1:
 class TestP02:
     def test_straight_rigid_linear_p0_gives_zero(self):
         wall, _ = make_wall()
-        _, dp0, d2p0, d3p0, dt_dp0, _ = solve_p0(wall, FLUID,
-                                                 PressureBC(1.0, 0.0))
-        p02, _, _ = solve_p02(wall, FLUID, np.zeros(101),
-                              (dp0, d2p0, d3p0, dt_dp0), BodyForce(),
-                              PressureBC())
+        p02, _ = solve_p02(wall, FLUID, np.zeros(101),
+                           steady_p0_data(wall, PressureBC(1.0, 0.0)),
+                           BodyForce(), PressureBC())
         assert np.abs(p02).max() < 1e-10
 
     def test_constant_body_force_still_zero(self):
         # constant R and b01: the bracket is constant, so its gradient is 0
         wall, _ = make_wall()
-        _, dp0, d2p0, d3p0, dt_dp0, _ = solve_p0(wall, FLUID,
-                                                 PressureBC(1.0, 0.0))
-        p02, _, _ = solve_p02(wall, FLUID, np.zeros(101),
-                              (dp0, d2p0, d3p0, dt_dp0), BodyForce(b1=3.0),
-                              PressureBC())
+        p02, _ = solve_p02(wall, FLUID, np.zeros(101),
+                           steady_p0_data(wall, PressureBC(1.0, 0.0)),
+                           BodyForce(b1=3.0), PressureBC())
         assert np.abs(p02).max() < 1e-9
 
     def test_bracket_against_independent_assembly(self):
@@ -147,13 +152,6 @@ class TestP02:
         )
         assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
-    def test_missing_mixed_derivative_in_unsteady_mode(self):
-        wall, _ = make_wall()
-        _, dp0, d2p0, d3p0, _, _ = solve_p0(wall, FLUID, PressureBC(1.0, 0.0))
-        with pytest.raises(ConfigurationError):
-            solve_p02(wall, FLUID, np.zeros(101), (dp0, d2p0, d3p0, None),
-                      BodyForce(), PressureBC(), unsteady=True)
-
     def test_manufactured_rhs_convergence(self):
         # full solve against the quadrature oracle on the divergence form
         def radius(s):
@@ -162,14 +160,12 @@ class TestP02:
         errs = []
         for n in (51, 101, 201):
             wall, s = make_wall(n, radius=radius)
-            _, dp0, d2p0, d3p0, dt_dp0, _ = solve_p0(wall, FLUID,
-                                                     PressureBC(1.0, 0.0))
-            p02, _, _ = solve_p02(wall, FLUID, np.zeros(n),
-                                  (dp0, d2p0, d3p0, dt_dp0), BodyForce(),
-                                  PressureBC())
+            p0_data = steady_p0_data(wall, PressureBC(1.0, 0.0))
+            p02, _ = solve_p02(wall, FLUID, np.zeros(n), p0_data,
+                               BodyForce(), PressureBC())
             # residual in flux form is the authoritative check here
-            bracket = p02_bracket(wall, FLUID, np.zeros(n),
-                                  (dp0, d2p0, d3p0, dt_dp0), BodyForce())
+            bracket = p02_bracket(wall, FLUID, np.zeros(n), p0_data,
+                                  BodyForce())
             errs.append(flux_residual(wall.R**4, wall.h, p02, bracket,
                                       rhs_is_bracket=True))
         assert max(errs) < 1e-12
@@ -178,8 +174,8 @@ class TestP02:
 class TestInvariantsAndHelpers:
     def test_flux_continuity_homogeneous(self):
         wall, _ = make_wall(radius=lambda x: (1 + x) ** -0.25)
-        _, _, _, flux = solve_p1(wall, FLUID,
-                                 PressureBC(p1_inlet=0.0, p1_outlet=1.0))
+        _, flux = solve_p1(wall, FLUID,
+                           PressureBC(p1_inlet=0.0, p1_outlet=1.0))
         assert np.abs(np.diff(flux)).max() <= 1e-12 * max(
             1.0, np.abs(flux).max())
 
@@ -192,15 +188,6 @@ class TestInvariantsAndHelpers:
             errs.append(np.abs(p0 - exact).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
         assert all(abs(o - 2.0) < 0.2 for o in orders)
-
-    def test_compatibility_identity_discrete(self):
-        # (R/16)(2 (R^2 p0')' - R^2 p0'') = dR/dt to discretization accuracy
-        from tubeflow.pressure import p0_compatibility_residual
-
-        wall, s = make_wall(rate=lambda x: np.ones_like(x))
-        _, dp0, d2p0, *_ = solve_p0(wall, FLUID, PressureBC(0.0, 0.0))
-        resid = p0_compatibility_residual(wall, FLUID, dp0, d2p0)
-        assert np.abs(resid).max() < 1e-9  # quadratic case: exact
 
     def test_fd_helpers_exact_on_polynomials(self):
         # the second-order stencils are exact on quadratics (d1) and cubics
