@@ -157,8 +157,12 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        if self.eps <= 0:
-            raise ConfigurationError("eps must be positive")
+        for key, value in [("eps", self.eps), ("fluid.rho0", self.rho0),
+                           ("fluid.nu", self.nu),
+                           *(("sweep.eps", e) for e in self.sweep_eps)]:
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{key} = {value!r} must be finite and positive")
         if self.n_s1 < 8 or self.n_disc < 8:
             raise ConfigurationError("grids need at least 8 nodes")
         if self.geometry_kind not in ("straight", "circular-arc", "helix",

@@ -94,7 +94,7 @@ def apply_wall_law(law: ElasticWall, p0):
     p0 = np.asarray(p0, dtype=float)
     r0 = law.rest_radius(p0.size)
     r = r0 + r0**2 / (law.E * law.h0) * (p0 - law.p_e)
-    if np.any(r <= 0):
+    if (r <= 0).any():
         raise WallCollapseError(
             f"elastic law collapsed the wall (min R = {r.min():.3g})"
         )
@@ -122,23 +122,23 @@ def solve_wall(state: WallState, law: ElasticWall, fluid, bc: PressureBC, t,
     step.  Raises CouplingDivergenceError, with the residual history,
     after ``max_iter`` sweeps.
     """
-    r_old = state.R
+    r_old, h = state.R, state.h
     tol = 1e-12 if dt is None else 1e-10
 
-    def wall(r):
-        rate = None if dt is None else (r - r_old) / dt
-        return WallState.from_radius(state.s1, r, dR_dt=rate, t=t)
+    def rate(r):
+        return np.zeros_like(r) if dt is None else (r - r_old) / dt
 
     r_cur = r_old.copy()
     omega = 0.5
     history = []
     for _ in range(max_iter):
-        p0 = solve_p0(wall(r_cur), fluid, bc, t=t)[0]
+        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, bc, t=t)[0]
         r_target = apply_wall_law(law, p0)
         resid = float(np.max(np.abs(r_target - r_cur)))
         history.append(resid)
-        if resid <= tol * float(np.max(r_cur)):
-            return wall(r_cur + omega * (r_target - r_cur))
+        if resid <= tol * float(r_cur.max()):
+            r_new = r_cur + omega * (r_target - r_cur)
+            return WallState.from_radius(state.s1, r_new, rate(r_new), t)
         if len(history) > 3 and history[-1] > history[-2]:
             omega *= 0.5
         r_cur = r_cur + omega * (r_target - r_cur)

@@ -12,9 +12,13 @@ All three are discretized in conservative flux form on a uniform grid
 
 with a = R^4 averaged to midpoints, so the discrete flux a p' is exactly
 continuous across interior nodes and the mass-conservation residuals of the
-verify module cancel to round-off against the same stencils.
+verify module cancel to round-off against the same stencils.  The
+interior system is symmetric tridiagonal; :func:`solve_flux_bvp` hands it
+straight to LAPACK ``dgtsv`` after checking that it is finite.
 
 Each solver returns the solved grid and its midpoint flux.
+:func:`solve_p0` takes bare radius and rate arrays, not a WallState, so
+the wall fixed point calls it once per sweep without building one.
 :func:`solve_pressures` runs the three in order and is the one place where
 derivatives of the solved grids are taken: p0 up to the third, the mixed
 time derivative of p0', p1 up to the second and p02'.
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError, SolverError
 
@@ -156,33 +160,31 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, rhs_is_bracket=False):
     if n < 8:
         raise SolverError("grid too coarse: need at least 8 nodes")
     a_mid = 0.5 * (coef[:-1] + coef[1:])
-    if np.any(a_mid <= 0):
+    if (a_mid <= 0).any():
         raise SolverError("singular flux coefficient (R -> 0?)")
 
     if rhs_is_bracket:
         br = np.asarray(rhs, dtype=float)
         br_mid = 0.5 * (br[:-1] + br[1:])
-        f = np.empty(n)
-        f[1:-1] = (br_mid[1:] - br_mid[:-1]) / h
+        b = (br_mid[1:] - br_mid[:-1]) / h
     else:
-        f = np.asarray(rhs, dtype=float).copy()
+        b = np.asarray(rhs, dtype=float)[1:-1].copy()
 
     # Dirichlet unknowns eliminated up front: solve the interior system so
-    # the boundary data is held exactly.  Banded layout ab[u+i-j, j] = A[i, j].
-    m = n - 2
+    # the boundary data is held exactly.  Symmetric tridiagonal: LAPACK gtsv.
     inv_h2 = 1.0 / h**2
-    ab = np.zeros((3, m))
-    ab[1, :] = -(a_mid[:-1] + a_mid[1:]) * inv_h2   # diagonal
-    ab[0, 1:] = a_mid[1:-1] * inv_h2                # super-diagonal
-    ab[2, :-1] = a_mid[1:-1] * inv_h2               # sub-diagonal
-    b = f[1:-1].astype(float)
+    off = a_mid[1:-1] * inv_h2
+    diag = -(a_mid[:-1] + a_mid[1:]) * inv_h2
     b[0] -= a_mid[0] * p_in * inv_h2
     b[-1] -= a_mid[-1] * p_out * inv_h2
-    try:
-        interior = solve_banded((1, 1), ab, b)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolverError(str(exc)) from exc
-    if not np.all(np.isfinite(interior)):
+    if not (np.isfinite(diag).all() and np.isfinite(b).all()):
+        raise SolverError("tridiagonal system contains infs or NaNs")
+    *_, interior, info = dgtsv(off, diag, off, b, overwrite_d=True,
+                               overwrite_b=True)
+    if info:
+        raise SolverError("singular matrix" if info > 0 else
+                          f"illegal value in argument {-info} of gtsv")
+    if not np.isfinite(interior).all():
         raise SolverError("tridiagonal solve produced non-finite values")
     p = np.concatenate([[p_in], interior, [p_out]])
     flux = a_mid * np.diff(p) / h
@@ -206,17 +208,19 @@ def flux_residual(coef, h, p, rhs, rhs_is_bracket=False):
 
 # -- the three pressure problems -------------------------------------------
 
-def solve_p0(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
+def solve_p0(R, dR_dt, h, fluid: "FluidParams", bc: PressureBC,
              t: float = 0.0):
     """Leading-order pressure: (R^4 p0')' = 16 nu rho0 R dR/dt.
 
+    Takes the bare nodal radius and its rate on a grid of spacing h, so
+    the wall fixed point can call it without building a WallState.
     Returns (p0, flux).
     """
-    if np.any(wall.R <= 0):
+    if (R <= 0).any():
         raise SolverError("wall radius must stay positive")
     p_in, p_out = bc.p0_at(t)
-    rhs = 16.0 * fluid.nu * fluid.rho0 * wall.R * wall.dR_dt
-    return solve_flux_bvp(wall.R**4, wall.h, rhs, p_in, p_out)
+    rhs = 16.0 * fluid.nu * fluid.rho0 * R * dR_dt
+    return solve_flux_bvp(R**4, h, rhs, p_in, p_out)
 
 
 def solve_p1(wall: "WallState", fluid: "FluidParams", bc: PressureBC):
@@ -272,7 +276,7 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
     ``prev_dp0`` (zero on the first step and in steady mode).
     """
     h = wall.h
-    p0, flux0 = solve_p0(wall, fluid, bc, t=t)
+    p0, flux0 = solve_p0(wall.R, wall.dR_dt, h, fluid, bc, t=t)
     dp0 = fd_derivative(p0, h)
     d2p0 = fd_second_derivative(p0, h)
     d3p0 = fd_third_derivative(p0, h)

@@ -88,6 +88,23 @@ class TestConfigParsing:
         cfg = RunConfig.from_mapping({"output.fields": "all"})
         assert cfg.out_fields == RunConfig.out_fields
 
+    @pytest.mark.parametrize("key, value", [
+        ("fluid.nu", "0"), ("fluid.rho0", "-1"), ("fluid.nu", "nan"),
+        ("fluid.rho0", "inf")])
+    def test_fluid_parameters_finite_and_positive(self, key, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{key} = {float(value)!r}"):
+            RunConfig.from_mapping({key: value})
+
+    @pytest.mark.parametrize("key, value, bad", [
+        ("eps", "nan", "nan"), ("eps", "inf", "inf"), ("eps", "0", "0.0"),
+        ("sweep.eps", "0.05, nan", "nan"), ("sweep.eps", "inf", "inf"),
+        ("sweep.eps", "0.05, -0.1", "-0.1")])
+    def test_eps_finite_and_positive(self, key, value, bad):
+        # eps = nan or inf used to run and pass with NaN station fields
+        with pytest.raises(ConfigurationError, match=f"{key} = {bad}"):
+            RunConfig.from_mapping({key: value})
+
     @pytest.mark.parametrize("direction", ["1, 0", "1, 0, 0, 0", "nan, 0, 1"])
     def test_direction_needs_three_components(self, direction):
         with pytest.raises(ConfigurationError, match="direction"):
@@ -321,6 +338,15 @@ class TestCommandLine:
                      str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error [ConfigurationError]" in err and "(1.0, 0.0)" in err
+
+    @pytest.mark.parametrize("key, value", [("fluid.nu", "0"),
+                                            ("fluid.rho0", "-1")])
+    def test_bad_fluid_is_a_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, {**STRAIGHT, key: value})
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error [ConfigurationError]" in err and key in err
 
     def test_bad_output_config_writes_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**STRAIGHT,

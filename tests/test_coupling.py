@@ -1,8 +1,11 @@
 """Wall laws and the quasi-static pressure/radius fixed point."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tubeflow.cli import RunConfig
 from tubeflow.coupling import (
     ElasticWall,
     RigidWall,
@@ -196,3 +199,21 @@ class TestTimeStepping:
                   for i in range(len(history) - 1)]
         assert all(r2 <= r1 * (1 + 1e-12)
                    for r1, r2 in zip(resids[2:], resids[3:]))
+
+    def test_implicit_euler_is_first_order_in_time(self):
+        # the elastic pulse preset to t = 0.4 at halving dt: max |dR|
+        # between successive runs halves, as implicit Euler's O(dt) error
+        root = Path(__file__).resolve().parent.parent
+        cfg = RunConfig.from_file(root / "presets" / "elastic_pulse.cfg")
+        law, fluid = cfg.build_wall_law(), cfg.build_fluid()
+        bc = cfg.build_bc()
+        finals = []
+        for dt in (0.04, 0.02, 0.01, 0.005):
+            state = WallState.from_radius(np.linspace(0.0, cfg.length, 33),
+                                          cfg.wall_R0)
+            for _ in range(round(0.4 / dt)):
+                state, _ = advance_time_step(state, law, fluid, bc, dt)
+            finals.append(state.R)
+        diffs = [np.abs(a - b).max() for a, b in zip(finals, finals[1:])]
+        orders = np.log2(np.divide(diffs[:-1], diffs[1:]))
+        assert np.all((orders >= 0.8) & (orders <= 1.2)), orders

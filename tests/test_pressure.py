@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from tubeflow.coupling import WallState
 from tubeflow.errors import ConfigurationError, SolverError
@@ -42,7 +43,8 @@ def steady_p0_data(wall, bc):
 class TestP0:
     def test_constant_coefficient_linear(self):
         wall, s = make_wall()
-        p0, _ = solve_p0(wall, FLUID, PressureBC(1.0, 0.0))
+        p0, _ = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
+                         PressureBC(1.0, 0.0))
         dp0 = steady_p0_data(wall, PressureBC(1.0, 0.0))[0]
         assert np.abs(p0 - (1 - s)).max() < 1e-13
         assert np.abs(dp0 + 1.0).max() < 1e-12
@@ -50,7 +52,8 @@ class TestP0:
     def test_nonuniform_radius_vs_quadrature(self):
         # frozen: p0(0.5) = (2/3)(0.5 + 0.125) = 0.41666...
         wall, s = make_wall(n=201, radius=lambda x: (1 + x) ** -0.25)
-        p0 = solve_p0(wall, FLUID, PressureBC(0.0, 1.0))[0]
+        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
+                      PressureBC(0.0, 1.0))[0]
         assert p0[100] == pytest.approx(0.4166666666666667, abs=1e-6)
         oracle = quadrature_bvp(lambda x: (1 + x) ** -0.25, None, 0.0, 1.0, s)
         assert np.abs(p0 - oracle).max() < 1e-6
@@ -58,7 +61,8 @@ class TestP0:
     def test_moving_wall_parabola(self):
         # R = 1, dR/dt = 1, nu = rho0 = 1: p'' = 16 -> 8 s^2 - 8 s exactly
         wall, s = make_wall(rate=lambda x: np.ones_like(x))
-        p0 = solve_p0(wall, FLUID, PressureBC(0.0, 0.0))[0]
+        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
+                      PressureBC(0.0, 0.0))[0]
         assert np.abs(p0 - (8 * s**2 - 8 * s)).max() < 1e-11
         assert p0[50] == pytest.approx(-2.0, abs=1e-8)
 
@@ -73,16 +77,63 @@ class TestP0:
         assert np.all(dt_dp0_steady == 0.0)
 
     def test_vanishing_radius_rejected(self):
-        wall, s = make_wall()
-        bad = WallState(s1=wall.s1, R=wall.R * 1e-200,
-                        dR_ds1=wall.dR_ds1, d2R_ds12=wall.d2R_ds12,
-                        dR_dt=wall.dR_dt)
+        wall, _ = make_wall()
         with pytest.raises(SolverError):
-            solve_p0(bad, FLUID, PressureBC(1.0, 0.0))
+            solve_p0(wall.R * 1e-200, wall.dR_dt, wall.h, FLUID,
+                     PressureBC(1.0, 0.0))
+        with pytest.raises(SolverError):
+            solve_p0(-wall.R, wall.dR_dt, wall.h, FLUID, PressureBC(1.0, 0.0))
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(SolverError):
             solve_flux_bvp(np.ones(5), 0.25, np.zeros(5), 0.0, 1.0)
+
+
+class TestFluxSolver:
+    @pytest.mark.parametrize("n", [8, 65, 257, 1025])
+    @pytest.mark.parametrize("bracket", [False, True])
+    def test_bitwise_equal_to_banded_reference(self, n, bracket):
+        rng = np.random.default_rng(n)
+        h = 1.0 / (n - 1)
+        coef = rng.uniform(0.05, 20.0, n)
+        rhs = rng.normal(size=n)
+        p_in, p_out = (float(v) for v in rng.normal(size=2))
+        p, flux = solve_flux_bvp(coef, h, rhs, p_in, p_out,
+                                 rhs_is_bracket=bracket)
+        # the same interior system in scipy's banded layout
+        a_mid = 0.5 * (coef[:-1] + coef[1:])
+        inv_h2 = 1.0 / h**2
+        ab = np.zeros((3, n - 2))
+        ab[0, 1:] = a_mid[1:-1] * inv_h2
+        ab[1] = -(a_mid[:-1] + a_mid[1:]) * inv_h2
+        ab[2, :-1] = a_mid[1:-1] * inv_h2
+        if bracket:
+            br_mid = 0.5 * (rhs[:-1] + rhs[1:])
+            b = (br_mid[1:] - br_mid[:-1]) / h
+        else:
+            b = rhs[1:-1].copy()
+        b[0] -= a_mid[0] * p_in * inv_h2
+        b[-1] -= a_mid[-1] * p_out * inv_h2
+        ref = np.concatenate([[p_in], solve_banded((1, 1), ab, b), [p_out]])
+        assert np.array_equal(p, ref)
+        assert np.array_equal(flux, a_mid * np.diff(ref) / h)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["coef", "rhs", "p_in"])
+    @pytest.mark.parametrize("bracket", [False, True])
+    def test_non_finite_input_rejected(self, bad, where, bracket):
+        n = 33
+        args = {"coef": np.ones(n), "rhs": np.linspace(0.0, 1.0, n),
+                "p_in": 1.0}
+        if where == "p_in":
+            args["p_in"] = bad
+        else:
+            args[where][n // 2] = bad
+        # forming the system may warn (inf - inf); it must still be refused
+        with (np.errstate(invalid="ignore"),
+              pytest.raises(SolverError, match="infs or NaNs")):
+            solve_flux_bvp(args["coef"], 1.0 / (n - 1), args["rhs"],
+                           args["p_in"], 0.0, rhs_is_bracket=bracket)
 
 
 class TestP1:
@@ -183,7 +234,8 @@ class TestInvariantsAndHelpers:
         errs = []
         for n in (51, 101, 201, 401):
             wall, s = make_wall(n, radius=lambda x: (1 + x) ** -0.25)
-            p0 = solve_p0(wall, FLUID, PressureBC(0.0, 1.0))[0]
+            p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
+                          PressureBC(0.0, 1.0))[0]
             exact = (2.0 / 3.0) * (s + s**2 / 2)
             errs.append(np.abs(p0 - exact).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
