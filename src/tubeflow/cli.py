@@ -144,25 +144,41 @@ class RunConfig:
         for key, value in kv.items():
             if key not in known:
                 raise ConfigurationError(f"unknown config key {key!r}")
-            if key.startswith("body."):
-                body["b1 b2 b3".split().index(key.split(".")[1])] = float(value)
-                continue
-            attr, conv = known[key]
             try:
-                setattr(cfg, attr, conv(value))
+                if key.startswith("body."):
+                    body["b1 b2 b3".split().index(key.split(".")[1])] = float(value)
+                else:
+                    attr, conv = known[key]
+                    setattr(cfg, attr, conv(value))
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
+            except ConfigurationError as exc:  # e.g. a bad time series
+                raise ConfigurationError(f"{key}: {exc}") from exc
         cfg.body = tuple(body)
         cfg.validate()
         return cfg
 
     def validate(self):
         for key, value in [("eps", self.eps), ("fluid.rho0", self.rho0),
-                           ("fluid.nu", self.nu),
+                           ("fluid.nu", self.nu), ("wall.R0", self.wall_R0),
+                           ("wall.E", self.wall_E), ("wall.h0", self.wall_h0),
+                           ("geometry.length", self.length),
+                           ("geometry.radius", self.arc_radius),
+                           ("geometry.a", self.helix_a),
                            *(("sweep.eps", e) for e in self.sweep_eps)]:
             if not (np.isfinite(value) and value > 0):
                 raise ConfigurationError(
                     f"{key} = {value!r} must be finite and positive")
+        for key, value in [("wall.p_e", self.wall_pe),
+                           ("geometry.b", self.helix_b),
+                           *((f"body.b{k}", b)
+                             for k, b in enumerate(self.body, 1)),
+                           ("bc.p1.inlet", self.bc_p1_inlet),
+                           ("bc.p1.outlet", self.bc_p1_outlet),
+                           ("bc.p02.inlet", self.bc_p02_inlet),
+                           ("bc.p02.outlet", self.bc_p02_outlet)]:
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{key} = {value!r} must be finite")
         if self.n_s1 < 8 or self.n_disc < 8:
             raise ConfigurationError("grids need at least 8 nodes")
         if self.geometry_kind not in ("straight", "circular-arc", "helix",
@@ -273,16 +289,16 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     # a steady run is one implicit step with dR/dt = 0 (dt None)
     dt = None if cfg.steady else cfg.dt
     n_steps = 1 if cfg.steady else int(round(cfg.t_end / cfg.dt))
+    # only the wall is carried between steps; the pressures are read off
+    # the final wall, with dt_dp0 = 0 on a first step
     wall = coupling.WallState.from_radius(s1, cfg.wall_R0)
-    prev_dp0 = None
-    for _ in range(n_steps):
-        wall, pexp = coupling.advance_time_step(
-            wall, law, fluid, bc, dt, kappa=kappa, body=body,
-            prev_dp0=prev_dp0)
-        prev_dp0 = pexp.dp0
+    for step in range(n_steps):
+        prev = wall if step else None
+        wall = coupling.advance_time_step(wall, law, fluid, bc, dt)
         if dt is not None:
             history.append((wall.t, float(wall.R.max()), float(wall.R.min()),
-                            float(pexp.p0[0]), float(pexp.p0[-1])))
+                            *bc.p0_at(wall.t)))
+    pexp = pressure.solve_pressures(wall, fluid, bc, kappa, body, prev, dt)
 
     # tube-map sanity for the configured eps
     geometry.check_invertibility(cfg.eps, curve, wall)
@@ -461,13 +477,6 @@ def export_bundle(result: PipelineResult, outdir, order: int = 2,
         _export_meta(result, outdir)
     if reports:
         _export_reports(result, outdir)
-
-
-def run(cfg: RunConfig, outdir, order: int = 2) -> int:
-    """Full pipeline plus export; returns the process exit code."""
-    result = run_pipeline(cfg)
-    export_bundle(result, outdir, order=order)
-    return 0 if result.verification_passed() else 2
 
 
 # -- sweep ----------------------------------------------------------------------

@@ -6,12 +6,14 @@ algebraic elastic law
     p0 - p_e = (E h0 / R0^2) (R - R0),
 
 in which case the leading-order pressure and the law are solved together
-by one under-relaxed fixed point, :func:`solve_wall`.
+by one under-relaxed fixed point.
 
-Every run advances through :func:`advance_time_step`: one implicit step
-with the wall velocity (R - R_old)/dt, or, with ``dt`` None, the steady
-equilibrium with dR/dt = 0.  Rigid and elastic walls share that step and
-end in the same single solve of the pressure hierarchy.
+The model is quasi-static: the wall radius R(t, s1) is the only state
+carried from one time step to the next.  :func:`advance_time_step` takes
+one implicit step of the wall with the wall velocity (R - R_old)/dt, or,
+with ``dt`` None, the steady equilibrium with dR/dt = 0, and returns the
+new WallState.  The pressure hierarchy is read off the final wall by
+:func:`tubeflow.pressure.solve_pressures`.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CouplingDivergenceError, TubeflowError, WallCollapseError
-from .pressure import (
-    PressureBC,
-    fd_derivative,
-    fd_second_derivative,
-    solve_p0,
-    solve_pressures,
-)
+from .pressure import PressureBC, fd_derivative, fd_second_derivative, solve_p0
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,11 @@ class ElasticWall:
     p_e: float = 0.0
 
     def __post_init__(self):
-        if self.E <= 0 or self.h0 <= 0 or np.any(np.asarray(self.R0) <= 0):
-            raise TubeflowError("elastic wall needs positive E, h0, R0")
+        positive = np.append([self.E, self.h0], self.R0)
+        if not ((positive > 0).all() and np.isfinite(positive).all()
+                and np.isfinite(self.p_e)):
+            raise TubeflowError("elastic wall needs finite positive E, h0, "
+                                "R0 and a finite p_e")
 
     def rest_radius(self, n):
         return np.broadcast_to(np.asarray(self.R0, dtype=float), (n,)).copy()
@@ -110,18 +109,29 @@ def wall_law_residual(law: ElasticWall, p0, R):
         / np.maximum(scale, 1e-300)
 
 
-def solve_wall(state: WallState, law: ElasticWall, fluid, bc: PressureBC, t,
-               dt=None, max_iter: int = 100) -> WallState:
-    """Elastic wall and leading-order pressure at time t, solved together.
+def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
+                      max_iter: int = 100) -> WallState:
+    """Advance the wall by one implicit step and return the new WallState.
 
-    Starting from ``state.R``, iterates {solve p0 with dR/dt = (R - R_old)/dt,
-    or dR/dt = 0 when ``dt`` is None; update R from the law} with
-    relaxation factor 0.5 until max |change| <= tol * max R, halving the
-    factor whenever the residual stops decreasing after the first three
-    sweeps.  tol is 1e-12 for the steady equilibrium and 1e-10 per time
-    step.  Raises CouplingDivergenceError, with the residual history,
-    after ``max_iter`` sweeps.
+    With ``dt`` None the step is the steady equilibrium at ``state.t``
+    (dR/dt = 0); otherwise it ends at ``state.t + dt``.  A rigid wall keeps
+    its radius.  An elastic wall and the leading-order pressure are solved
+    together: starting from ``state.R``, iterate {solve p0 with
+    dR/dt = (R - R_old)/dt, or dR/dt = 0 when ``dt`` is None; update R from
+    the law} with relaxation factor 0.5 until max |change| <= tol * max R,
+    halving the factor whenever the residual stops decreasing after the
+    first three sweeps.  tol is 1e-12 for the steady equilibrium and 1e-10
+    per time step.  Raises CouplingDivergenceError, with the residual
+    history, after ``max_iter`` sweeps.
     """
+    if dt is not None and dt <= 0:
+        raise TubeflowError("time step must be positive")
+    t = state.t if dt is None else state.t + dt
+    if isinstance(law, RigidWall):
+        return WallState.from_radius(state.s1, state.R, t=t)
+    if not isinstance(law, ElasticWall):
+        raise TubeflowError(f"unknown wall law {law!r}")
+
     r_old, h = state.R, state.h
     tol = 1e-12 if dt is None else 1e-10
 
@@ -146,34 +156,3 @@ def solve_wall(state: WallState, law: ElasticWall, fluid, bc: PressureBC, t,
         f"wall coupling did not converge in {max_iter} iterations "
         f"(last residual {history[-1]:.3e})", history,
     )
-
-
-def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
-                      kappa=None, body=None, prev_dp0=None,
-                      max_iter: int = 100) -> tuple:
-    """Advance the coupled wall/pressure system by one implicit step.
-
-    With ``dt`` None the step is the steady equilibrium at ``state.t``
-    (dR/dt = 0); otherwise it ends at ``state.t + dt``.  A rigid wall keeps
-    its radius; an elastic wall runs :func:`solve_wall`.  The pressure
-    hierarchy is then solved once on the new wall.  Returns
-    (new WallState, PressureExpansion).
-    """
-    from .expansion import BodyForce
-
-    if dt is not None and dt <= 0:
-        raise TubeflowError("time step must be positive")
-    body = body or BodyForce()
-    kappa = np.zeros_like(state.R) if kappa is None else np.asarray(kappa)
-    t = state.t if dt is None else state.t + dt
-
-    if isinstance(law, RigidWall):
-        new_state = WallState.from_radius(state.s1, state.R, t=t)
-    elif isinstance(law, ElasticWall):
-        new_state = solve_wall(state, law, fluid, bc, t, dt=dt,
-                               max_iter=max_iter)
-    else:
-        raise TubeflowError(f"unknown wall law {law!r}")
-    pexp = solve_pressures(new_state, fluid, bc, kappa, body, t=t,
-                           prev_dp0=prev_dp0, dt=dt)
-    return new_state, pexp

@@ -19,9 +19,11 @@ straight to LAPACK ``dgtsv`` after checking that it is finite.
 Each solver returns the solved grid and its midpoint flux.
 :func:`solve_p0` takes bare radius and rate arrays, not a WallState, so
 the wall fixed point calls it once per sweep without building one.
-:func:`solve_pressures` runs the three in order and is the one place where
-derivatives of the solved grids are taken: p0 up to the third, the mixed
-time derivative of p0', p1 up to the second and p02'.
+:func:`solve_pressures` runs the three in order on one wall and is the one
+place where derivatives of the solved grids are taken: p0 up to the
+third, p1 up to the second, p02', and the mixed time derivative of p0',
+for which it also solves p0 on the previous step's wall.  A run calls it
+once, on its final wall.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class TimeSeries:
     def __post_init__(self):
         if len(self.times) != len(self.values) or not self.times:
             raise ConfigurationError("time series needs matching times/values")
+        if not all(np.isfinite(self.times)):
+            raise ConfigurationError("time series knot times must be finite")
         if any(t1 >= t2 for t1, t2 in zip(self.times, self.times[1:])):
             raise ConfigurationError("time series knots must increase")
         if not all(np.isfinite(self.values)):
@@ -266,22 +270,23 @@ def solve_p02(wall: "WallState", fluid: "FluidParams", kappa, p0_data,
 
 
 def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
-                    kappa, body: "BodyForce", t: float = 0.0,
-                    prev_dp0=None,
+                    kappa, body: "BodyForce", prev: "WallState | None" = None,
                     dt: float | None = None) -> PressureExpansion:
-    """Solve the full pressure hierarchy on the wall's grid.
+    """Solve the full pressure hierarchy on the wall's grid at ``wall.t``.
 
     The only place the derivatives of the solved grids are taken.  The
-    mixed time derivative dt_dp0 is a backward difference of dp0 against
-    ``prev_dp0`` (zero on the first step and in steady mode).
+    mixed time derivative dt_dp0 is the backward difference of dp0 against
+    dp0 of the previous step's wall ``prev``, solved at ``prev.t`` (zero
+    without ``prev``, on the first step, and in steady mode).
     """
     h = wall.h
-    p0, flux0 = solve_p0(wall.R, wall.dR_dt, h, fluid, bc, t=t)
+    p0, flux0 = solve_p0(wall.R, wall.dR_dt, h, fluid, bc, t=wall.t)
     dp0 = fd_derivative(p0, h)
     d2p0 = fd_second_derivative(p0, h)
     d3p0 = fd_third_derivative(p0, h)
-    if prev_dp0 is not None and dt:
-        dt_dp0 = (dp0 - np.asarray(prev_dp0)) / dt
+    if prev is not None and dt:
+        prev_p0 = solve_p0(prev.R, prev.dR_dt, h, fluid, bc, t=prev.t)[0]
+        dt_dp0 = (dp0 - fd_derivative(prev_p0, h)) / dt
     else:
         dt_dp0 = np.zeros_like(p0)
     p1, flux1 = solve_p1(wall, fluid, bc)

@@ -14,10 +14,11 @@ from tubeflow.cli import (
     run_pipeline,
     sample_fields,
 )
-from tubeflow.coupling import wall_law_residual
+from tubeflow.coupling import WallState, advance_time_step, wall_law_residual
 from tubeflow.geometry import CenterCurve
 from tubeflow.errors import ConfigurationError
 from tubeflow.polydisc import DiscPoly
+from tubeflow.pressure import solve_pressures
 
 STRAIGHT = {
     "geometry.kind": "straight",
@@ -75,6 +76,9 @@ class TestConfigParsing:
     def test_bad_value_reported_with_key(self):
         with pytest.raises(ConfigurationError, match="fluid.nu"):
             RunConfig.from_mapping({"fluid.nu": "viscous"})
+        # body values were converted outside the check: a raw ValueError
+        with pytest.raises(ConfigurationError, match="body.b2"):
+            RunConfig.from_mapping({"body.b2": "heavy"})
 
     @pytest.mark.parametrize("station", ["1.5", "-2"])
     def test_station_outside_pipe_rejected(self, station):
@@ -104,6 +108,34 @@ class TestConfigParsing:
         # eps = nan or inf used to run and pass with NaN station fields
         with pytest.raises(ConfigurationError, match=f"{key} = {bad}"):
             RunConfig.from_mapping({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("wall.R0", "nan"), ("wall.R0", "0"), ("wall.E", "nan"),
+        ("wall.E", "-1"), ("wall.h0", "inf"), ("wall.h0", "0"),
+        ("geometry.length", "0"), ("geometry.length", "nan"),
+        ("geometry.radius", "nan"), ("geometry.radius", "-2"),
+        ("geometry.a", "0"), ("geometry.a", "inf")])
+    def test_wall_and_geometry_finite_and_positive(self, key, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{key} = {float(value)!r} must be finite "
+                                 "and positive"):
+            RunConfig.from_mapping({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("wall.p_e", "nan"), ("geometry.b", "inf"), ("body.b1", "nan"),
+        ("body.b2", "inf"), ("body.b3", "-inf"), ("bc.p1.inlet", "nan"),
+        ("bc.p1.outlet", "inf"), ("bc.p02.inlet", "nan"),
+        ("bc.p02.outlet", "-inf")])
+    def test_parameters_finite(self, key, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{key} = {float(value)!r} must be finite"):
+            RunConfig.from_mapping({key: value})
+
+    def test_time_series_knot_times_finite(self):
+        # a NaN knot time used to run with zero flow and pass verification
+        with pytest.raises(ConfigurationError,
+                           match="bc.p0.inlet: .*knot times must be finite"):
+            RunConfig.from_mapping({**STRAIGHT, "bc.p0.inlet": "0:0, nan:1"})
 
     @pytest.mark.parametrize("direction", ["1, 0", "1, 0, 0, 0", "nan, 0, 1"])
     def test_direction_needs_three_components(self, direction):
@@ -213,6 +245,27 @@ class TestPresets:
         with pytest.raises(ConfigurationError,
                            match=rf"{length} differs .* 5\.0 "):
             run_pipeline(cfg)
+
+    def test_one_step_run_has_no_time_derivative(self):
+        # start-up rule: the first step has no earlier wall, dt_dp0 = 0
+        res = run_pipeline(RunConfig.from_mapping(
+            {**MOVING, "time.t_end": "0.05"}))
+        assert res.wall.t == 0.05 and len(res.history) == 1
+        assert np.all(res.pexp.dt_dp0 == 0.0)
+
+    def test_final_time_derivative_differences_last_two_walls(self):
+        cfg = RunConfig.from_mapping({**MOVING, "time.t_end": "0.15"})
+        res = run_pipeline(cfg)
+        law, fluid, bc = cfg.build_wall_law(), cfg.build_fluid(), cfg.build_bc()
+        walls = [WallState.from_radius(res.wall.s1, cfg.wall_R0)]
+        for _ in range(3):
+            walls.append(advance_time_step(walls[-1], law, fluid, bc, cfg.dt))
+        dp0_2, dp0_3 = (solve_pressures(w, fluid, bc, np.zeros(cfg.n_s1),
+                                        cfg.build_body()).dp0
+                        for w in walls[2:])
+        assert np.array_equal(res.wall.R, walls[3].R)
+        assert np.array_equal(res.pexp.dt_dp0, (dp0_3 - dp0_2) / cfg.dt)
+        assert np.abs(res.pexp.dt_dp0).max() > 0
 
     def test_moving_wall_radial_boundary(self):
         res = run_pipeline(RunConfig.from_mapping(MOVING))
@@ -347,6 +400,19 @@ class TestCommandLine:
                      str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error [ConfigurationError]" in err and key in err
+
+    @pytest.mark.parametrize("entries", [
+        {"wall.R0": "nan"}, {"body.b1": "nan"}, {"bc.p02.inlet": "nan"},
+        {"geometry.length": "0", "output.stations": "0"}])
+    def test_bad_parameter_is_a_config_error(self, tmp_path, capsys, entries):
+        # these ended in a SolverError from the tridiagonal solve, and
+        # geometry.length = 0 in a raw ZeroDivisionError traceback
+        cfg = write_cfg(tmp_path, {**STRAIGHT, **entries})
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error [ConfigurationError]" in err
+        assert next(iter(entries)) in err
 
     def test_bad_output_config_writes_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**STRAIGHT,

@@ -67,12 +67,19 @@ class TestP0:
         assert p0[50] == pytest.approx(-2.0, abs=1e-8)
 
     def test_mixed_time_derivative(self):
-        wall, _ = make_wall()
-        prev = np.full(101, 2.0)
-        pexp = solve_pressures(wall, FLUID, PressureBC(1.0, 0.0),
-                               np.zeros(101), BodyForce(), prev_dp0=prev,
-                               dt=0.5)
-        assert np.allclose(pexp.dt_dp0, (pexp.dp0 - prev) / 0.5)
+        # the inlet value falls from 3 at t = 0 to 1 at t = 0.5: dp0 goes
+        # from -3 to -1 on the straight wall, so dt_dp0 = 4
+        s = np.linspace(0.0, 1.0, 101)
+        prev = WallState.from_radius(s, 1.0)
+        wall = WallState.from_radius(s, 1.0, t=0.5)
+        bc = PressureBC(TimeSeries((0.0, 1.0), (3.0, -1.0)), 0.0)
+        pexp = solve_pressures(wall, FLUID, bc, np.zeros(101), BodyForce(),
+                               prev=prev, dt=0.5)
+        prev_dp0 = solve_pressures(prev, FLUID, bc, np.zeros(101),
+                                   BodyForce()).dp0
+        assert np.allclose(prev_dp0, -3.0)
+        assert np.allclose(pexp.dt_dp0, (pexp.dp0 - prev_dp0) / 0.5)
+        assert np.allclose(pexp.dt_dp0, 4.0)
         dt_dp0_steady = steady_p0_data(wall, PressureBC(1.0, 0.0))[3]
         assert np.all(dt_dp0_steady == 0.0)
 
@@ -288,6 +295,11 @@ class TestBoundaryData:
             TimeSeries((0.0, 0.0), (1.0, 2.0))
         with pytest.raises(ConfigurationError):
             TimeSeries((0.0, 1.0), (np.nan, 2.0))
+        # a NaN knot time passed the ordering test and ran with no flow
+        for times in ((0.0, np.nan), (np.nan, 1.0), (0.0, np.inf),
+                      (-np.inf, 1.0)):
+            with pytest.raises(ConfigurationError, match="knot times"):
+                TimeSeries(times, (0.0, 1.0))
 
     def test_non_finite_bc_rejected(self):
         with pytest.raises(ConfigurationError):
