@@ -2,8 +2,9 @@
 
 Pins the sha256 of every file that ``tubeflow solve`` writes for each
 preset in ``presets/``, of ``solution_station*.csv`` at ``--order 0`` and
-``--order 1`` for ``curved_rigid`` and ``helix_swirl``, and of
-``sweep.csv`` for ``helix_swirl``.  A refactor that claims to keep
+``--order 1`` for ``curved_rigid`` and ``helix_swirl``, of ``sweep.csv``
+for ``helix_swirl``, of ``tables_report.txt`` from ``tubeflow tables``, and
+of every file each script in ``scripts/`` writes.  A refactor that claims to keep
 behaviour keeps these digests.  A change that alters bytes on purpose
 re-records them with ``python tests/test_bundle_digests.py`` and says why
 in CHANGES.md.
@@ -20,6 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import runpy
+
 import pytest
 
 from tubeflow.cli import main
@@ -27,7 +30,7 @@ from tubeflow.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST_FILE = Path(__file__).with_name("bundle_digests.json")
 
-# case -> (subcommand, preset, --order, glob of the pinned files)
+# case -> (subcommand, preset or script, --order, glob of the pinned files)
 CASES = {
     **{name: ("solve", name, 2, "*")
        for name in ("curved_rigid", "elastic_pulse", "helix_swirl",
@@ -35,14 +38,24 @@ CASES = {
     **{f"{name}_order{k}": ("solve", name, k, "solution_station*.csv")
        for name in ("curved_rigid", "helix_swirl") for k in (0, 1)},
     "helix_swirl_sweep": ("sweep", "helix_swirl", 2, "sweep.csv"),
+    "tables": ("tables", None, None, "tables_report.txt"),
+    **{f"script_{p.stem}": ("script", p.stem, None, "*")
+       for p in sorted((ROOT / "scripts").glob("*.py"))},
 }
 
 
 def run_case(case, out):
     """Run one case into ``out``; return its exit code and file digests."""
     command, preset, order, pattern = CASES[case]
-    code = main([command, "--config", str(ROOT / "presets" / f"{preset}.cfg"),
-                 "--out", str(out), "--order", str(order)])
+    if command == "script":
+        script = ROOT / "scripts" / f"{preset}.py"
+        code = runpy.run_path(str(script))["main"](str(out))
+    elif command == "tables":
+        code = main(["tables", "--out", str(out)])
+    else:
+        code = main([command, "--config",
+                     str(ROOT / "presets" / f"{preset}.cfg"),
+                     "--out", str(out), "--order", str(order)])
     return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in sorted(Path(out).glob(pattern))}
 
