@@ -32,8 +32,8 @@ def main(outdir="out_pulse"):
         # the step carries only the wall; its pressure is solved again here
         p0 = solve_p0(state.R, state.dR_dt, state.h, fluid, bc, t=state.t)[0]
         law_res = wall_law_residual(law, p0, state.R).max()
-        bvp_res = flux_residual(state.R**4, state.h, p0,
-                                16.0 * state.R * state.dR_dt)
+        rhs = 16.0 * fluid.nu * fluid.rho0 * state.R * state.dR_dt
+        bvp_res = flux_residual(state.R**4, state.h, p0, rhs)
         rows.append((state.t, state.R.max(), state.R.min(),
                      p0[0], law_res, bvp_res))
         print(f"t={state.t:5.2f}  R in [{state.R.min():.4f}, "

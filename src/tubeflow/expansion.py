@@ -406,11 +406,12 @@ def stokes_disc_solve(f2_poly: DiscPoly, f3_poly: DiscPoly):
     return w2, w3, q
 
 
-def solve_U2(F, g: DiscPoly, sd: StationData, compat_tol: float = 1e-10):
+def solve_U2(F, g: DiscPoly, sd: StationData):
     """Assemble (U^2, p^3) from potential + stream + tabulated Stokes parts.
 
-    Requires the divergence data to be compatible (zero disc integral);
-    violations report the integral.  Free functions of (t, s1) in the
+    Requires the divergence data to be compatible: a zero disc integral,
+    exactly for Fraction data and within 1e-10 of max|g| (at least 1) for
+    floats.  Violations report the integral.  Free functions of (t, s1) in the
     pressure are fixed to zero.
     """
     f2_poly, f3_poly = F
@@ -422,10 +423,10 @@ def solve_U2(F, g: DiscPoly, sd: StationData, compat_tol: float = 1e-10):
             )
     else:
         scale = max(1.0, float(g.max_abs()))
-        if abs(float(integral)) * _PI > compat_tol * scale:
+        if abs(float(integral)) * _PI > 1e-10 * scale:
             raise ModelInconsistencyError(
                 "U^2 compatibility violated: disc integral of g = "
-                f"{float(integral) * _PI:.3e} (tol {compat_tol:g}, scale {scale:g})"
+                f"{float(integral) * _PI:.3e} (tol 1e-10, scale {scale:g})"
             )
 
     phi = secondary_potential(sd)

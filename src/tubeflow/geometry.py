@@ -56,8 +56,7 @@ def _any_perpendicular(d):
 class CenterCurve:
     """Pipe axis with analytic or sampled parametrization by arc length."""
 
-    def __init__(self, kind, length, point_fn, frame_fn, max_curvature):
-        self.kind = kind
+    def __init__(self, length, point_fn, frame_fn, max_curvature):
         self.length = float(length)
         self._point = point_fn
         self._frame = frame_fn
@@ -72,7 +71,7 @@ class CenterCurve:
         n = _any_perpendicular(d)
         b = np.cross(d, n)
         frame = FrenetFrame(d, n, b, 0.0, 0.0, 0.0, 0.0)
-        return cls("straight", length, lambda s: s * d, lambda s: frame, 0.0)
+        return cls(length, lambda s: s * d, lambda s: frame, 0.0)
 
     @classmethod
     def circular_arc(cls, radius, length):
@@ -92,7 +91,7 @@ class CenterCurve:
             b = np.array([0.0, 0.0, 1.0])
             return FrenetFrame(t, n, b, 1.0 / a, 0.0, 0.0, 0.0)
 
-        return cls("circular-arc", length, point, frame, 1.0 / a)
+        return cls(length, point, frame, 1.0 / a)
 
     @classmethod
     def helix(cls, a, b, length):
@@ -115,7 +114,7 @@ class CenterCurve:
             bb = np.array([b * np.sin(th), -b * np.cos(th), a]) / c
             return FrenetFrame(t, n, bb, kappa, 0.0, tau, 0.0)
 
-        return cls("helix", length, point, frame, kappa)
+        return cls(length, point, frame, kappa)
 
     @classmethod
     def from_samples(cls, s, points):
@@ -180,8 +179,7 @@ class CenterCurve:
                 float(tau_spl(si)), float(dtau_spl(si)),
             )
 
-        return cls("sampled", s[-1],
-                   lambda si: np.asarray(spline(si)), frame,
+        return cls(s[-1], lambda si: np.asarray(spline(si)), frame,
                    float(kt[:, 0].max()))
 
     @classmethod

@@ -53,9 +53,10 @@ def _svg_footer(caption):
     ]
 
 
-def heatmap_svg(poly, n_r=24, n_theta=48, title="field"):
+def heatmap_svg(poly, title="field"):
     """Polar-cell heatmap of a scalar disc polynomial; returns SVG text."""
     p = poly.to_float()
+    n_r, n_theta = 24, 48
     values = np.empty((n_r, n_theta))
     for i in range(n_r):
         s3 = (i + 0.5) / n_r
@@ -86,9 +87,10 @@ def heatmap_svg(poly, n_r=24, n_theta=48, title="field"):
     return "\n".join(_svg_header(title) + cells + _svg_footer(caption)) + "\n"
 
 
-def quiver_svg(poly2, poly3, n_r=8, n_theta=16, title="field"):
+def quiver_svg(poly2, poly3, title="field"):
     """Arrow plot of a transversal vector field; returns SVG text."""
     p2, p3 = poly2.to_float(), poly3.to_float()
+    n_r, n_theta = 8, 16
     points = []
     for i in range(n_r):
         s3 = (i + 0.5) / n_r

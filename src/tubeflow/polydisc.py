@@ -269,11 +269,6 @@ class TrigSeries:
     def is_zero(self):
         return not self.modes
 
-    def max_abs(self):
-        return max(
-            (max(abs(a), abs(b)) for a, b in self.modes.values()), default=0
-        )
-
     def evaluate(self, s2):
         from math import cos, sin
 

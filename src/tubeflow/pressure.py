@@ -12,9 +12,12 @@ All three are discretized in conservative flux form on a uniform grid
 
 with a = R^4 averaged to midpoints, so the discrete flux a p' is exactly
 continuous across interior nodes and the mass-conservation residuals of the
-verify module cancel to round-off against the same stencils.  The
-interior system is symmetric tridiagonal; :func:`solve_flux_bvp` hands it
-straight to LAPACK ``dgtsv`` after checking that it is finite.
+verify module cancel to round-off against the same stencils.  The p02
+right side f is :func:`bracket_derivative` of the nodal bracket, the
+difference of its midpoint averages, so the p02 flux is exactly
+conservative too.  The interior system is symmetric tridiagonal;
+:func:`solve_flux_bvp` hands it straight to LAPACK ``dgtsv`` after
+checking that it is finite.
 
 Each solver returns the solved grid and its midpoint flux.
 :func:`solve_p0` takes bare radius and rate arrays, not a WallState, so
@@ -151,13 +154,23 @@ def fd_third_derivative(values, h):
 
 # -- core flux-form solver -------------------------------------------------
 
-def solve_flux_bvp(coef, h, rhs, p_in, p_out, rhs_is_bracket=False):
+def bracket_derivative(bracket, h):
+    """Nodal d/ds1 of a bracket: the difference of its midpoint averages.
+
+    Set at the interior nodes, zero at the two Dirichlet ends.
+    """
+    br = np.asarray(bracket, dtype=float)
+    br_mid = 0.5 * (br[:-1] + br[1:])
+    out = np.zeros_like(br)
+    out[1:-1] = (br_mid[1:] - br_mid[:-1]) / h
+    return out
+
+
+def solve_flux_bvp(coef, h, rhs, p_in, p_out):
     """Solve (coef u')' = rhs with Dirichlet data, conservative flux form.
 
-    coef is nodal; midpoint coefficients are arithmetic averages.  With
-    ``rhs_is_bracket`` the right side is d/ds1 of the given nodal bracket,
-    discretized as the difference of midpoint averages, which keeps the
-    discrete solution exactly conservative.
+    coef and rhs are nodal; midpoint coefficients are arithmetic averages
+    and the right side is read at the interior nodes.
     """
     coef = np.asarray(coef, dtype=float)
     n = coef.size
@@ -166,13 +179,7 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, rhs_is_bracket=False):
     a_mid = 0.5 * (coef[:-1] + coef[1:])
     if (a_mid <= 0).any():
         raise SolverError("singular flux coefficient (R -> 0?)")
-
-    if rhs_is_bracket:
-        br = np.asarray(rhs, dtype=float)
-        br_mid = 0.5 * (br[:-1] + br[1:])
-        b = (br_mid[1:] - br_mid[:-1]) / h
-    else:
-        b = np.asarray(rhs, dtype=float)[1:-1].copy()
+    b = np.asarray(rhs, dtype=float)[1:-1].copy()
 
     # Dirichlet unknowns eliminated up front: solve the interior system so
     # the boundary data is held exactly.  Symmetric tridiagonal: LAPACK gtsv.
@@ -195,17 +202,13 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, rhs_is_bracket=False):
     return p, flux
 
 
-def flux_residual(coef, h, p, rhs, rhs_is_bracket=False):
+def flux_residual(coef, h, p, rhs):
     """Relative flux-form residual of a candidate solution (interior max)."""
     coef = np.asarray(coef, dtype=float)
     a_mid = 0.5 * (coef[:-1] + coef[1:])
     flux = a_mid * np.diff(p) / h
     lhs = (flux[1:] - flux[:-1]) / h
-    if rhs_is_bracket:
-        br_mid = 0.5 * (np.asarray(rhs)[:-1] + np.asarray(rhs)[1:])
-        f = (br_mid[1:] - br_mid[:-1]) / h
-    else:
-        f = np.asarray(rhs)[1:-1]
+    f = np.asarray(rhs)[1:-1]
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(f)), np.max(np.abs(flux)) / h, 1e-300)
     return float(np.max(np.abs(lhs - f)) / scale)
 
@@ -227,7 +230,7 @@ def solve_p0(R, dR_dt, h, fluid: "FluidParams", bc: PressureBC,
     return solve_flux_bvp(R**4, h, rhs, p_in, p_out)
 
 
-def solve_p1(wall: "WallState", fluid: "FluidParams", bc: PressureBC):
+def solve_p1(wall: "WallState", bc: PressureBC):
     """First pressure correction: (R^4 p1')' = 0.  Returns (p1, flux)."""
     return solve_flux_bvp(wall.R**4, wall.h, np.zeros_like(wall.R),
                           bc.p1_inlet, bc.p1_outlet)
@@ -265,8 +268,9 @@ def solve_p02(wall: "WallState", fluid: "FluidParams", kappa, p0_data,
     ``p0_data`` is (dp0, d2p0, d3p0, dt_dp0).  Returns (p02, flux).
     """
     bracket = p02_bracket(wall, fluid, kappa, p0_data, body)
-    return solve_flux_bvp(wall.R**4, wall.h, bracket,
-                          bc.p02_inlet, bc.p02_outlet, rhs_is_bracket=True)
+    return solve_flux_bvp(wall.R**4, wall.h,
+                          bracket_derivative(bracket, wall.h),
+                          bc.p02_inlet, bc.p02_outlet)
 
 
 def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
@@ -289,7 +293,7 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
         dt_dp0 = (dp0 - fd_derivative(prev_p0, h)) / dt
     else:
         dt_dp0 = np.zeros_like(p0)
-    p1, flux1 = solve_p1(wall, fluid, bc)
+    p1, flux1 = solve_p1(wall, bc)
     p02, flux2 = solve_p02(wall, fluid, kappa, (dp0, d2p0, d3p0, dt_dp0),
                            body, bc)
     return PressureExpansion(

@@ -15,21 +15,21 @@ from scipy.integrate import quad
 
 from .errors import SolverError
 from .polydisc import DiscPoly, disc_integral, polar_fourier, restrict_to_boundary
-from .pressure import solve_flux_bvp
+from .pressure import (bracket_derivative, flux_residual, p02_bracket,
+                       solve_flux_bvp)
 
 
 @dataclass
 class FlowRates:
     """Per-station scaled flow of each axial order and the scaled area."""
 
-    s1: np.ndarray
     q0: np.ndarray
     q1: np.ndarray
     q2: np.ndarray
     area: np.ndarray
 
 
-def flow_rates(fields, R, s1=None) -> FlowRates:
+def flow_rates(fields, R) -> FlowRates:
     """Exact disc integration of the axial terms: Q^k = R^2 * int u1^k.
 
     The radial measure s3 ds3 ds2 is the plain area element in the disc
@@ -44,8 +44,7 @@ def flow_rates(fields, R, s1=None) -> FlowRates:
         q0[i] = R[i] ** 2 * disc_integral(f.u1_0)
         q1[i] = R[i] ** 2 * disc_integral(f.u1_1)
         q2[i] = R[i] ** 2 * disc_integral(f.u1_2)
-    s1 = np.arange(n, dtype=float) if s1 is None else np.asarray(s1, dtype=float)
-    return FlowRates(s1=s1, q0=q0, q1=q1, q2=q2, area=np.pi * R**2)
+    return FlowRates(q0=q0, q1=q1, q2=q2, area=np.pi * R**2)
 
 
 @dataclass
@@ -57,8 +56,8 @@ class ConservationReport:
     max_q0: float
     max_q1: float
 
-    def passed(self, tol_q0=1e-8, tol_q1=1e-10):
-        return self.max_q0 <= tol_q0 and self.max_q1 <= tol_q1
+    def passed(self):
+        return self.max_q0 <= 1e-8 and self.max_q1 <= 1e-10
 
 
 def check_mass_conservation(flow: FlowRates, wall, pexp, fluid
@@ -96,9 +95,11 @@ class CompatibilityReport:
     g_integral: np.ndarray   # disc integral of g per station
     max_u1_residual: float
     max_g_integral: float
+    tol_u1: float            # the u1 identity holds to O(h^2) of solved p0
 
-    def passed(self, tol_u1, tol_g=1e-10):
-        return self.max_u1_residual <= tol_u1 and self.max_g_integral <= tol_g
+    def passed(self):
+        return (self.max_u1_residual <= self.tol_u1
+                and self.max_g_integral <= 1e-10)
 
 
 def check_compatibility(wall, fluid, pexp, fields) -> CompatibilityReport:
@@ -109,7 +110,7 @@ def check_compatibility(wall, fluid, pexp, fields) -> CompatibilityReport:
     carry several-times-larger truncation constants (full arrays are
     reported for inspection).
     """
-    r, dr = wall.R, wall.dR_ds1
+    r, dr, h = wall.R, wall.dR_ds1, wall.h
     d_r2dp0 = 2.0 * r * dr * pexp.dp0 + r**2 * pexp.d2p0
     lhs = 2.0 * np.pi * r / (16.0 * fluid.rho0 * fluid.nu) \
         * (2.0 * d_r2dp0 - r**2 * pexp.d2p0)
@@ -121,13 +122,14 @@ def check_compatibility(wall, fluid, pexp, fields) -> CompatibilityReport:
         u1_lhs=lhs, u1_rhs=rhs, g_integral=g_int,
         max_u1_residual=float(np.max(np.abs(lhs - rhs)[1:-1]) / scale),
         max_g_integral=float(np.max(np.abs(g_int[1:-1])) / g_scale),
+        tol_u1=max(1e-9, 100.0 * h**2),
     )
 
 
 # -- quadrature reference for the pressure BVPs ------------------------------
 
-def quadrature_reference(R_func, rhs_func, p_in, p_out, s_eval, length=1.0):
-    """Reference solution of (R^4 p')' = rhs by adaptive quadrature.
+def quadrature_reference(R_func, rhs_func, p_in, p_out, s_eval):
+    """Reference solution of (R^4 p')' = rhs on [0, 1] by adaptive quadrature.
 
     Independent of the finite-difference path: R^4 p' = C + int rhs and the
     constant is fixed by the outlet value.  rhs_func may be None for the
@@ -146,7 +148,7 @@ def quadrature_reference(R_func, rhs_func, p_in, p_out, s_eval, length=1.0):
         return out
 
     s_eval = np.asarray(s_eval, dtype=float)
-    pts = np.union1d(s_eval, [0.0, length])
+    pts = np.union1d(s_eval, [0.0, 1.0])
     big_f = cumulative(rhs_func, pts) if rhs_func else np.zeros(len(pts))
     big_f_on = dict(zip(pts, big_f))
 
@@ -161,10 +163,10 @@ def quadrature_reference(R_func, rhs_func, p_in, p_out, s_eval, length=1.0):
     part = cumulative(f_over_r4, pts) if rhs_func else np.zeros(len(pts))
     part_on = dict(zip(pts, part))
 
-    denom = base_on[length]
+    denom = base_on[1.0]
     if denom == 0:
         raise SolverError("degenerate quadrature reference")
-    c = (p_out - p_in - part_on[length]) / denom
+    c = (p_out - p_in - part_on[1.0]) / denom
     return np.array([p_in + c * base_on[s] + part_on[s] for s in s_eval])
 
 
@@ -184,27 +186,27 @@ class ConvergenceStudy:
         return [r.observed_order for r in self.rows if r.observed_order is not None]
 
 
-def run_convergence_study(R_func, rhs_func, p_in, p_out, grid_sizes,
-                          length=1.0, round_off_floor=1e-13
+def run_convergence_study(R_func, rhs_func, p_in, p_out, grid_sizes
                           ) -> ConvergenceStudy:
     """Observed order of accuracy of the flux-form solver vs the quadrature
-    reference on nested grids; flags saturation at the round-off floor."""
+    reference on nested grids of [0, 1]; flags saturation at the round-off
+    floor, 1e-13 of the boundary data."""
     errors = []
     for n in grid_sizes:
-        s = np.linspace(0.0, length, n)
+        s = np.linspace(0.0, 1.0, n)
         h = s[1] - s[0]
         rvals = np.array([R_func(x) for x in s])
         fvals = np.array([rhs_func(x) for x in s]) if rhs_func \
             else np.zeros(n)
         p, _ = solve_flux_bvp(rvals**4, h, fvals, p_in, p_out)
-        exact = quadrature_reference(R_func, rhs_func, p_in, p_out, s, length)
+        exact = quadrature_reference(R_func, rhs_func, p_in, p_out, s)
         errors.append(float(np.max(np.abs(p - exact))))
 
     scale = max(abs(p_in), abs(p_out), 1.0)
     rows = []
     for i, (n, e) in enumerate(zip(grid_sizes, errors)):
         order = None
-        floor = e <= round_off_floor * scale
+        floor = e <= 1e-13 * scale
         if i:
             ratio = np.log(grid_sizes[i] / grid_sizes[i - 1])
             prev_floor = rows[-1].at_round_off
@@ -289,8 +291,6 @@ def figure_shape_checks(fields_mid, sd_mid, wall_rate_tol: float = 1e-9
 
 def pressure_residuals(wall, fluid, pexp, kappa, body) -> dict:
     """Relative flux-form residuals of the three solved pressure problems."""
-    from .pressure import flux_residual, p02_bracket
-
     r4 = wall.R**4
     h = wall.h
     rhs0 = 16.0 * fluid.nu * fluid.rho0 * wall.R * wall.dR_dt
@@ -299,7 +299,7 @@ def pressure_residuals(wall, fluid, pexp, kappa, body) -> dict:
     return {
         "p0": flux_residual(r4, h, pexp.p0, rhs0),
         "p1": flux_residual(r4, h, pexp.p1, np.zeros_like(rhs0)),
-        "p02": flux_residual(r4, h, pexp.p02, bracket, rhs_is_bracket=True),
+        "p02": flux_residual(r4, h, pexp.p02, bracket_derivative(bracket, h)),
     }
 
 

@@ -80,7 +80,7 @@ def test_criterion_1_poiseuille_recovery():
     wall, pexp, stations, fields = straight_rigid_case()
     mid = 50
     center = float(fields[mid].u1_0.to_float().evaluate(0.0, 0.0))
-    flow = flow_rates(fields, wall.R, wall.s1)
+    flow = flow_rates(fields, wall.R)
     s = wall.s1
     p_exact = 1.0 - s
     ok = (
@@ -111,7 +111,7 @@ def test_criterion_3_mass_conservation():
 
     stations = stations_from_grids(wall, pexp, curve, FLUID, BodyForce())
     fields = [evaluate_station(sd) for sd in stations]
-    flow = flow_rates(fields, wall.R, wall.s1)
+    flow = flow_rates(fields, wall.R)
     rep = check_mass_conservation(flow, wall, pexp, FLUID)
     ok = (np.abs(rep.residual_q0).max() <= 1e-8
           and np.abs(rep.residual_q1).max() <= 1e-10)

@@ -3,11 +3,11 @@
 Pins the sha256 of every file that ``tubeflow solve`` writes for each
 preset in ``presets/``, of ``solution_station*.csv`` at ``--order 0`` and
 ``--order 1`` for ``curved_rigid`` and ``helix_swirl``, of ``sweep.csv``
-for ``helix_swirl``, of ``tables_report.txt`` from ``tubeflow tables``, and
-of every file each script in ``scripts/`` writes.  A refactor that claims to keep
-behaviour keeps these digests.  A change that alters bytes on purpose
-re-records them with ``python tests/test_bundle_digests.py`` and says why
-in CHANGES.md.
+for ``helix_swirl``, of ``tables_report.txt`` from ``tubeflow tables``,
+and of every file each script in ``scripts/`` writes.  A refactor that
+claims to keep behaviour keeps these digests.  A change that alters bytes
+on purpose re-records them with ``python tests/test_bundle_digests.py``
+and says why in CHANGES.md.
 
 The digests hold for one platform: numpy 2.4.6 on x86-64 with AVX-512.
 Another numpy build or SIMD level may round differently in the last bit
@@ -17,11 +17,10 @@ another platform is not by itself a regression.
 
 import hashlib
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
-
-import runpy
 
 import pytest
 

@@ -125,11 +125,23 @@ class TestConfigParsing:
         ("wall.p_e", "nan"), ("geometry.b", "inf"), ("body.b1", "nan"),
         ("body.b2", "inf"), ("body.b3", "-inf"), ("bc.p1.inlet", "nan"),
         ("bc.p1.outlet", "inf"), ("bc.p02.inlet", "nan"),
-        ("bc.p02.outlet", "-inf")])
+        ("bc.p02.outlet", "-inf"), ("bc.p0.inlet", "inf"),
+        ("bc.p0.outlet", "nan"), ("sweep.tau", "0, inf")])
     def test_parameters_finite(self, key, value):
+        bad = float(value.split(",")[-1])
         with pytest.raises(ConfigurationError,
-                           match=f"{key} = {float(value)!r} must be finite"):
+                           match=f"{key} = {bad!r} must be finite"):
             RunConfig.from_mapping({key: value})
+
+    @pytest.mark.parametrize("value, bad", [
+        ("0, -0.5", "-0.5"), ("nan", "nan"), ("0.5, inf", "inf")])
+    def test_sweep_curvature_finite_and_non_negative(self, value, bad):
+        # these ran the first sweep cases, then failed on a geometry.a
+        # the user never set
+        with pytest.raises(ConfigurationError,
+                           match=f"sweep.kappa = {bad} must be finite and "
+                                 "non-negative"):
+            RunConfig.from_mapping({"sweep.kappa": value})
 
     def test_time_series_knot_times_finite(self):
         # a NaN knot time used to run with zero flow and pass verification
@@ -403,16 +415,33 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("entries", [
         {"wall.R0": "nan"}, {"body.b1": "nan"}, {"bc.p02.inlet": "nan"},
-        {"geometry.length": "0", "output.stations": "0"}])
+        {"geometry.length": "0", "output.stations": "0"},
+        {"bc.p0.outlet": "nan"}])
     def test_bad_parameter_is_a_config_error(self, tmp_path, capsys, entries):
-        # these ended in a SolverError from the tridiagonal solve, and
-        # geometry.length = 0 in a raw ZeroDivisionError traceback
+        # these ended in a SolverError from the tridiagonal solve,
+        # geometry.length = 0 in a raw ZeroDivisionError traceback, and
+        # bc.p0.outlet = nan in a solve-time error naming no key
         cfg = write_cfg(tmp_path, {**STRAIGHT, **entries})
         assert main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error [ConfigurationError]" in err
         assert next(iter(entries)) in err
+
+    @pytest.mark.parametrize("key, value, bad", [
+        ("sweep.kappa", "0.5, -0.5", "-0.5"), ("sweep.kappa", "nan", "nan"),
+        ("sweep.tau", "0, inf", "inf")])
+    def test_bad_sweep_grid_runs_no_case(self, tmp_path, capsys, key, value,
+                                         bad):
+        # these ran the first cases, then named geometry.a, not the key
+        cfg = write_cfg(tmp_path,
+                        {**STRAIGHT, "sweep.kappa": "0.5", key: value})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} = {bad} must be finite" in err
+        assert "geometry.a" not in err
+        assert not out.exists()
 
     def test_bad_output_config_writes_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**STRAIGHT,

@@ -10,6 +10,7 @@ from tubeflow.expansion import BodyForce, FluidParams
 from tubeflow.pressure import (
     PressureBC,
     TimeSeries,
+    bracket_derivative,
     fd_derivative,
     fd_second_derivative,
     fd_third_derivative,
@@ -105,8 +106,9 @@ class TestFluxSolver:
         coef = rng.uniform(0.05, 20.0, n)
         rhs = rng.normal(size=n)
         p_in, p_out = (float(v) for v in rng.normal(size=2))
-        p, flux = solve_flux_bvp(coef, h, rhs, p_in, p_out,
-                                 rhs_is_bracket=bracket)
+        p, flux = solve_flux_bvp(
+            coef, h, bracket_derivative(rhs, h) if bracket else rhs,
+            p_in, p_out)
         # the same interior system in scipy's banded layout
         a_mid = 0.5 * (coef[:-1] + coef[1:])
         inv_h2 = 1.0 / h**2
@@ -139,24 +141,26 @@ class TestFluxSolver:
         # forming the system may warn (inf - inf); it must still be refused
         with (np.errstate(invalid="ignore"),
               pytest.raises(SolverError, match="infs or NaNs")):
-            solve_flux_bvp(args["coef"], 1.0 / (n - 1), args["rhs"],
-                           args["p_in"], 0.0, rhs_is_bracket=bracket)
+            h = 1.0 / (n - 1)
+            rhs = bracket_derivative(args["rhs"], h) if bracket \
+                else args["rhs"]
+            solve_flux_bvp(args["coef"], h, rhs, args["p_in"], 0.0)
 
 
 class TestP1:
     def test_zero_dirichlet_gives_zero(self):
         wall, _ = make_wall(radius=lambda x: 1 + 0.3 * x)
-        p1 = solve_p1(wall, FLUID, PressureBC())[0]
+        p1 = solve_p1(wall, PressureBC())[0]
         assert np.all(p1 == 0.0)
 
     def test_unit_radius_linear(self):
         wall, s = make_wall()
-        p1 = solve_p1(wall, FLUID, PressureBC(p1_inlet=1.0, p1_outlet=0.0))[0]
+        p1 = solve_p1(wall, PressureBC(p1_inlet=1.0, p1_outlet=0.0))[0]
         assert np.abs(p1 - (1 - s)).max() < 1e-13
 
     def test_nonuniform_same_profile_family_as_p0(self):
         wall, s = make_wall(radius=lambda x: (1 + x) ** -0.25)
-        p1 = solve_p1(wall, FLUID, PressureBC(p1_inlet=0.0, p1_outlet=1.0))[0]
+        p1 = solve_p1(wall, PressureBC(p1_inlet=0.0, p1_outlet=1.0))[0]
         oracle = quadrature_bvp(lambda x: (1 + x) ** -0.25, None, 0.0, 1.0, s)
         assert np.abs(p1 - oracle).max() < 2e-6
 
@@ -224,16 +228,15 @@ class TestP02:
             # residual in flux form is the authoritative check here
             bracket = p02_bracket(wall, FLUID, np.zeros(n), p0_data,
                                   BodyForce())
-            errs.append(flux_residual(wall.R**4, wall.h, p02, bracket,
-                                      rhs_is_bracket=True))
+            errs.append(flux_residual(wall.R**4, wall.h, p02,
+                                      bracket_derivative(bracket, wall.h)))
         assert max(errs) < 1e-12
 
 
 class TestInvariantsAndHelpers:
     def test_flux_continuity_homogeneous(self):
         wall, _ = make_wall(radius=lambda x: (1 + x) ** -0.25)
-        _, flux = solve_p1(wall, FLUID,
-                           PressureBC(p1_inlet=0.0, p1_outlet=1.0))
+        _, flux = solve_p1(wall, PressureBC(p1_inlet=0.0, p1_outlet=1.0))
         assert np.abs(np.diff(flux)).max() <= 1e-12 * max(
             1.0, np.abs(flux).max())
 

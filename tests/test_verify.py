@@ -11,7 +11,7 @@ from tubeflow.expansion import (
     stations_from_grids,
 )
 from tubeflow.geometry import CenterCurve
-from tubeflow.polydisc import DiscPoly
+from tubeflow.polydisc import DiscPoly, restrict_to_boundary
 from tubeflow.pressure import PressureBC, solve_pressures
 from tubeflow.verify import (
     azimuthal_polynomial,
@@ -49,7 +49,7 @@ def solved_case(n=65, radius=1.0, rate=None, kappa_val=0.0,
 class TestFlowRates:
     def test_poiseuille_value(self):
         wall, pexp, stations, fields = solved_case()
-        flow = flow_rates(fields, wall.R, wall.s1)
+        flow = flow_rates(fields, wall.R)
         # frozen: 2D quadrature of u1^0 gives pi/8
         assert np.abs(flow.q0 - np.pi / 8).max() < 1e-10
         assert flow.q0[0] == pytest.approx(
@@ -58,7 +58,7 @@ class TestFlowRates:
     def test_q1_zero_under_default_p1(self):
         # the cos-mode of u1^1 integrates to zero; default p1 is zero
         wall, pexp, stations, fields = solved_case(kappa_val=0.5)
-        flow = flow_rates(fields, wall.R, wall.s1)
+        flow = flow_rates(fields, wall.R)
         assert np.abs(flow.q1).max() < 1e-14
         assert not fields[32].u1_1.is_zero()
         assert flow.q1[32] == pytest.approx(
@@ -67,7 +67,7 @@ class TestFlowRates:
     def test_zero_field_zero_flow(self):
         wall, pexp, stations, fields = solved_case(
             bc=PressureBC(0.0, 0.0))
-        flow = flow_rates(fields, wall.R, wall.s1)
+        flow = flow_rates(fields, wall.R)
         assert np.abs(flow.q0).max() < 1e-12
         assert flow.area[0] == pytest.approx(np.pi)
 
@@ -76,7 +76,7 @@ class TestMassConservation:
     def test_rigid_wall(self):
         wall, pexp, stations, fields = solved_case(
             n=65, radius=(1 + np.linspace(0, 1, 65)) ** -0.25)
-        flow = flow_rates(fields, wall.R, wall.s1)
+        flow = flow_rates(fields, wall.R)
         report = check_mass_conservation(flow, wall, pexp, FLUID)
         assert np.abs(report.residual_q0).max() <= 1e-8
         assert np.abs(report.residual_q1).max() <= 1e-10
@@ -85,7 +85,7 @@ class TestMassConservation:
         # R = 1, dR/dt = 1: dQ0/ds1 must equal -2 pi R dR/dt pointwise
         wall, pexp, stations, fields = solved_case(
             rate=1.0, bc=PressureBC(0.0, 0.0))
-        flow = flow_rates(fields, wall.R, wall.s1)
+        flow = flow_rates(fields, wall.R)
         report = check_mass_conservation(flow, wall, pexp, FLUID)
         h = pexp.h
         dq0 = -np.pi / 8 * np.diff(pexp.flux_p0) / h
@@ -97,7 +97,7 @@ class TestMassConservation:
         # Q0 = -(pi R^4 / 8 rho0 nu) p0' identically
         wall, pexp, stations, fields = solved_case(
             n=65, radius=(1 + np.linspace(0, 1, 65)) ** -0.25)
-        flow = flow_rates(fields, wall.R, wall.s1)
+        flow = flow_rates(fields, wall.R)
         closed = -np.pi * wall.R**4 / 8.0 * pexp.dp0
         assert np.abs(flow.q0 - closed).max() < 1e-12
 
@@ -117,6 +117,25 @@ class TestCompatibility:
         assert np.abs(report.u1_lhs / (2 * np.pi) - 1.0).max() < 1e-9
         assert np.allclose(report.u1_rhs, 2 * np.pi)
         assert report.max_u1_residual < 1e-9
+
+    def test_u1_lhs_is_the_closed_form_wall_trace(self):
+        # the nodal u1 identity restates 2 pi times the cos(s2) mode of
+        # the U1 closed form on the wall, at every node
+        n = 65
+        s = np.linspace(0.0, 1.0, n)
+        fluid = FluidParams(1.2, 0.7)
+        wall = WallState.from_radius(s, 1.0 + 0.2 * np.sin(np.pi * s),
+                                     dR_dt=np.ones(n))
+        curve = CenterCurve.circular_arc(2.0, 1.0)
+        kappa = np.array([curve.frame(x).curvature for x in s])
+        pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0), kappa,
+                               BodyForce())
+        fields = [evaluate_station(sd) for sd in stations_from_grids(
+            wall, pexp, curve, fluid, BodyForce())]
+        lhs = check_compatibility(wall, fluid, pexp, fields).u1_lhs
+        trace = 2 * np.pi * np.array(
+            [restrict_to_boundary(f.U1[0]).cos_coeff(1) for f in fields])
+        assert np.abs(lhs - trace).max() <= 1e-12 * np.abs(lhs).max()
 
     def test_g_integral_zero_when_p1_solved(self):
         # constant R with nonzero p1 data: p1 is linear, g integrates to 0
