@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,7 @@ class RunConfig:
             "time.dt": ("dt", float),
             "output.fields": ("out_fields",
                               lambda v: tuple(x.strip() for x in v.split(","))
-                              if v != "all" else cls.out_fields),
+                              if v != "all" else _FIELD_NAMES),
             "output.stations": ("stations", lambda v: tuple(_floats(v))),
             "sweep.kappa": ("sweep_kappa", lambda v: tuple(_floats(v))),
             "sweep.tau": ("sweep_tau", lambda v: tuple(_floats(v))),
@@ -331,19 +332,21 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 # -- field sampling and export --------------------------------------------------
 
-def _disc_grid(n_disc: int) -> list:
+@lru_cache(maxsize=None)
+def _disc_grid(n_disc: int) -> tuple:
     """(s2, s3, z2, z3) of the polar product grid on the unit disc.
 
     Radii are half-offset ((i + 1/2) / n) so the axis point, where the
-    angle is ambiguous, is never sampled.
+    angle is ambiguous, is never sampled.  All four are Python floats.
     """
     grid = []
     for i in range(n_disc):
         s3 = (i + 0.5) / n_disc
         for j in range(2 * n_disc):
             s2 = np.pi * j / n_disc
-            grid.append((s2, s3, s3 * np.cos(s2), s3 * np.sin(s2)))
-    return grid
+            grid.append((s2, s3, float(s3 * np.cos(s2)),
+                         float(s3 * np.sin(s2))))
+    return tuple(grid)
 
 
 def sample_fields(fields: expansion.ExpansionFields, n_disc: int,

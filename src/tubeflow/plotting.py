@@ -7,6 +7,8 @@ deterministic for identical inputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _SIZE = 420
@@ -53,20 +55,28 @@ def _svg_footer(caption):
     ]
 
 
-def heatmap_svg(poly, title="field"):
-    """Polar-cell heatmap of a scalar disc polynomial; returns SVG text."""
-    p = poly.to_float()
-    n_r, n_theta = 24, 48
-    values = np.empty((n_r, n_theta))
+# Polar grids of the two plot kinds: (rings, sectors).
+_HEATMAP_GRID = (24, 48)
+_QUIVER_GRID = (8, 16)
+
+
+@lru_cache(maxsize=None)
+def _polar_centres(n_r, n_theta):
+    """(z2, z3) at the half-offset radius of each polar cell, ring by ring,
+    as Python floats."""
+    points = []
     for i in range(n_r):
         s3 = (i + 0.5) / n_r
         for j in range(n_theta):
             s2 = 2 * np.pi * j / n_theta
-            values[i, j] = p.evaluate(s3 * np.cos(s2), s3 * np.sin(s2))
-    vmax = float(np.abs(values).max())
-    norm = vmax if vmax > 0 else 1.0
+            points.append((float(s3 * np.cos(s2)), float(s3 * np.sin(s2))))
+    return tuple(points)
 
-    cells = []
+
+@lru_cache(maxsize=None)
+def _polygon_points(n_r, n_theta):
+    """SVG ``points`` text of each polar cell, in the order of the centres."""
+    out = []
     for i in range(n_r):
         r_in, r_out = i / n_r, (i + 1) / n_r
         for j in range(n_theta):
@@ -78,10 +88,22 @@ def heatmap_svg(poly, title="field"):
                 _to_px(r_out * np.cos(th1), r_out * np.sin(th1)),
                 _to_px(r_in * np.cos(th1), r_in * np.sin(th1)),
             ]
-            pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners)
-            color = _diverging_color(values[i, j] / norm)
-            cells.append(f'<polygon points="{pts}" fill="{color}" '
-                         'stroke="none"/>')
+            out.append(" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners))
+    return tuple(out)
+
+
+def heatmap_svg(poly, title="field"):
+    """Polar-cell heatmap of a scalar disc polynomial; returns SVG text."""
+    p = poly.to_float()
+    values = np.array([p.evaluate(z2, z3)
+                       for z2, z3 in _polar_centres(*_HEATMAP_GRID)],
+                      dtype=float)
+    vmax = float(np.abs(values).max())
+    norm = vmax if vmax > 0 else 1.0
+
+    cells = [f'<polygon points="{pts}" fill="{_diverging_color(v / norm)}" '
+             'stroke="none"/>'
+             for pts, v in zip(_polygon_points(*_HEATMAP_GRID), values)]
 
     caption = f"{title}  min={values.min():.3g} max={values.max():.3g}"
     return "\n".join(_svg_header(title) + cells + _svg_footer(caption)) + "\n"
@@ -90,14 +112,9 @@ def heatmap_svg(poly, title="field"):
 def quiver_svg(poly2, poly3, title="field"):
     """Arrow plot of a transversal vector field; returns SVG text."""
     p2, p3 = poly2.to_float(), poly3.to_float()
-    n_r, n_theta = 8, 16
-    points = []
-    for i in range(n_r):
-        s3 = (i + 0.5) / n_r
-        for j in range(n_theta):
-            s2 = 2 * np.pi * j / n_theta
-            z2, z3 = s3 * np.cos(s2), s3 * np.sin(s2)
-            points.append((z2, z3, p2.evaluate(z2, z3), p3.evaluate(z2, z3)))
+    n_r = _QUIVER_GRID[0]
+    points = [(z2, z3, p2.evaluate(z2, z3), p3.evaluate(z2, z3))
+              for z2, z3 in _polar_centres(*_QUIVER_GRID)]
     vmax = max((np.hypot(v2, v3) for _, _, v2, v3 in points), default=0.0)
     scale = (0.5 / n_r) / vmax if vmax > 0 else 0.0
 

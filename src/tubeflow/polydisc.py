@@ -36,6 +36,16 @@ class DiscPoly:
                 clean[(int(m), int(n))] = c
         self.coeffs = clean
 
+    @classmethod
+    def _canonical(cls, items):
+        """Instance from (monomial, coefficient) pairs whose monomials are
+        known to be valid: the exponents are not re-checked, only the zero
+        coefficients are dropped.  Every ring operation builds through it.
+        """
+        poly = object.__new__(cls)
+        poly.coeffs = {k: c for k, c in items if c != 0}
+        return poly
+
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls):
@@ -43,7 +53,7 @@ class DiscPoly:
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0): c})
+        return cls._canonical([((0, 0), c)])
 
     @classmethod
     def monomial(cls, m, n, c=1):
@@ -68,18 +78,21 @@ class DiscPoly:
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out.get(key, 0) + c
-        return DiscPoly(out)
+        return DiscPoly._canonical(out.items())
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        out = dict(self.coeffs)
+        for key, c in _as_poly(other).coeffs.items():
+            out[key] = out.get(key, 0) - c
+        return DiscPoly._canonical(out.items())
 
     def __rsub__(self, other):
         return _as_poly(other) + (-self)
 
     def __neg__(self):
-        return DiscPoly({k: -c for k, c in self.coeffs.items()})
+        return DiscPoly._canonical((k, -c) for k, c in self.coeffs.items())
 
     def __mul__(self, other):
         if isinstance(other, DiscPoly):
@@ -88,11 +101,13 @@ class DiscPoly:
                 for (m2, n2), c2 in other.coeffs.items():
                     key = (m1 + m2, n1 + n2)
                     out[key] = out.get(key, 0) + c1 * c2
-            return DiscPoly(out)
-        return DiscPoly({k: c * other for k, c in self.coeffs.items()})
+            return DiscPoly._canonical(out.items())
+        return DiscPoly._canonical((k, c * other)
+                                   for k, c in self.coeffs.items())
 
     def __rmul__(self, other):
-        return DiscPoly({k: other * c for k, c in self.coeffs.items()})
+        return DiscPoly._canonical((k, other * c)
+                                   for k, c in self.coeffs.items())
 
     def __pow__(self, n):
         if n < 0:
@@ -137,7 +152,8 @@ class DiscPoly:
         return total
 
     def to_float(self):
-        return DiscPoly({k: float(c) for k, c in self.coeffs.items()})
+        return DiscPoly._canonical((k, float(c))
+                                   for k, c in self.coeffs.items())
 
     def __repr__(self):
         if not self.coeffs:
@@ -165,9 +181,11 @@ def _as_poly(x):
 def differentiate(p: DiscPoly, var: str) -> DiscPoly:
     """Exact partial derivative with respect to ``"z2"`` or ``"z3"``."""
     if var == "z2":
-        return DiscPoly({(m - 1, n): m * c for (m, n), c in p.coeffs.items() if m})
+        return DiscPoly._canonical(
+            ((m - 1, n), m * c) for (m, n), c in p.coeffs.items() if m)
     if var == "z3":
-        return DiscPoly({(m, n - 1): n * c for (m, n), c in p.coeffs.items() if n})
+        return DiscPoly._canonical(
+            ((m, n - 1), n * c) for (m, n), c in p.coeffs.items() if n)
     raise ValueError(f"unknown variable {var!r}")
 
 
@@ -223,6 +241,13 @@ def disc_moment_over_pi(m: int, n: int) -> Fraction:
     return Fraction(2, m + n + 2) * Fraction(num, _double_factorial(m + n))
 
 
+@lru_cache(maxsize=None)
+def _moment_pair(m: int, n: int):
+    """The exact disc moment and its float, for float coefficients."""
+    mom = disc_moment_over_pi(m, n)
+    return mom, float(mom)
+
+
 def disc_integral_over_pi(p: DiscPoly):
     """Integral of p over the unit disc, divided by pi.
 
@@ -230,9 +255,10 @@ def disc_integral_over_pi(p: DiscPoly):
     """
     total = 0
     for (m, n), c in p.coeffs.items():
-        mom = disc_moment_over_pi(m, n)
+        mom, fmom = _moment_pair(m, n)
         if mom:
-            total = total + c * mom
+            # float * Fraction is float * float(Fraction)
+            total = total + c * (fmom if isinstance(c, float) else mom)
     return total
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tubeflow.cli import (
+    _FIELD_NAMES,
     RunConfig,
     main,
     parse_config_text,
@@ -89,8 +90,11 @@ class TestConfigParsing:
     def test_unknown_output_field_rejected(self):
         with pytest.raises(ConfigurationError, match="vorticity"):
             RunConfig.from_mapping({"output.fields": "u1_0, vorticity"})
+
+    def test_all_fields_is_every_exportable_name(self):
         cfg = RunConfig.from_mapping({"output.fields": "all"})
-        assert cfg.out_fields == RunConfig.out_fields
+        assert cfg.out_fields == _FIELD_NAMES
+        assert {"g", "F", "W"} <= set(cfg.out_fields)
 
     @pytest.mark.parametrize("key, value", [
         ("fluid.nu", "0"), ("fluid.rho0", "-1"), ("fluid.nu", "nan"),
@@ -332,6 +336,16 @@ class TestCommandLine:
             assert (out / name).exists(), name
         text = (out / "verify_report.txt").read_text()
         assert "verdict.passed = True" in text
+
+    def test_all_fields_exports_every_field(self, tmp_path):
+        cfg = write_cfg(tmp_path, {**STRAIGHT, "output.fields": "all"})
+        out = tmp_path / "out"
+        assert main(["fields", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in _FIELD_NAMES:
+            assert (out / f"field_{name}_station0016.csv").exists(), name
+            assert (out / f"plot_{name}_station0016.svg").exists(), name
+        header, _ = read_field_csv(out / "field_F_station0016.csv")
+        assert header == ["z2", "z3", "F_2", "F_3"]
 
     def test_outputs_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, CURVED)

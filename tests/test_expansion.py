@@ -288,6 +288,59 @@ class TestStationAssembly:
         assert stations[7].dp0 == pytest.approx(-1.0)
 
 
+    def test_shared_constant_polynomials_survive_a_run(self, tmp_path):
+        from tubeflow import cli, expansion
+
+        def snapshot():
+            return {name: [(k, type(c), c) for k, c in obj.coeffs.items()]
+                    for name, obj in vars(expansion).items()
+                    if isinstance(obj, DiscPoly)}
+
+        before = snapshot()
+        assert len(before) >= 10
+        cfg = cli.RunConfig.from_mapping({
+            "geometry.kind": "helix", "geometry.a": "1.6", "geometry.b": "0.8",
+            "grid.n_s1": "33", "grid.n_disc": "8", "eps": "0.05",
+            "output.fields": "all"})
+        cli.export_bundle(cli.run_pipeline(cfg), tmp_path / "out")
+        assert snapshot() == before
+        assert expansion._WALL == RHO2 - ONE
+        assert expansion._RHO6_M1 == RHO2**3 - ONE
+        assert expansion._WALL_Z2SQ_M_Z3SQ == (RHO2 - ONE) * (
+            DiscPoly.monomial(2, 0) - DiscPoly.monomial(0, 2))
+
+    def test_float64_and_float_stations_give_identical_bits(self):
+        # stations_from_grids hands Python floats to the closed forms; they
+        # must compute exactly what numpy float64 scalars compute
+        import dataclasses
+        import random
+
+        def bits(x):
+            if isinstance(x, tuple):
+                return tuple(bits(v) for v in x)
+            if isinstance(x, DiscPoly):
+                return tuple((k, float(c).hex()) for k, c in x.coeffs.items())
+            return float(x).hex()
+
+        rng = random.Random(8)
+        for _ in range(20):
+            v = {k: rng.uniform(lo, hi) for k, lo, hi in (
+                ("rho0", 0.5, 2), ("nu", 0.25, 2), ("R", 0.5, 2),
+                ("dR", -1, 1), ("d2R", -1, 1), ("Rdot", -1, 1),
+                ("kappa", 0.1, 1), ("dkappa", -1, 1), ("tau", -1, 1),
+                ("dp0", -2, -0.1), ("d2p0", -1, 1), ("d3p0", -1, 1),
+                ("dt_dp0", -1, 1), ("dp1", -1, 1), ("p02", -1, 1),
+                ("dp02", -1, 1), ("b1", -1, 1), ("b2", -1, 1),
+                ("b3", -1, 1))}
+            v["d2p1"] = -4 * v["dR"] * v["dp1"] / v["R"]
+            plain = evaluate_station(StationData(**v))
+            numpy = evaluate_station(
+                StationData(**{k: np.float64(x) for k, x in v.items()}))
+            for fld in dataclasses.fields(plain):
+                assert bits(getattr(plain, fld.name)) \
+                    == bits(getattr(numpy, fld.name)), fld.name
+
+
 class TestPhysicalAssembly:
     MID = 8  # n = 17 is odd: node 8 sits exactly at s1 = 1/2
 

@@ -55,6 +55,50 @@ class TestRingLaws:
         assert p.is_zero() and p.coeffs == {}
         assert DiscPoly({(2, 1): 0}).is_zero()
 
+    @pytest.mark.parametrize("num", [F, lambda n, d=1: n / d],
+                             ids=["Fraction", "float"])
+    def test_ring_results_stay_canonical(self, num):
+        # no zero, and no -0.0 (which equals 0), is ever stored
+        a = DiscPoly({(1, 0): num(1, 2), (0, 2): num(-3), (2, 2): num(5)})
+        b = DiscPoly({(1, 0): num(1, 2), (2, 0): num(7), (2, 2): num(-5)})
+        z = num(0)
+        results = {
+            "add": a + b, "radd": z + a + z, "sub": a - b, "rsub": z - a,
+            "neg": -a, "neg zero": -DiscPoly.zero(),
+            "cancel": a - a, "cancel sum": a + (-a),
+            "mul": (Z2 + Z3) * (Z2 - Z3) * num(3),  # z2 z3 cancels
+            "mul zero poly": a * DiscPoly.zero(),
+            "scalar zero": a * z, "rscalar zero": z * a,
+            "negative zero": a * -z, "rnegative zero": -z * a,
+            "negative zero sum": DiscPoly.constant(-z) + DiscPoly.constant(z),
+            "d/dz2": differentiate(a, "z2"), "d/dz3": differentiate(a, "z3"),
+            "d/dz2 none": differentiate(DiscPoly({(0, 3): num(2)}), "z2"),
+            "constant": DiscPoly.constant(-z),
+            "float copy": (a - a).to_float(),
+        }
+        for name, r in results.items():
+            assert all(c != 0 for c in r.coeffs.values()), (name, r.coeffs)
+            assert all(type(m) is int and type(n) is int and m >= 0 and n >= 0
+                       for m, n in r.coeffs), (name, r.coeffs)
+        assert results["sub"].coeffs == {(0, 2): num(-3), (2, 2): num(10),
+                                         (2, 0): num(-7)}
+        assert results["mul"] == DiscPoly({(2, 0): num(3), (0, 2): num(-3)})
+        assert results["rsub"] == results["neg"]
+        for name in ("cancel", "cancel sum", "mul zero poly",
+                     "scalar zero", "rscalar zero", "negative zero",
+                     "rnegative zero", "negative zero sum", "d/dz2 none", "constant",
+                     "float copy", "neg zero"):
+            assert results[name].coeffs == {}, name
+
+    @settings(max_examples=60)
+    @given(rational_polys(), rational_polys())
+    def test_float_ring_results_stay_canonical(self, a, b):
+        fa, fb = a.to_float(), b.to_float()
+        for r in (fa + fb, fa - fb, fa - fa, fa * fb, fa * 0.0, -0.0 * fa,
+                  -fa, fa * (fb - fb), differentiate(fa, "z2"),
+                  differentiate(fb, "z3")):
+            assert all(c != 0 for c in r.coeffs.values()), r.coeffs
+
     def test_power_and_degree(self):
         assert (RHO2**2).degree == 4
         assert RHO2**0 == DiscPoly.constant(1)
