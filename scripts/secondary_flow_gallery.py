@@ -64,7 +64,8 @@ def main(outdir="out_gallery"):
     fluid = FluidParams(1.0, 1.0)
     pexp = solve_pressures(wall, fluid, PressureBC(0.0, 0.0), np.zeros(n),
                            BodyForce())
-    stations = stations_from_grids(wall, pexp, CenterCurve.straight(1.0),
+    stations = stations_from_grids(wall, pexp,
+                                   CenterCurve.straight(1.0).frames(s),
                                    fluid, BodyForce())
     f = evaluate_station(stations[n // 2])
     (out / "U1_moving_wall.svg").write_text(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from pathlib import Path
@@ -259,7 +260,7 @@ class PipelineResult:
     wall: coupling.WallState
     pexp: pressure.PressureExpansion
     stations: list
-    fields: list
+    fields: Sequence   # ExpansionFields per station, built on first read
     flow: verify.FlowRates
     conservation: verify.ConservationReport
     compatibility: verify.CompatibilityReport
@@ -292,7 +293,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     law = cfg.build_wall_law()
 
     s1 = np.linspace(0.0, cfg.length, cfg.n_s1)
-    kappa = np.array([curve.frame(x).curvature for x in s1])
+    frames = curve.frames(s1)
+    kappa = np.array([fr.curvature for fr in frames])
     history = []
 
     # a steady run is one implicit step with dR/dt = 0 (dt None)
@@ -312,11 +314,14 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     # tube-map sanity for the configured eps
     geometry.check_invertibility(cfg.eps, curve, wall)
 
-    stations = expansion.stations_from_grids(wall, pexp, curve, fluid, body)
-    fields = [expansion.evaluate_station(sd) for sd in stations]
-    flow = verify.flow_rates(fields, wall.R)
+    stations = expansion.stations_from_grids(wall, pexp, frames, fluid, body)
+    # every node gets the terms verification reads, and with them the U^2
+    # compatibility check; full fields are built where they are read
+    terms = [expansion.verification_terms(sd) for sd in stations]
+    fields = expansion.StationFields(stations)
+    flow = verify.flow_rates(terms, wall.R)
     conservation = verify.check_mass_conservation(flow, wall, pexp, fluid)
-    compatibility = verify.check_compatibility(wall, fluid, pexp, fields)
+    compatibility = verify.check_compatibility(wall, fluid, pexp, terms)
     residuals = verify.pressure_residuals(wall, fluid, pexp, kappa, body)
     mid = cfg.n_s1 // 2
     # the wall-rate trace sits at the same O(h^2) error as the u1 identity

@@ -15,8 +15,10 @@ zero-residual verification suite runs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -419,15 +421,13 @@ def stokes_disc_solve(f2_poly: DiscPoly, f3_poly: DiscPoly):
     return build(w2_plan) * _WALL, build(w3_plan) * _WALL, build(q_plan)
 
 
-def solve_U2(F, g: DiscPoly, sd: StationData):
-    """Assemble (U^2, p^3) from potential + stream + tabulated Stokes parts.
+def check_U2_compatibility(g: DiscPoly) -> None:
+    """Require the divergence data g of (U^2, p^3) to be compatible.
 
-    Requires the divergence data to be compatible: a zero disc integral,
-    exactly for Fraction data and within 1e-10 of max|g| (at least 1) for
-    floats.  Violations report the integral.  Free functions of (t, s1) in the
-    pressure are fixed to zero.
+    Its disc integral must vanish: exactly for Fraction data, and within
+    1e-10 of max|g| (at least 1) for floats.  A violation raises
+    :class:`ModelInconsistencyError` that reports the integral.
     """
-    f2_poly, f3_poly = F
     integral = disc_integral_over_pi(g)
     if isinstance(integral, Fraction):
         if integral != 0:
@@ -442,6 +442,21 @@ def solve_U2(F, g: DiscPoly, sd: StationData):
                 f"{float(integral) * _PI:.3e} (tol 1e-10, scale {scale:g})"
             )
 
+
+def solve_U2(F, g: DiscPoly, sd: StationData):
+    """Assemble (U^2, p^3) from potential + stream + tabulated Stokes parts.
+
+    Requires the divergence data to be compatible
+    (:func:`check_U2_compatibility`).  Free functions of (t, s1) in the
+    pressure are fixed to zero.
+    """
+    check_U2_compatibility(g)
+    return _assemble_U2(F, g, sd)
+
+
+def _assemble_U2(F, g: DiscPoly, sd: StationData):
+    """:func:`solve_U2` on divergence data already checked compatible."""
+    f2_poly, f3_poly = F
     phi = secondary_potential(sd)
     psi = stream_function(sd)
     psi2, psi3 = stream_coefficients(sd)
@@ -661,19 +676,42 @@ class ExpansionFields:
     psi3: object = 0
 
 
+class VerificationTerms(NamedTuple):
+    """The terms of one station that the axial verification reads: the
+    axial velocities (flow rates) and the U^2 data (compatibility)."""
+
+    u1_0: DiscPoly
+    u1_1: DiscPoly
+    u1_2: DiscPoly
+    F: tuple
+    g: DiscPoly
+
+
+def verification_terms(sd: StationData) -> VerificationTerms:
+    """u1^0, u1^1, u1^2 and (F, g) of one station, g checked compatible.
+
+    This is the part of :func:`evaluate_station` that every axis node
+    needs; the transversal fields are left to the stations that are read.
+    """
+    fluid = sd.fluid
+    F, g = build_U2_rhs(sd)
+    check_U2_compatibility(g)
+    return VerificationTerms(
+        u1_0=eval_u1_0(sd.R, fluid, sd.dp0),
+        u1_1=eval_u1_1(sd.R, sd.kappa, fluid, sd.dp0, sd.dp1),
+        u1_2=eval_u1_2(sd), F=F, g=g)
+
+
 def evaluate_station(sd: StationData) -> ExpansionFields:
     """Evaluate every expansion term at one station."""
     fluid = sd.fluid
-    u1_0 = eval_u1_0(sd.R, fluid, sd.dp0)
-    u1_1 = eval_u1_1(sd.R, sd.kappa, fluid, sd.dp0, sd.dp1)
-    u1_2 = eval_u1_2(sd)
+    t = verification_terms(sd)
     U1 = eval_U1(sd.R, sd.dR, fluid, sd.dp0, sd.d2p0)
     p2 = eval_p2(sd.R, sd.d2p0, sd.p02)
-    F, g = build_U2_rhs(sd)
-    U2, p3, aux = solve_U2(F, g, sd)
+    U2, p3, aux = _assemble_U2(t.F, t.g, sd)
     return ExpansionFields(
-        u1_0=u1_0, u1_1=u1_1, u1_2=u1_2, U1=U1, U2=U2, p2=p2, p3=p3,
-        F=F, g=g, W=aux["W"], q2=aux["q2"],
+        u1_0=t.u1_0, u1_1=t.u1_1, u1_2=t.u1_2, U1=U1, U2=U2, p2=p2, p3=p3,
+        F=t.F, g=t.g, W=aux["W"], q2=aux["q2"],
         phi_transversal=transversal_potential(sd.R, sd.dR, fluid,
                                               sd.dp0, sd.d2p0),
         phi_secondary=aux["phi"], psi=aux["psi"],
@@ -681,21 +719,47 @@ def evaluate_station(sd: StationData) -> ExpansionFields:
     )
 
 
-def stations_from_grids(wall, pexp, curve, fluid: FluidParams,
+class StationFields(Sequence):
+    """The :class:`ExpansionFields` of each station, read like a list.
+
+    Station i is evaluated by :func:`evaluate_station` the first time it
+    is read and kept from then on, so a run pays only for the stations
+    that something reads.
+    """
+
+    def __init__(self, stations):
+        self._stations = stations
+        self._fields = {}
+
+    def __len__(self):
+        return len(self._stations)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        k = range(len(self))[i]   # list indexing: negatives, IndexError
+        f = self._fields.get(k)
+        if f is None:
+            f = self._fields[k] = evaluate_station(self._stations[k])
+        return f
+
+
+def stations_from_grids(wall, pexp, frames, fluid: FluidParams,
                         body: BodyForce):
     """One StationData per axis node, from solved wall/pressure grids.
 
-    Node values are Python floats: they compute the same values as numpy
-    float64 scalars, at a fraction of the cost per operation.
+    ``frames`` holds the center curve's frame at each node of ``wall.s1``
+    (``curve.frames(wall.s1)``).  Node values are Python floats: they
+    compute the same values as numpy float64 scalars, at a fraction of the
+    cost per operation.
     """
     columns = [g.tolist() for g in (
-        wall.s1, wall.R, wall.dR_ds1, wall.d2R_ds12, wall.dR_dt,
+        wall.R, wall.dR_ds1, wall.d2R_ds12, wall.dR_dt,
         pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0, pexp.dp1, pexp.d2p1,
         pexp.p02, pexp.dp02)]
     out = []
-    for (s1, R, dR, d2R, Rdot, dp0, d2p0, d3p0, dt_dp0, dp1, d2p1, p02,
-         dp02) in zip(*columns):
-        fr = curve.frame(s1)
+    for (fr, R, dR, d2R, Rdot, dp0, d2p0, d3p0, dt_dp0, dp1, d2p1, p02,
+         dp02) in zip(frames, *columns, strict=True):
         out.append(StationData(
             rho0=fluid.rho0, nu=fluid.nu, R=R, dR=dR, d2R=d2R, Rdot=Rdot,
             kappa=float(fr.curvature), dkappa=float(fr.curvature_rate),

@@ -206,6 +206,10 @@ class CenterCurve:
             raise GeometryError(f"s1 = {s1} outside [0, {self.length}]")
         return self._frame(float(s1))
 
+    def frames(self, s1):
+        """The frame at each arc length of ``s1``, as a list."""
+        return [self.frame(x) for x in s1]
+
 
 def frenet_frame(curve: CenterCurve, s1: float) -> FrenetFrame:
     """Frame at s1 with orthonormality enforced to round-off."""

@@ -112,14 +112,15 @@ class DiscPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        out = DiscPoly.constant(1)
+        out = None   # no product with the constant 1
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:    # no square past the last bit
+                base = base * base
+        return DiscPoly.constant(1) if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, DiscPoly):

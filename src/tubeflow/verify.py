@@ -32,8 +32,10 @@ class FlowRates:
 def flow_rates(fields, R) -> FlowRates:
     """Exact disc integration of the axial terms: Q^k = R^2 * int u1^k.
 
-    The radial measure s3 ds3 ds2 is the plain area element in the disc
-    coordinates, so each integral is a closed-form moment sum.
+    ``fields`` needs only ``u1_0``, ``u1_1`` and ``u1_2`` per station
+    (``ExpansionFields`` or ``VerificationTerms``).  The radial measure
+    s3 ds3 ds2 is the plain area element in the disc coordinates, so each
+    integral is a closed-form moment sum.
     """
     R = np.asarray(R, dtype=float)
     n = R.size
@@ -105,10 +107,11 @@ class CompatibilityReport:
 def check_compatibility(wall, fluid, pexp, fields) -> CompatibilityReport:
     """Evaluate both compatibility integrals at every station.
 
-    The scalar maxima cover interior stations: the solvability statement
-    applies to interior cross-sections, and the one-sided end stencils
-    carry several-times-larger truncation constants (full arrays are
-    reported for inspection).
+    ``fields`` needs only ``g`` per station (``ExpansionFields`` or
+    ``VerificationTerms``).  The scalar maxima cover interior stations:
+    the solvability statement applies to interior cross-sections, and the
+    one-sided end stencils carry several-times-larger truncation constants
+    (full arrays are reported for inspection).
     """
     r, dr, h = wall.R, wall.dR_ds1, wall.h
     d_r2dp0 = 2.0 * r * dr * pexp.dp0 + r**2 * pexp.d2p0

@@ -71,7 +71,8 @@ def straight_rigid_case(n=101):
     curve = CenterCurve.straight(1.0)
     from tubeflow.expansion import stations_from_grids
 
-    stations = stations_from_grids(wall, pexp, curve, FLUID, BodyForce())
+    stations = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+                                   BodyForce())
     fields = [evaluate_station(sd) for sd in stations]
     return wall, pexp, stations, fields
 
@@ -109,7 +110,8 @@ def test_criterion_3_mass_conservation():
     curve = CenterCurve.straight(1.0)
     from tubeflow.expansion import stations_from_grids
 
-    stations = stations_from_grids(wall, pexp, curve, FLUID, BodyForce())
+    stations = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+                                   BodyForce())
     fields = [evaluate_station(sd) for sd in stations]
     flow = flow_rates(fields, wall.R)
     rep = check_mass_conservation(flow, wall, pexp, FLUID)
@@ -131,7 +133,8 @@ def test_criterion_4_compatibility_identities():
         curve = CenterCurve.straight(1.0)
         from tubeflow.expansion import stations_from_grids
 
-        stations = stations_from_grids(wall, pexp, curve, FLUID, BodyForce())
+        stations = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+                                       BodyForce())
         fields = [evaluate_station(sd) for sd in stations]
         rep = check_compatibility(wall, FLUID, pexp, fields)
         checks.append(rep.max_u1_residual <= 1e-9)       # exact cases
@@ -146,7 +149,8 @@ def test_criterion_4_compatibility_identities():
         curve = CenterCurve.straight(1.0)
         from tubeflow.expansion import stations_from_grids
 
-        stations = stations_from_grids(wall, pexp, curve, FLUID, BodyForce())
+        stations = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+                                       BodyForce())
         fields = [evaluate_station(sd) for sd in stations]
         rep = check_compatibility(wall, FLUID, pexp, fields)
         resids.append(rep.max_u1_residual)
@@ -315,7 +319,8 @@ def test_criterion_9_rigid_steady_reduction():
     # steady mode
     wall_s = WallState.from_radius(s, radius)
     pexp_s = solve_pressures(wall_s, FLUID, bc, kappa, BodyForce())
-    stations_s = stations_from_grids(wall_s, pexp_s, curve, FLUID, BodyForce())
+    stations_s = stations_from_grids(wall_s, pexp_s, curve.frames(s), FLUID,
+                                     BodyForce())
     fields_s = [evaluate_station(sd) for sd in stations_s]
 
     # rigid unsteady stepping reproduces it exactly

@@ -105,6 +105,43 @@ class TestRingLaws:
         with pytest.raises(ValueError):
             RHO2 ** (-1)
 
+    def test_power_makes_no_spare_products(self, monkeypatch):
+        # no product with the constant 1, no square past the last bit
+        calls = []
+        mul = DiscPoly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(DiscPoly, "__mul__", counted)
+        for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3),
+                            (7, 4), (8, 3)):
+            calls.clear()
+            RHO2**n
+            assert len(calls) == products, n
+
+    @pytest.mark.parametrize("num", [F, float], ids=["Fraction", "float"])
+    def test_power_values_unchanged(self, num):
+        def square_and_multiply(p, n):   # the earlier loop, from constant 1
+            out, base = DiscPoly.constant(1), p
+            while n:
+                if n & 1:
+                    out = out * base
+                base = base * base
+                n >>= 1
+            return out
+
+        p = DiscPoly({(0, 0): F(1, 3), (1, 0): F(-2, 7), (0, 2): F(5, 11),
+                      (1, 1): F(1, 9), (3, 0): F(-4, 13)})
+        if num is float:
+            p = p.to_float()
+        for n in range(9):
+            got, want = p**n, square_and_multiply(p, n)
+            assert [(k, repr(c)) for k, c in got.coeffs.items()] \
+                == [(k, repr(c)) for k, c in want.coeffs.items()], n
+            assert all(type(c) is num for c in got.coeffs.values()) or n == 0
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             DiscPoly({(-1, 0): 1})

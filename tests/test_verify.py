@@ -38,10 +38,11 @@ def solved_case(n=65, radius=1.0, rate=None, kappa_val=0.0,
         s, radius, dR_dt=None if rate is None else np.full(n, rate))
     curve = curve or (CenterCurve.straight(1.0) if kappa_val == 0.0
                       else CenterCurve.circular_arc(1.0 / kappa_val, 1.0))
-    kappa = np.array([curve.frame(x).curvature for x in s])
+    frames = curve.frames(s)
+    kappa = np.array([fr.curvature for fr in frames])
     bc = bc or PressureBC(1.0, 0.0)
     pexp = solve_pressures(wall, FLUID, bc, kappa, BodyForce())
-    stations = stations_from_grids(wall, pexp, curve, FLUID, BodyForce())
+    stations = stations_from_grids(wall, pexp, frames, FLUID, BodyForce())
     fields = [evaluate_station(sd) for sd in stations]
     return wall, pexp, stations, fields
 
@@ -127,11 +128,12 @@ class TestCompatibility:
         wall = WallState.from_radius(s, 1.0 + 0.2 * np.sin(np.pi * s),
                                      dR_dt=np.ones(n))
         curve = CenterCurve.circular_arc(2.0, 1.0)
-        kappa = np.array([curve.frame(x).curvature for x in s])
+        frames = curve.frames(s)
+        kappa = np.array([fr.curvature for fr in frames])
         pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0), kappa,
                                BodyForce())
         fields = [evaluate_station(sd) for sd in stations_from_grids(
-            wall, pexp, curve, fluid, BodyForce())]
+            wall, pexp, frames, fluid, BodyForce())]
         lhs = check_compatibility(wall, fluid, pexp, fields).u1_lhs
         trace = 2 * np.pi * np.array(
             [restrict_to_boundary(f.U1[0]).cos_coeff(1) for f in fields])
