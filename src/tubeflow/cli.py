@@ -24,6 +24,7 @@ import numpy as np
 
 from . import coupling, expansion, geometry, plotting, pressure, verify
 from .errors import ConfigurationError, TubeflowError
+from .polydisc import PointPowers
 
 _FMT = "%.17g"
 
@@ -316,9 +317,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     stations = expansion.stations_from_grids(wall, pexp, frames, fluid, body)
     # every node gets the terms verification reads, and with them the U^2
-    # compatibility check; full fields are built where they are read
+    # compatibility check; full fields are built on them where they are read
     terms = [expansion.verification_terms(sd) for sd in stations]
-    fields = expansion.StationFields(stations)
+    fields = expansion.StationFields(stations, terms)
     flow = verify.flow_rates(terms, wall.R)
     conservation = verify.check_mass_conservation(flow, wall, pexp, fluid)
     compatibility = verify.check_compatibility(wall, fluid, pexp, terms)
@@ -342,7 +343,9 @@ def _disc_grid(n_disc: int) -> tuple:
     """(s2, s3, z2, z3) of the polar product grid on the unit disc.
 
     Radii are half-offset ((i + 1/2) / n) so the axis point, where the
-    angle is ambiguous, is never sampled.  All four are Python floats.
+    angle is ambiguous, is never sampled.  s2 and s3 are float arrays,
+    z2 and z3 :class:`~tubeflow.polydisc.PointPowers`, so one
+    ``evaluate`` tabulates a polynomial on the whole grid.
     """
     grid = []
     for i in range(n_disc):
@@ -351,36 +354,41 @@ def _disc_grid(n_disc: int) -> tuple:
             s2 = np.pi * j / n_disc
             grid.append((s2, s3, float(s3 * np.cos(s2)),
                          float(s3 * np.sin(s2))))
-    return tuple(grid)
+    s2, s3, z2, z3 = zip(*grid)
+    return (np.array(s2), np.array(s3), PointPowers(z2), PointPowers(z3))
 
 
 def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
                   names=None) -> dict:
     """Tabulate disc fields on the polar grid of :func:`_disc_grid`.
 
-    Scalars yield (z2, z3, value) rows, vectors (z2, z3, v2, v3).  The
-    polynomials are evaluated as given: a pipeline run's fields already
-    hold float coefficients.
+    Each name maps to a float array with one row per grid point: (z2, z3,
+    value) for scalars, (z2, z3, v2, v3) for vectors.  The polynomials are
+    evaluated as given: a pipeline run's fields already hold float
+    coefficients.
     """
     if n_disc < 8:
         raise ConfigurationError("n_disc must be at least 8")
-    grid = _disc_grid(n_disc)
+    _, _, z2, z3 = _disc_grid(n_disc)
     out = {}
     for name in names or _FIELD_NAMES:
         if name not in _FIELD_NAMES:
             raise ConfigurationError(f"unknown field {name!r}")
         term = getattr(fields, name)
         polys = term if isinstance(term, tuple) else (term,)
-        out[name] = [(z2, z3, *(p.evaluate(z2, z3) for p in polys))
-                     for _, _, z2, z3 in grid]
+        out[name] = np.column_stack(
+            [z2.values, z3.values,
+             *(z2.broadcast(p.evaluate(z2, z3)) for p in polys)])
     return out
 
 
 def write_csv(path, header, rows):
+    """Header line, then each row: one value per column, 17 significant
+    digits."""
+    line = ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def read_field_csv(path):
@@ -413,16 +421,17 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
     velocity and the pressure of the expansion truncated at ``order``.
     """
     cfg, wall, pexp = result.config, result.wall, result.pexp
-    grid = _disc_grid(cfg.n_disc)
+    s2, s3, z2, z3 = _disc_grid(cfg.n_disc)
     for target in cfg.stations:
         idx = int(np.argmin(np.abs(wall.s1 - target)))
         tag = f"station{idx:04d}"
         f = result.fields[idx]
         tables = sample_fields(f, cfg.n_disc, cfg.out_fields)
         for name, rows in tables.items():
-            header = (["z2", "z3", name] if len(rows[0]) == 3
+            header = (["z2", "z3", name] if rows.shape[1] == 3
                       else ["z2", "z3", f"{name}_2", f"{name}_3"])
-            write_csv(outdir / f"field_{name}_{tag}.csv", header, rows)
+            write_csv(outdir / f"field_{name}_{tag}.csv", header,
+                      rows.tolist())
         for name in cfg.out_fields:
             term = getattr(f, name)
             title = f"{name} at s1 index {idx}"
@@ -432,13 +441,13 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
             (outdir / f"plot_{name}_{tag}.svg").write_text(svg)
 
         basis = result.curve.frame(float(wall.s1[idx])).basis_matrix()
-        rows = []
-        for s2, s3, z2, z3 in grid:
-            u, p = expansion.truncated_solution(
-                f, pexp.p0[idx], pexp.p1[idx], cfg.eps, order, z2, z3)
-            rows.append((s2, s3, *(np.array(u) @ basis), p))
+        u, p = expansion.truncated_solution(
+            f, pexp.p0[idx], pexp.p1[idx], cfg.eps, order, z2, z3)
+        # one (n, 3) product rotates every row as its own u @ basis would
+        world = np.column_stack([z2.broadcast(c) for c in u]) @ basis
+        rows = np.column_stack([s2, s3, world, z2.broadcast(p)])
         write_csv(outdir / f"solution_{tag}.csv",
-                  ["s2", "s3", "ux", "uy", "uz", "p"], rows)
+                  ["s2", "s3", "ux", "uy", "uz", "p"], rows.tolist())
 
 
 def _export_reports(result: PipelineResult, outdir: Path):

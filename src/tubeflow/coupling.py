@@ -18,7 +18,7 @@ new WallState.  The pressure hierarchy is read off the final wall by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class ElasticWall:
                                 "R0 and a finite p_e")
 
     def rest_radius(self, n):
-        return np.broadcast_to(np.asarray(self.R0, dtype=float), (n,)).copy()
+        return np.full(n, self.R0, dtype=float)
 
 
 def apply_wall_law(law: ElasticWall, p0):
@@ -134,6 +134,9 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
 
     r_old, h = state.R, state.h
     tol = 1e-12 if dt is None else 1e-10
+    # the step's boundary values, read once instead of once per sweep
+    p_in, p_out = bc.p0_at(t)
+    bc = replace(bc, p0_inlet=p_in, p0_outlet=p_out)
 
     def rate(r):
         return np.zeros_like(r) if dt is None else (r - r_old) / dt
@@ -144,7 +147,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
     for _ in range(max_iter):
         p0 = solve_p0(r_cur, rate(r_cur), h, fluid, bc, t=t)[0]
         r_target = apply_wall_law(law, p0)
-        resid = float(np.max(np.abs(r_target - r_cur)))
+        resid = float(np.abs(r_target - r_cur).max())
         history.append(resid)
         if resid <= tol * float(r_cur.max()):
             r_new = r_cur + omega * (r_target - r_cur)

@@ -702,10 +702,15 @@ def verification_terms(sd: StationData) -> VerificationTerms:
         u1_2=eval_u1_2(sd), F=F, g=g)
 
 
-def evaluate_station(sd: StationData) -> ExpansionFields:
-    """Evaluate every expansion term at one station."""
+def evaluate_station(sd: StationData,
+                     terms: VerificationTerms | None = None) -> ExpansionFields:
+    """Evaluate every expansion term at one station.
+
+    ``terms`` are the station's :func:`verification_terms` if the caller
+    has already built (and so checked) them; without, they are built here.
+    """
     fluid = sd.fluid
-    t = verification_terms(sd)
+    t = verification_terms(sd) if terms is None else terms
     U1 = eval_U1(sd.R, sd.dR, fluid, sd.dp0, sd.d2p0)
     p2 = eval_p2(sd.R, sd.d2p0, sd.p02)
     U2, p3, aux = _assemble_U2(t.F, t.g, sd)
@@ -724,11 +729,13 @@ class StationFields(Sequence):
 
     Station i is evaluated by :func:`evaluate_station` the first time it
     is read and kept from then on, so a run pays only for the stations
-    that something reads.
+    that something reads.  ``terms`` holds each station's
+    :func:`verification_terms`, already built and checked by the caller.
     """
 
-    def __init__(self, stations):
+    def __init__(self, stations, terms):
         self._stations = stations
+        self._terms = terms
         self._fields = {}
 
     def __len__(self):
@@ -740,7 +747,8 @@ class StationFields(Sequence):
         k = range(len(self))[i]   # list indexing: negatives, IndexError
         f = self._fields.get(k)
         if f is None:
-            f = self._fields[k] = evaluate_station(self._stations[k])
+            f = self._fields[k] = evaluate_station(self._stations[k],
+                                                   self._terms[k])
         return f
 
 
@@ -774,7 +782,8 @@ def stations_from_grids(wall, pexp, frames, fluid: FluidParams,
 # -- physical assembly --------------------------------------------------------
 
 def truncated_solution(f: ExpansionFields, p0, p1, eps, order: int, z2, z3):
-    """Truncated expansion at the disc point (z2, z3) of one station.
+    """Truncated expansion at the disc point (z2, z3) of one station, or
+    at every point of a grid given as two :class:`~tubeflow.polydisc.PointPowers`.
 
     Order k keeps the velocity terms through eps^k and the pressure terms
     through eps^(k-2); ``p0``/``p1`` are the axial pressures at the

@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .polydisc import PointPowers
+
 _SIZE = 420
 _MARGIN = 30
 
@@ -25,14 +27,22 @@ def _to_px(z2, z3):
     return cx + z2 * half, cy - z3 * half
 
 
-def _diverging_color(v):
-    """Blue (-1) .. white (0) .. red (+1)."""
-    v = max(-1.0, min(1.0, v))
-    if v >= 0:
-        r, g, b = 255, int(round(255 * (1 - v))), int(round(255 * (1 - v)))
-    else:
-        r, g, b = int(round(255 * (1 + v))), int(round(255 * (1 + v))), 255
-    return f"rgb({r},{g},{b})"
+# Diverging colour of each rounded level 0..255, for v >= 0 and v < 0.
+_RED_SIDE = tuple(f"rgb(255,{k},{k})" for k in range(256))
+_BLUE_SIDE = tuple(f"rgb({k},{k},255)" for k in range(256))
+
+
+def _diverging_colors(v):
+    """Blue (-1) .. white (0) .. red (+1), one colour per value of v.
+
+    v is clipped to [-1, 1] (NaN reads as +1); the level 255 (1 - |v|) is
+    rounded half to even, as Python's ``round`` does.
+    """
+    v = np.fmax(np.fmin(v, 1.0), -1.0)
+    red = v >= 0
+    level = np.rint(255 * np.where(red, 1 - v, 1 + v)).astype(int)
+    return [(_RED_SIDE if r else _BLUE_SIDE)[k]
+            for r, k in zip(red.tolist(), level.tolist())]
 
 
 def _svg_header(title):
@@ -63,14 +73,15 @@ _QUIVER_GRID = (8, 16)
 @lru_cache(maxsize=None)
 def _polar_centres(n_r, n_theta):
     """(z2, z3) at the half-offset radius of each polar cell, ring by ring,
-    as Python floats."""
+    as two :class:`~tubeflow.polydisc.PointPowers`."""
     points = []
     for i in range(n_r):
         s3 = (i + 0.5) / n_r
         for j in range(n_theta):
             s2 = 2 * np.pi * j / n_theta
             points.append((float(s3 * np.cos(s2)), float(s3 * np.sin(s2))))
-    return tuple(points)
+    z2, z3 = zip(*points)
+    return PointPowers(z2), PointPowers(z3)
 
 
 @lru_cache(maxsize=None)
@@ -94,16 +105,14 @@ def _polygon_points(n_r, n_theta):
 
 def heatmap_svg(poly, title="field"):
     """Polar-cell heatmap of a scalar disc polynomial; returns SVG text."""
-    p = poly.to_float()
-    values = np.array([p.evaluate(z2, z3)
-                       for z2, z3 in _polar_centres(*_HEATMAP_GRID)],
-                      dtype=float)
+    z2, z3 = _polar_centres(*_HEATMAP_GRID)
+    values = z2.broadcast(poly.to_float().evaluate(z2, z3))
     vmax = float(np.abs(values).max())
     norm = vmax if vmax > 0 else 1.0
 
-    cells = [f'<polygon points="{pts}" fill="{_diverging_color(v / norm)}" '
-             'stroke="none"/>'
-             for pts, v in zip(_polygon_points(*_HEATMAP_GRID), values)]
+    cells = [f'<polygon points="{pts}" fill="{color}" stroke="none"/>'
+             for pts, color in zip(_polygon_points(*_HEATMAP_GRID),
+                                   _diverging_colors(values / norm))]
 
     caption = f"{title}  min={values.min():.3g} max={values.max():.3g}"
     return "\n".join(_svg_header(title) + cells + _svg_footer(caption)) + "\n"
@@ -111,22 +120,22 @@ def heatmap_svg(poly, title="field"):
 
 def quiver_svg(poly2, poly3, title="field"):
     """Arrow plot of a transversal vector field; returns SVG text."""
-    p2, p3 = poly2.to_float(), poly3.to_float()
+    z2, z3 = _polar_centres(*_QUIVER_GRID)
     n_r = _QUIVER_GRID[0]
-    points = [(z2, z3, p2.evaluate(z2, z3), p3.evaluate(z2, z3))
-              for z2, z3 in _polar_centres(*_QUIVER_GRID)]
-    vmax = max((np.hypot(v2, v3) for _, _, v2, v3 in points), default=0.0)
+    v2, v3 = (z2.broadcast(p.to_float().evaluate(z2, z3))
+              for p in (poly2, poly3))
+    vmax = np.hypot(v2, v3).max()
     scale = (0.5 / n_r) / vmax if vmax > 0 else 0.0
 
+    x0, y0 = _to_px(z2.values, z3.values)
+    x1, y1 = _to_px(z2.values + scale * v2 * n_r,
+                    z3.values + scale * v3 * n_r)
     arrows = []
-    for z2, z3, v2, v3 in points:
-        x0, y0 = _to_px(z2, z3)
-        x1, y1 = _to_px(z2 + scale * v2 * n_r, z3 + scale * v3 * n_r)
-        arrows.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" '
-                      f'x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
+    for ends in zip(*(c.tolist() for c in (x0, y0, x1, y1))):
+        a0, b0, a1, b1 = map(_fmt, ends)
+        arrows.append(f'<line x1="{a0}" y1="{b0}" x2="{a1}" y2="{b1}" '
                       'stroke="black" stroke-width="1"/>')
-        arrows.append(f'<circle cx="{_fmt(x1)}" cy="{_fmt(y1)}" r="1.5" '
-                      'fill="black"/>')
+        arrows.append(f'<circle cx="{a1}" cy="{b1}" r="1.5" fill="black"/>')
 
     caption = f"{title}  max |v|={vmax:.3g}"
     return "\n".join(_svg_header(title) + arrows + _svg_footer(caption)) + "\n"

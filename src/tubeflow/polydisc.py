@@ -8,7 +8,8 @@ polar/Fourier conversions that the residual checks are built on.
 
 Coefficients may be ``fractions.Fraction`` (exact verification domain) or
 ``float`` (runtime fields scaled by pressure data); all operations preserve
-whichever domain they are given.
+whichever domain they are given.  :meth:`DiscPoly.evaluate` takes a point,
+or a whole grid of points as two :class:`PointPowers`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, pi
+
+import numpy as np
 
 
 class DiscPoly:
@@ -169,6 +172,40 @@ class DiscPoly:
             )
             parts.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class PointPowers:
+    """One coordinate of many points, to evaluate polynomials on all at once.
+
+    ``v ** k`` is a float array of each point's Python-float power
+    ``x ** k``, computed once per k and kept.  Every other operation of
+    :meth:`DiscPoly.evaluate` is an elementwise IEEE product or sum, so a
+    grid gets the same bits as evaluating its points one at a time (an
+    array ``x ** k`` may differ from the scalar one in the last bit).  A
+    zero polynomial evaluates to the int 0; :meth:`broadcast` spreads such
+    a scalar over the points.
+    """
+
+    __slots__ = ("values", "_powers")
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+        self.values.flags.writeable = False
+        self._powers = {}
+
+    def __pow__(self, k):
+        out = self._powers.get(k)
+        if out is None:
+            out = np.array([x**k for x in self.values.tolist()], dtype=float)
+            out.flags.writeable = False
+            self._powers[k] = out
+        return out
+
+    def broadcast(self, value):
+        """``value``, an array over the points or a scalar, as one float
+        per point (read-only)."""
+        return np.broadcast_to(np.asarray(value, dtype=float),
+                               self.values.shape)
 
 
 def _as_poly(x):

@@ -197,8 +197,9 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out):
                           f"illegal value in argument {-info} of gtsv")
     if not np.isfinite(interior).all():
         raise SolverError("tridiagonal solve produced non-finite values")
-    p = np.concatenate([[p_in], interior, [p_out]])
-    flux = a_mid * np.diff(p) / h
+    p = np.empty(n)
+    p[0], p[1:-1], p[-1] = p_in, interior, p_out
+    flux = a_mid * (p[1:] - p[:-1]) / h
     return p, flux
 
 

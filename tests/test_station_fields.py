@@ -116,6 +116,39 @@ def test_compatibility_check_runs_at_every_node(monkeypatch):
         assert bits(g) == bits(build_U2_rhs(sd)[1])
 
 
+def test_one_compatibility_check_per_node(monkeypatch, tmp_path):
+    # read stations reuse the terms their node built, check included
+    checked = counting(monkeypatch, "check_U2_compatibility")
+    cfg = RunConfig.from_file(PRESETS / "helix_swirl.cfg")
+    res = run_pipeline(cfg)
+    assert len(checked) == cfg.n_s1 == 65
+    cfg.stations = (0.25, 0.5, 0.75)
+    export_bundle(res, tmp_path / "out")
+    assert len(checked) == 65
+
+
+def test_read_station_with_incompatible_data_fails_the_run(monkeypatch):
+    # the mid station is the one the figure-shape checks read; its node
+    # check raises before any field of it is built
+    real = expansion.stations_from_grids
+    exact = make_exact_station(d2p1=F(1, 3))
+    bad = StationData(**{k: float(getattr(exact, k))
+                         for k in StationData.__dataclass_fields__})
+    cfg = RunConfig.from_file(PRESETS / "helix_swirl.cfg")
+    mid = cfg.n_s1 // 2
+
+    def with_bad_mid(*args):
+        stations = real(*args)
+        stations[mid] = bad
+        return stations
+
+    monkeypatch.setattr(expansion, "stations_from_grids", with_bad_mid)
+    built = counting(monkeypatch, "evaluate_station")
+    with pytest.raises(ModelInconsistencyError, match="U\\^2 compatibility"):
+        run_pipeline(cfg)
+    assert built == []
+
+
 @pytest.mark.parametrize("num", [F, float], ids=["Fraction", "float"])
 def test_compatibility_violation_raises_at_every_stage(num):
     # the broken p1 relation of the exact station: nonzero g integral
