@@ -53,8 +53,8 @@ def main(outdir="out_gallery"):
 
     # moving wall: radial pattern with boundary speed dR/dt
     from tubeflow.coupling import WallState
-    from tubeflow.expansion import (BodyForce, FluidParams, evaluate_station,
-                                    stations_from_grids)
+    from tubeflow.expansion import (BodyForce, FluidParams, NodeStations,
+                                    evaluate_station, stations_from_grids)
     from tubeflow.geometry import CenterCurve
     from tubeflow.pressure import PressureBC, solve_pressures
 
@@ -64,9 +64,8 @@ def main(outdir="out_gallery"):
     fluid = FluidParams(1.0, 1.0)
     pexp = solve_pressures(wall, fluid, PressureBC(0.0, 0.0), np.zeros(n),
                            BodyForce())
-    stations = stations_from_grids(wall, pexp,
-                                   CenterCurve.straight(1.0).frames(s),
-                                   fluid, BodyForce())
+    stations = NodeStations(stations_from_grids(
+        wall, pexp, CenterCurve.straight(1.0).frames(s), fluid, BodyForce()))
     f = evaluate_station(stations[n // 2])
     (out / "U1_moving_wall.svg").write_text(
         quiver_svg(*f.U1, title="first transversal correction, expanding wall"))

@@ -260,7 +260,7 @@ class PipelineResult:
     curve: geometry.CenterCurve
     wall: coupling.WallState
     pexp: pressure.PressureExpansion
-    stations: list
+    stations: expansion.NodeStations   # scalar StationData per node
     fields: Sequence   # ExpansionFields per station, built on first read
     flow: verify.FlowRates
     conservation: verify.ConservationReport
@@ -315,11 +315,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     # tube-map sanity for the configured eps
     geometry.check_invertibility(cfg.eps, curve, wall)
 
-    stations = expansion.stations_from_grids(wall, pexp, frames, fluid, body)
-    # every node gets the terms verification reads, and with them the U^2
-    # compatibility check; full fields are built on them where they are read
-    terms = [expansion.verification_terms(sd) for sd in stations]
-    fields = expansion.StationFields(stations, terms)
+    # the terms verification reads, with the U^2 compatibility check, for
+    # every node at once; full fields are built per station where read
+    data = expansion.stations_from_grids(wall, pexp, frames, fluid, body)
+    terms = expansion.verification_terms(data, s1)
+    stations = expansion.NodeStations(data)
+    fields = expansion.StationFields(stations)
     flow = verify.flow_rates(terms, wall.R)
     conservation = verify.check_mass_conservation(flow, wall, pexp, fluid)
     compatibility = verify.check_compatibility(wall, fluid, pexp, terms)

@@ -10,13 +10,15 @@ arithmetic.
 
 All evaluators are arithmetic-generic: feed them ``fractions.Fraction``
 inputs and every polynomial coefficient comes out exact, which is how the
-zero-residual verification suite runs.
+zero-residual verification suite runs; feed them
+:class:`~tubeflow.polydisc.NodeArray` node data and one call covers every
+axis node, each with the bits of its own Python-float evaluation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import ModelInconsistencyError, TubeflowError
 from .polydisc import (
     DiscPoly,
+    NodeArray,
     diff_z2,
     diff_z3,
     disc_integral_over_pi,
@@ -57,11 +60,17 @@ class BodyForce:
 
 @dataclass(frozen=True)
 class StationData:
-    """Every scalar a single axis station feeds into the disc formulas.
+    """Every scalar an axis station feeds into the disc formulas.
 
     Pressure entries are derivatives with respect to s1 of the solved
     grids (dp0 = p0', dt_dp0 = d^2 p0 / dt ds1, ...); wall entries are the
     radius and its s1/t derivatives; kappa/tau come from the center curve.
+
+    The node entries (every field but rho0, nu and b1..b3) may instead be
+    :class:`~tubeflow.polydisc.NodeArray` values of all axis nodes at once
+    (:func:`stations_from_grids`); the closed forms then build each term
+    for every node in one call.  :class:`NodeStations` reads such data one
+    node at a time.
     """
 
     rho0: object
@@ -421,12 +430,15 @@ def stokes_disc_solve(f2_poly: DiscPoly, f3_poly: DiscPoly):
     return build(w2_plan) * _WALL, build(w3_plan) * _WALL, build(q_plan)
 
 
-def check_U2_compatibility(g: DiscPoly) -> None:
+def check_U2_compatibility(g: DiscPoly, s1=None) -> None:
     """Require the divergence data g of (U^2, p^3) to be compatible.
 
     Its disc integral must vanish: exactly for Fraction data, and within
-    1e-10 of max|g| (at least 1) for floats.  A violation raises
-    :class:`ModelInconsistencyError` that reports the integral.
+    1e-10 of max|g| (at least 1) for floats, at every node for node-array
+    data.  A violation raises :class:`ModelInconsistencyError` that
+    reports the integral; for node arrays it names the worst failing node
+    (and its ``s1``, the axis positions of the nodes, if given) and how
+    many nodes fail.
     """
     integral = disc_integral_over_pi(g)
     if isinstance(integral, Fraction):
@@ -435,11 +447,22 @@ def check_U2_compatibility(g: DiscPoly) -> None:
                 f"U^2 compatibility violated: disc integral of g = {integral}*pi"
             )
     else:
-        scale = max(1.0, float(g.max_abs()))
-        if abs(float(integral)) * _PI > 1e-10 * scale:
+        scale = np.maximum(1.0, g.max_abs())
+        value = integral * _PI
+        bad = abs(value) > 1e-10 * scale
+        if np.ndim(bad) == 0:
+            if bad:
+                raise ModelInconsistencyError(
+                    "U^2 compatibility violated: disc integral of g = "
+                    f"{float(value):.3e} (tol 1e-10, scale {scale:g})"
+                )
+        elif bad.any():
+            k = int(np.argmax(np.where(bad, abs(value) / scale, -1.0)))
+            where = f"node {k}" if s1 is None else f"node {k} (s1 = {s1[k]:g})"
             raise ModelInconsistencyError(
-                "U^2 compatibility violated: disc integral of g = "
-                f"{float(integral) * _PI:.3e} (tol 1e-10, scale {scale:g})"
+                f"U^2 compatibility violated at {int(bad.sum())} of "
+                f"{bad.size} nodes, worst at {where}: disc integral of g = "
+                f"{value[k]:.3e} (tol 1e-10, scale {scale[k]:g})"
             )
 
 
@@ -687,30 +710,27 @@ class VerificationTerms(NamedTuple):
     g: DiscPoly
 
 
-def verification_terms(sd: StationData) -> VerificationTerms:
-    """u1^0, u1^1, u1^2 and (F, g) of one station, g checked compatible.
+def verification_terms(sd: StationData, s1=None) -> VerificationTerms:
+    """u1^0, u1^1, u1^2 and (F, g) of a station, g checked compatible.
 
     This is the part of :func:`evaluate_station` that every axis node
     needs; the transversal fields are left to the stations that are read.
+    On node-array data (:func:`stations_from_grids`) it covers every node
+    at once; ``s1`` then names the failing node in a compatibility error.
     """
     fluid = sd.fluid
     F, g = build_U2_rhs(sd)
-    check_U2_compatibility(g)
+    check_U2_compatibility(g, s1)
     return VerificationTerms(
         u1_0=eval_u1_0(sd.R, fluid, sd.dp0),
         u1_1=eval_u1_1(sd.R, sd.kappa, fluid, sd.dp0, sd.dp1),
         u1_2=eval_u1_2(sd), F=F, g=g)
 
 
-def evaluate_station(sd: StationData,
-                     terms: VerificationTerms | None = None) -> ExpansionFields:
-    """Evaluate every expansion term at one station.
-
-    ``terms`` are the station's :func:`verification_terms` if the caller
-    has already built (and so checked) them; without, they are built here.
-    """
+def evaluate_station(sd: StationData) -> ExpansionFields:
+    """Evaluate every expansion term at one station (scalar data)."""
     fluid = sd.fluid
-    t = verification_terms(sd) if terms is None else terms
+    t = verification_terms(sd)
     U1 = eval_U1(sd.R, sd.dR, fluid, sd.dp0, sd.d2p0)
     p2 = eval_p2(sd.R, sd.d2p0, sd.p02)
     U2, p3, aux = _assemble_U2(t.F, t.g, sd)
@@ -724,59 +744,83 @@ def evaluate_station(sd: StationData,
     )
 
 
-class StationFields(Sequence):
-    """The :class:`ExpansionFields` of each station, read like a list.
+class _NodeList(Sequence):
+    """Read like a list of nodes; node k comes from ``self._node(k)``."""
 
-    Station i is evaluated by :func:`evaluate_station` the first time it
-    is read and kept from then on, so a run pays only for the stations
-    that something reads.  ``terms`` holds each station's
-    :func:`verification_terms`, already built and checked by the caller.
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return self._node(range(len(self))[i])   # negatives, IndexError
+
+
+class NodeStations(_NodeList):
+    """The nodes of node-array :class:`StationData`, read like a list.
+
+    Item k is a new scalar StationData whose node entries are node k's
+    Python floats: they compute the same values as numpy float64 scalars,
+    at a fraction of the cost per operation.
     """
 
-    def __init__(self, stations, terms):
+    def __init__(self, data: StationData):
+        self.data = data
+        self._node_fields = tuple(
+            f.name for f in fields(data)
+            if isinstance(getattr(data, f.name), np.ndarray))
+
+    def __len__(self):
+        return len(self.data.R)
+
+    def _node(self, k):
+        return replace(self.data, **{name: getattr(self.data, name).item(k)
+                                     for name in self._node_fields})
+
+
+class StationFields(_NodeList):
+    """The :class:`ExpansionFields` of each station, read like a list.
+
+    Station k is evaluated by :func:`evaluate_station` from the scalar
+    ``stations[k]`` the first time it is read and kept from then on, so a
+    run pays only for the stations that something reads.
+    """
+
+    def __init__(self, stations: NodeStations):
         self._stations = stations
-        self._terms = terms
         self._fields = {}
 
     def __len__(self):
         return len(self._stations)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        k = range(len(self))[i]   # list indexing: negatives, IndexError
+    def _node(self, k):
         f = self._fields.get(k)
         if f is None:
-            f = self._fields[k] = evaluate_station(self._stations[k],
-                                                   self._terms[k])
+            f = self._fields[k] = evaluate_station(self._stations[k])
         return f
 
 
 def stations_from_grids(wall, pexp, frames, fluid: FluidParams,
-                        body: BodyForce):
-    """One StationData per axis node, from solved wall/pressure grids.
+                        body: BodyForce) -> StationData:
+    """The StationData of every axis node at once, from solved wall and
+    pressure grids: each node entry is a :class:`NodeArray` over the nodes.
 
     ``frames`` holds the center curve's frame at each node of ``wall.s1``
-    (``curve.frames(wall.s1)``).  Node values are Python floats: they
-    compute the same values as numpy float64 scalars, at a fraction of the
-    cost per operation.
+    (``curve.frames(wall.s1)``).  :class:`NodeStations` reads the result
+    one node at a time.
     """
-    columns = [g.tolist() for g in (
-        wall.R, wall.dR_ds1, wall.d2R_ds12, wall.dR_dt,
-        pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0, pexp.dp1, pexp.d2p1,
-        pexp.p02, pexp.dp02)]
-    out = []
-    for (fr, R, dR, d2R, Rdot, dp0, d2p0, d3p0, dt_dp0, dp1, d2p1, p02,
-         dp02) in zip(frames, *columns, strict=True):
-        out.append(StationData(
-            rho0=fluid.rho0, nu=fluid.nu, R=R, dR=dR, d2R=d2R, Rdot=Rdot,
-            kappa=float(fr.curvature), dkappa=float(fr.curvature_rate),
-            tau=float(fr.torsion),
-            dp0=dp0, d2p0=d2p0, d3p0=d3p0, dt_dp0=dt_dp0, dp1=dp1,
-            d2p1=d2p1, p02=p02, dp02=dp02,
-            b1=body.b1, b2=body.b2, b3=body.b3,
-        ))
-    return out
+    if len(frames) != len(wall.R):
+        raise ValueError(f"{len(frames)} frames for {len(wall.R)} nodes")
+    return StationData(
+        rho0=fluid.rho0, nu=fluid.nu,
+        R=NodeArray(wall.R), dR=NodeArray(wall.dR_ds1),
+        d2R=NodeArray(wall.d2R_ds12), Rdot=NodeArray(wall.dR_dt),
+        kappa=NodeArray([fr.curvature for fr in frames]),
+        dkappa=NodeArray([fr.curvature_rate for fr in frames]),
+        tau=NodeArray([fr.torsion for fr in frames]),
+        dp0=NodeArray(pexp.dp0), d2p0=NodeArray(pexp.d2p0),
+        d3p0=NodeArray(pexp.d3p0), dt_dp0=NodeArray(pexp.dt_dp0),
+        dp1=NodeArray(pexp.dp1), d2p1=NodeArray(pexp.d2p1),
+        p02=NodeArray(pexp.p02), dp02=NodeArray(pexp.dp02),
+        b1=body.b1, b2=body.b2, b3=body.b3,
+    )
 
 
 # -- physical assembly --------------------------------------------------------

@@ -7,7 +7,8 @@ polynomial ring, exact differentiation, exact disc integration, and the
 polar/Fourier conversions that the residual checks are built on.
 
 Coefficients may be ``fractions.Fraction`` (exact verification domain) or
-``float`` (runtime fields scaled by pressure data); all operations preserve
+``float`` (runtime fields scaled by pressure data), or :class:`NodeArray`
+(one float per axis node, every node at once); all operations preserve
 whichever domain they are given.  :meth:`DiscPoly.evaluate` takes a point,
 or a whole grid of points as two :class:`PointPowers`.
 """
@@ -15,7 +16,7 @@ or a whole grid of points as two :class:`PointPowers`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, pi
 
 import numpy as np
@@ -29,6 +30,10 @@ class DiscPoly:
     """
 
     __slots__ = ("coeffs",)
+
+    # numpy defers ``array * poly`` (and +, -) to the polynomial's own
+    # reflected operator, which scales each coefficient by the array
+    __array_ufunc__ = None
 
     def __init__(self, coeffs=None):
         clean = {}
@@ -147,7 +152,11 @@ class DiscPoly:
         return self.coeffs.get((m, n), 0)
 
     def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0)
+        """Largest |coefficient|; per node for node-array coefficients."""
+        mags = [abs(c) for c in self.coeffs.values()]
+        if any(isinstance(m, np.ndarray) for m in mags):
+            return reduce(np.maximum, mags)
+        return max(mags, default=0)
 
     def evaluate(self, z2, z3):
         total = 0
@@ -196,7 +205,7 @@ class PointPowers:
     def __pow__(self, k):
         out = self._powers.get(k)
         if out is None:
-            out = np.array([x**k for x in self.values.tolist()], dtype=float)
+            out = _float_powers(self.values, k)
             out.flags.writeable = False
             self._powers[k] = out
         return out
@@ -206,6 +215,34 @@ class PointPowers:
         per point (read-only)."""
         return np.broadcast_to(np.asarray(value, dtype=float),
                                self.values.shape)
+
+
+class NodeArray(np.ndarray):
+    """One quantity at every axis node, for the closed forms to run on all
+    nodes at once.
+
+    Arithmetic is numpy's elementwise IEEE arithmetic, which gives each
+    node the bits of the same formula on Python floats, except for
+    ``**``: here it is each node's Python-float power (an array ``x ** k``
+    may differ from the scalar one in the last bit).  The truth value is
+    "some node is nonzero", so :class:`DiscPoly` keeps a coefficient that
+    is nonzero at any node, and it is 0.0 at the nodes where a scalar
+    polynomial would drop it.
+    """
+
+    def __new__(cls, values):
+        return np.array(values, dtype=float).view(cls)
+
+    def __pow__(self, k):
+        return _float_powers(self, k).view(NodeArray)
+
+    def __bool__(self):
+        return bool(self.view(np.ndarray).any())
+
+
+def _float_powers(values, k):
+    """Array of each element's Python-float power ``x ** k``."""
+    return np.array([x**k for x in values.tolist()], dtype=float)
 
 
 def _as_poly(x):
@@ -289,20 +326,26 @@ def _moment_pair(m: int, n: int):
 def disc_integral_over_pi(p: DiscPoly):
     """Integral of p over the unit disc, divided by pi.
 
-    Exact (a Fraction) when the coefficients are exact; a float otherwise.
+    Exact (a Fraction) when the coefficients are exact; a float otherwise,
+    or one per node for node-array coefficients.
     """
     total = 0
     for (m, n), c in p.coeffs.items():
         mom, fmom = _moment_pair(m, n)
         if mom:
             # float * Fraction is float * float(Fraction)
-            total = total + c * (fmom if isinstance(c, float) else mom)
+            total = total + c * (fmom if isinstance(c, (float, np.ndarray))
+                                 else mom)
     return total
 
 
-def disc_integral(p: DiscPoly) -> float:
-    """Integral of p over the unit disc, as a float."""
-    return float(disc_integral_over_pi(p)) * pi
+def disc_integral(p: DiscPoly):
+    """Integral of p over the unit disc, as a float (an array of them for
+    node-array coefficients)."""
+    total = disc_integral_over_pi(p)
+    if isinstance(total, np.ndarray):
+        return np.asarray(total) * pi
+    return float(total) * pi
 
 
 # -- trigonometric series on the boundary circle --------------------------

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import SolverError
-from .polydisc import DiscPoly, disc_integral, polar_fourier, restrict_to_boundary
+from .polydisc import (DiscPoly, NodeArray, disc_integral, polar_fourier,
+                       restrict_to_boundary)
 from .pressure import (bracket_derivative, flux_residual, p02_bracket,
                        solve_flux_bvp)
 
@@ -29,24 +30,23 @@ class FlowRates:
     area: np.ndarray
 
 
-def flow_rates(fields, R) -> FlowRates:
+def flow_rates(terms, R) -> FlowRates:
     """Exact disc integration of the axial terms: Q^k = R^2 * int u1^k.
 
-    ``fields`` needs only ``u1_0``, ``u1_1`` and ``u1_2`` per station
-    (``ExpansionFields`` or ``VerificationTerms``).  The radial measure
-    s3 ds3 ds2 is the plain area element in the disc coordinates, so each
-    integral is a closed-form moment sum.
+    ``terms`` holds ``u1_0``, ``u1_1`` and ``u1_2`` of every node at once
+    (the :func:`~tubeflow.expansion.verification_terms` of node-array
+    station data).  The radial measure s3 ds3 ds2 is the plain area
+    element in the disc coordinates, so each integral is a closed-form
+    moment sum.
     """
     R = np.asarray(R, dtype=float)
-    n = R.size
-    q0 = np.empty(n)
-    q1 = np.empty(n)
-    q2 = np.empty(n)
-    for i, f in enumerate(fields):
-        q0[i] = R[i] ** 2 * disc_integral(f.u1_0)
-        q1[i] = R[i] ** 2 * disc_integral(f.u1_1)
-        q2[i] = R[i] ** 2 * disc_integral(f.u1_2)
-    return FlowRates(q0=q0, q1=q1, q2=q2, area=np.pi * R**2)
+    r2 = NodeArray(R) ** 2   # each node's scalar power
+
+    def rate(u):
+        return np.asarray(r2 * disc_integral(u))
+
+    return FlowRates(q0=rate(terms.u1_0), q1=rate(terms.u1_1),
+                     q2=rate(terms.u1_2), area=np.pi * R**2)
 
 
 @dataclass
@@ -104,11 +104,12 @@ class CompatibilityReport:
                 and self.max_g_integral <= 1e-10)
 
 
-def check_compatibility(wall, fluid, pexp, fields) -> CompatibilityReport:
+def check_compatibility(wall, fluid, pexp, terms) -> CompatibilityReport:
     """Evaluate both compatibility integrals at every station.
 
-    ``fields`` needs only ``g`` per station (``ExpansionFields`` or
-    ``VerificationTerms``).  The scalar maxima cover interior stations:
+    ``terms`` holds the divergence data ``g`` of every node at once (the
+    :func:`~tubeflow.expansion.verification_terms` of node-array station
+    data).  The scalar maxima cover interior stations:
     the solvability statement applies to interior cross-sections, and the
     one-sided end stencils carry several-times-larger truncation constants
     (full arrays are reported for inspection).
@@ -118,9 +119,10 @@ def check_compatibility(wall, fluid, pexp, fields) -> CompatibilityReport:
     lhs = 2.0 * np.pi * r / (16.0 * fluid.rho0 * fluid.nu) \
         * (2.0 * d_r2dp0 - r**2 * pexp.d2p0)
     rhs = 2.0 * np.pi * wall.dR_dt
-    g_int = np.array([disc_integral(f.g) for f in fields])
+    # one float, not one per node, when g is the zero polynomial
+    g_int = np.broadcast_to(disc_integral(terms.g), r.shape).astype(float)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
-    g_scale = max(*(float(f.g.max_abs()) for f in fields), 1.0)
+    g_scale = max(float(np.max(terms.g.max_abs())), 1.0)
     return CompatibilityReport(
         u1_lhs=lhs, u1_rhs=rhs, g_integral=g_int,
         max_u1_residual=float(np.max(np.abs(lhs - rhs)[1:-1]) / scale),

@@ -19,6 +19,7 @@ from tubeflow.coupling import (
 from tubeflow.expansion import (
     BodyForce,
     FluidParams,
+    NodeStations,
     build_U2_rhs,
     derive_wq_table,
     eval_U1,
@@ -28,9 +29,11 @@ from tubeflow.expansion import (
     eval_u1_2,
     evaluate_station,
     solve_U2,
+    stations_from_grids,
     u1_1_problem_rhs,
     u1_2_problem_rhs,
     U1_divergence_data,
+    verification_terms,
     WQ_TABLE,
 )
 from tubeflow.geometry import CenterCurve
@@ -69,19 +72,18 @@ def straight_rigid_case(n=101):
     pexp = solve_pressures(wall, FLUID, PressureBC(1.0, 0.0), np.zeros(n),
                            BodyForce())
     curve = CenterCurve.straight(1.0)
-    from tubeflow.expansion import stations_from_grids
-
-    stations = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
-                                   BodyForce())
+    data = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+                               BodyForce())
+    stations = NodeStations(data)
     fields = [evaluate_station(sd) for sd in stations]
-    return wall, pexp, stations, fields
+    return wall, pexp, stations, fields, verification_terms(data)
 
 
 def test_criterion_1_poiseuille_recovery():
-    wall, pexp, stations, fields = straight_rigid_case()
+    wall, pexp, stations, fields, terms = straight_rigid_case()
     mid = 50
     center = float(fields[mid].u1_0.to_float().evaluate(0.0, 0.0))
-    flow = flow_rates(fields, wall.R)
+    flow = flow_rates(terms, wall.R)
     s = wall.s1
     p_exact = 1.0 - s
     ok = (
@@ -108,12 +110,9 @@ def test_criterion_3_mass_conservation():
     pexp = solve_pressures(wall, FLUID, PressureBC(0.0, 0.0), np.zeros(n),
                            BodyForce())
     curve = CenterCurve.straight(1.0)
-    from tubeflow.expansion import stations_from_grids
-
-    stations = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
-                                   BodyForce())
-    fields = [evaluate_station(sd) for sd in stations]
-    flow = flow_rates(fields, wall.R)
+    data = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+                               BodyForce())
+    flow = flow_rates(verification_terms(data), wall.R)
     rep = check_mass_conservation(flow, wall, pexp, FLUID)
     ok = (np.abs(rep.residual_q0).max() <= 1e-8
           and np.abs(rep.residual_q1).max() <= 1e-10)
@@ -131,12 +130,9 @@ def test_criterion_4_compatibility_identities():
             s, 1.0, dR_dt=None if rate is None else np.full(n, rate))
         pexp = solve_pressures(wall, FLUID, bc, np.zeros(n), BodyForce())
         curve = CenterCurve.straight(1.0)
-        from tubeflow.expansion import stations_from_grids
-
-        stations = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
-                                       BodyForce())
-        fields = [evaluate_station(sd) for sd in stations]
-        rep = check_compatibility(wall, FLUID, pexp, fields)
+        data = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+                                   BodyForce())
+        rep = check_compatibility(wall, FLUID, pexp, verification_terms(data))
         checks.append(rep.max_u1_residual <= 1e-9)       # exact cases
         checks.append(rep.max_g_integral <= 1e-10)
     # nonuniform radius: discretization tolerance, second-order decay
@@ -147,12 +143,9 @@ def test_criterion_4_compatibility_identities():
         pexp = solve_pressures(wall, FLUID, PressureBC(1.0, 0.0),
                                np.zeros(n), BodyForce())
         curve = CenterCurve.straight(1.0)
-        from tubeflow.expansion import stations_from_grids
-
-        stations = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
-                                       BodyForce())
-        fields = [evaluate_station(sd) for sd in stations]
-        rep = check_compatibility(wall, FLUID, pexp, fields)
+        data = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+                                   BodyForce())
+        rep = check_compatibility(wall, FLUID, pexp, verification_terms(data))
         resids.append(rep.max_u1_residual)
         checks.append(rep.max_u1_residual <= 100.0 * wall.h**2)
     checks.append(resids[0] / resids[1] > 2.5)           # ~4x per halving
@@ -314,13 +307,11 @@ def test_criterion_9_rigid_steady_reduction():
     curve = CenterCurve.circular_arc(2.0, 1.0)
     kappa = np.full(n, 0.5)
     bc = PressureBC(1.0, 0.0)
-    from tubeflow.expansion import stations_from_grids
-
     # steady mode
     wall_s = WallState.from_radius(s, radius)
     pexp_s = solve_pressures(wall_s, FLUID, bc, kappa, BodyForce())
-    stations_s = stations_from_grids(wall_s, pexp_s, curve.frames(s), FLUID,
-                                     BodyForce())
+    stations_s = NodeStations(stations_from_grids(
+        wall_s, pexp_s, curve.frames(s), FLUID, BodyForce()))
     fields_s = [evaluate_station(sd) for sd in stations_s]
 
     # rigid unsteady stepping reproduces it exactly

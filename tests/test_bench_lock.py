@@ -4,8 +4,9 @@
 sha256 digests stored in ``bench/digests.json``.  These tests make the same
 passes in-process, through ``bench/workloads.py``, so a change that moves
 one output bit fails here too, not only in a benchmark run.  The sweep
-runs at the reduced size of ``bench/run.py --smoke``, where every case
-must pass verification.  Nothing under ``bench/`` is modified.
+runs at full size against its stored digest, and again at the reduced
+size of ``bench/run.py --smoke``; every case of both must pass
+verification.  Nothing under ``bench/`` is modified.
 """
 
 import json
@@ -22,8 +23,8 @@ import workloads  # noqa: E402
 STORED = json.loads((BENCH / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("workload",
-                         ["solve_helix", "pulse_elastic", "exact_verify"])
+@pytest.mark.parametrize("workload", ["solve_helix", "pulse_elastic",
+                                      "exact_verify", "sweep_helix"])
 def test_default_seed_pass_writes_stored_digests(workload, tmp_path):
     assert STORED["seed"] == workloads.DEFAULT_SEED
     stored = STORED["workloads"][workload]

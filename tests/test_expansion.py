@@ -16,6 +16,7 @@ from tubeflow.errors import ModelInconsistencyError, TubeflowError
 from tubeflow.expansion import (
     BodyForce,
     FluidParams,
+    NodeStations,
     StationData,
     WQ_TABLE,
     build_U2_rhs,
@@ -282,8 +283,8 @@ class TestStationAssembly:
         fluid = FluidParams(1.0, 1.0)
         pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0),
                                np.full(n, 0.5), BodyForce())
-        stations = stations_from_grids(wall, pexp, curve.frames(s), fluid,
-                                       BodyForce())
+        stations = NodeStations(stations_from_grids(
+            wall, pexp, curve.frames(s), fluid, BodyForce()))
         assert len(stations) == n
         assert stations[7].kappa == 0.5
         assert stations[7].dp0 == pytest.approx(-1.0)
@@ -356,8 +357,8 @@ class TestPhysicalAssembly:
         fluid = FluidParams(1.0, 1.0)
         pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0),
                                np.zeros(s.size), BodyForce())
-        stations = stations_from_grids(wall, pexp, curve.frames(s), fluid,
-                                       BodyForce())
+        stations = NodeStations(stations_from_grids(
+            wall, pexp, curve.frames(s), fluid, BodyForce()))
         return curve, pexp, evaluate_station(stations[self.MID])
 
     def solution(self, order, s2, s3):

@@ -7,8 +7,10 @@ from tubeflow.coupling import WallState
 from tubeflow.expansion import (
     BodyForce,
     FluidParams,
+    NodeStations,
     evaluate_station,
     stations_from_grids,
+    verification_terms,
 )
 from tubeflow.geometry import CenterCurve
 from tubeflow.polydisc import DiscPoly, restrict_to_boundary
@@ -42,15 +44,16 @@ def solved_case(n=65, radius=1.0, rate=None, kappa_val=0.0,
     kappa = np.array([fr.curvature for fr in frames])
     bc = bc or PressureBC(1.0, 0.0)
     pexp = solve_pressures(wall, FLUID, bc, kappa, BodyForce())
-    stations = stations_from_grids(wall, pexp, frames, FLUID, BodyForce())
+    data = stations_from_grids(wall, pexp, frames, FLUID, BodyForce())
+    stations = NodeStations(data)
     fields = [evaluate_station(sd) for sd in stations]
-    return wall, pexp, stations, fields
+    return wall, pexp, stations, fields, verification_terms(data)
 
 
 class TestFlowRates:
     def test_poiseuille_value(self):
-        wall, pexp, stations, fields = solved_case()
-        flow = flow_rates(fields, wall.R)
+        wall, pexp, stations, fields, terms = solved_case()
+        flow = flow_rates(terms, wall.R)
         # frozen: 2D quadrature of u1^0 gives pi/8
         assert np.abs(flow.q0 - np.pi / 8).max() < 1e-10
         assert flow.q0[0] == pytest.approx(
@@ -58,35 +61,35 @@ class TestFlowRates:
 
     def test_q1_zero_under_default_p1(self):
         # the cos-mode of u1^1 integrates to zero; default p1 is zero
-        wall, pexp, stations, fields = solved_case(kappa_val=0.5)
-        flow = flow_rates(fields, wall.R)
+        wall, pexp, stations, fields, terms = solved_case(kappa_val=0.5)
+        flow = flow_rates(terms, wall.R)
         assert np.abs(flow.q1).max() < 1e-14
         assert not fields[32].u1_1.is_zero()
         assert flow.q1[32] == pytest.approx(
             polar_quadrature_integral(fields[32].u1_1), abs=1e-9)
 
     def test_zero_field_zero_flow(self):
-        wall, pexp, stations, fields = solved_case(
+        wall, pexp, stations, fields, terms = solved_case(
             bc=PressureBC(0.0, 0.0))
-        flow = flow_rates(fields, wall.R)
+        flow = flow_rates(terms, wall.R)
         assert np.abs(flow.q0).max() < 1e-12
         assert flow.area[0] == pytest.approx(np.pi)
 
 
 class TestMassConservation:
     def test_rigid_wall(self):
-        wall, pexp, stations, fields = solved_case(
+        wall, pexp, stations, fields, terms = solved_case(
             n=65, radius=(1 + np.linspace(0, 1, 65)) ** -0.25)
-        flow = flow_rates(fields, wall.R)
+        flow = flow_rates(terms, wall.R)
         report = check_mass_conservation(flow, wall, pexp, FLUID)
         assert np.abs(report.residual_q0).max() <= 1e-8
         assert np.abs(report.residual_q1).max() <= 1e-10
 
     def test_moving_wall_analytic_rate(self):
         # R = 1, dR/dt = 1: dQ0/ds1 must equal -2 pi R dR/dt pointwise
-        wall, pexp, stations, fields = solved_case(
+        wall, pexp, stations, fields, terms = solved_case(
             rate=1.0, bc=PressureBC(0.0, 0.0))
-        flow = flow_rates(fields, wall.R)
+        flow = flow_rates(terms, wall.R)
         report = check_mass_conservation(flow, wall, pexp, FLUID)
         h = pexp.h
         dq0 = -np.pi / 8 * np.diff(pexp.flux_p0) / h
@@ -96,25 +99,25 @@ class TestMassConservation:
 
     def test_q0_closed_form_equivalence(self):
         # Q0 = -(pi R^4 / 8 rho0 nu) p0' identically
-        wall, pexp, stations, fields = solved_case(
+        wall, pexp, stations, fields, terms = solved_case(
             n=65, radius=(1 + np.linspace(0, 1, 65)) ** -0.25)
-        flow = flow_rates(fields, wall.R)
+        flow = flow_rates(terms, wall.R)
         closed = -np.pi * wall.R**4 / 8.0 * pexp.dp0
         assert np.abs(flow.q0 - closed).max() < 1e-12
 
 
 class TestCompatibility:
     def test_rigid_straight_exact_zero(self):
-        wall, pexp, stations, fields = solved_case()
-        report = check_compatibility(wall, FLUID, pexp, fields)
+        wall, pexp, stations, fields, terms = solved_case()
+        report = check_compatibility(wall, FLUID, pexp, terms)
         assert report.max_u1_residual < 1e-12
         assert report.max_g_integral == 0.0
 
     def test_moving_parabola_hand_value(self):
         # p0 = 8 s^2 - 8 s, R = 1, dR/dt = 1: lhs/2pi = (1/16)(32 - 16) = 1
-        wall, pexp, stations, fields = solved_case(
+        wall, pexp, stations, fields, terms = solved_case(
             rate=1.0, bc=PressureBC(0.0, 0.0))
-        report = check_compatibility(wall, FLUID, pexp, fields)
+        report = check_compatibility(wall, FLUID, pexp, terms)
         assert np.abs(report.u1_lhs / (2 * np.pi) - 1.0).max() < 1e-9
         assert np.allclose(report.u1_rhs, 2 * np.pi)
         assert report.max_u1_residual < 1e-9
@@ -132,19 +135,20 @@ class TestCompatibility:
         kappa = np.array([fr.curvature for fr in frames])
         pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0), kappa,
                                BodyForce())
-        fields = [evaluate_station(sd) for sd in stations_from_grids(
-            wall, pexp, frames, fluid, BodyForce())]
-        lhs = check_compatibility(wall, fluid, pexp, fields).u1_lhs
+        data = stations_from_grids(wall, pexp, frames, fluid, BodyForce())
+        fields = [evaluate_station(sd) for sd in NodeStations(data)]
+        lhs = check_compatibility(wall, fluid, pexp,
+                                  verification_terms(data)).u1_lhs
         trace = 2 * np.pi * np.array(
             [restrict_to_boundary(f.U1[0]).cos_coeff(1) for f in fields])
         assert np.abs(lhs - trace).max() <= 1e-12 * np.abs(lhs).max()
 
     def test_g_integral_zero_when_p1_solved(self):
         # constant R with nonzero p1 data: p1 is linear, g integrates to 0
-        wall, pexp, stations, fields = solved_case(
+        wall, pexp, stations, fields, terms = solved_case(
             bc=PressureBC(1.0, 0.0, p1_inlet=2.0, p1_outlet=-1.0),
             kappa_val=0.5)
-        report = check_compatibility(wall, FLUID, pexp, fields)
+        report = check_compatibility(wall, FLUID, pexp, terms)
         assert report.max_g_integral <= 1e-10
 
 
@@ -172,7 +176,7 @@ class TestConvergenceStudy:
 
 class TestPressureResiduals:
     def test_solved_state_is_small(self):
-        wall, pexp, stations, fields = solved_case(
+        wall, pexp, stations, fields, terms = solved_case(
             n=65, radius=(1 + np.linspace(0, 1, 65)) ** -0.25, kappa_val=0.5)
         res = pressure_residuals(wall, FLUID, pexp, np.full(65, 0.5),
                                  BodyForce())
@@ -181,7 +185,7 @@ class TestPressureResiduals:
 
 class TestFigureShape:
     def test_curved_rigid_structure(self):
-        wall, pexp, stations, fields = solved_case(kappa_val=0.5)
+        wall, pexp, stations, fields, terms = solved_case(kappa_val=0.5)
         checks = figure_shape_checks(fields[32], stations[32])
         assert checks["u1_0_axisymmetric"]
         assert checks["u1_1_modes_cos01_only"]
@@ -194,7 +198,7 @@ class TestFigureShape:
         assert checks["U2_circulation_content"] == 0.0
 
     def test_moving_wall_boundary_magnitude(self):
-        wall, pexp, stations, fields = solved_case(
+        wall, pexp, stations, fields, terms = solved_case(
             rate=1.0, bc=PressureBC(0.0, 0.0))
         checks = figure_shape_checks(fields[32], stations[32])
         assert checks["U1_boundary_magnitude"] == pytest.approx(1.0, abs=1e-9)
@@ -202,7 +206,7 @@ class TestFigureShape:
 
     def test_torsion_switches_circulation_on(self):
         curve = CenterCurve.helix(0.5, 0.25, 1.0)
-        wall, pexp, stations, fields = solved_case(curve=curve)
+        wall, pexp, stations, fields, terms = solved_case(curve=curve)
         checks = figure_shape_checks(fields[32], stations[32])
         assert stations[32].tau != 0.0
         assert checks["U2_circulation_content"] > 0.0
