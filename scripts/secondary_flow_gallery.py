@@ -65,7 +65,7 @@ def main(outdir="out_gallery"):
     pexp = solve_pressures(wall, fluid, PressureBC(0.0, 0.0), np.zeros(n),
                            BodyForce())
     stations = NodeStations(stations_from_grids(
-        wall, pexp, CenterCurve.straight(1.0).frames(s), fluid, BodyForce()))
+        wall, pexp, CenterCurve.straight(1.0).curvature(s), fluid, BodyForce()))
     f = evaluate_station(stations[n // 2])
     (out / "U1_moving_wall.svg").write_text(
         quiver_svg(*f.U1, title="first transversal correction, expanding wall"))

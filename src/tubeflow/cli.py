@@ -24,7 +24,7 @@ import numpy as np
 
 from . import coupling, expansion, geometry, plotting, pressure, verify
 from .errors import ConfigurationError, TubeflowError
-from .polydisc import PointPowers
+from .polydisc import NodeArray
 
 _FMT = "%.17g"
 
@@ -294,8 +294,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     law = cfg.build_wall_law()
 
     s1 = np.linspace(0.0, cfg.length, cfg.n_s1)
-    frames = curve.frames(s1)
-    kappa = np.array([fr.curvature for fr in frames])
+    curvature = curve.curvature(s1)   # kappa, kappa', tau per node
+    kappa = curvature[0]
     history = []
 
     # a steady run is one implicit step with dR/dt = 0 (dt None)
@@ -317,7 +317,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     # the terms verification reads, with the U^2 compatibility check, for
     # every node at once; full fields are built per station where read
-    data = expansion.stations_from_grids(wall, pexp, frames, fluid, body)
+    data = expansion.stations_from_grids(wall, pexp, curvature, fluid, body)
     terms = expansion.verification_terms(data, s1)
     stations = expansion.NodeStations(data)
     fields = expansion.StationFields(stations)
@@ -345,7 +345,7 @@ def _disc_grid(n_disc: int) -> tuple:
 
     Radii are half-offset ((i + 1/2) / n) so the axis point, where the
     angle is ambiguous, is never sampled.  s2 and s3 are float arrays,
-    z2 and z3 :class:`~tubeflow.polydisc.PointPowers`, so one
+    z2 and z3 :class:`~tubeflow.polydisc.NodeArray`, so one
     ``evaluate`` tabulates a polynomial on the whole grid.
     """
     grid = []
@@ -356,7 +356,7 @@ def _disc_grid(n_disc: int) -> tuple:
             grid.append((s2, s3, float(s3 * np.cos(s2)),
                          float(s3 * np.sin(s2))))
     s2, s3, z2, z3 = zip(*grid)
-    return (np.array(s2), np.array(s3), PointPowers(z2), PointPowers(z3))
+    return (np.array(s2), np.array(s3), NodeArray(z2), NodeArray(z3))
 
 
 def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
@@ -378,8 +378,7 @@ def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
         term = getattr(fields, name)
         polys = term if isinstance(term, tuple) else (term,)
         out[name] = np.column_stack(
-            [z2.values, z3.values,
-             *(z2.broadcast(p.evaluate(z2, z3)) for p in polys)])
+            [z2, z3, *(z2.broadcast(p.evaluate(z2, z3)) for p in polys)])
     return out
 
 

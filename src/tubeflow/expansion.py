@@ -797,24 +797,21 @@ class StationFields(_NodeList):
         return f
 
 
-def stations_from_grids(wall, pexp, frames, fluid: FluidParams,
+def stations_from_grids(wall, pexp, curvature, fluid: FluidParams,
                         body: BodyForce) -> StationData:
     """The StationData of every axis node at once, from solved wall and
     pressure grids: each node entry is a :class:`NodeArray` over the nodes.
 
-    ``frames`` holds the center curve's frame at each node of ``wall.s1``
-    (``curve.frames(wall.s1)``).  :class:`NodeStations` reads the result
-    one node at a time.
+    ``curvature`` holds the center curve's kappa, kappa' and tau at each
+    node of ``wall.s1`` (``curve.curvature(wall.s1)``).
+    :class:`NodeStations` reads the result one node at a time.
     """
-    if len(frames) != len(wall.R):
-        raise ValueError(f"{len(frames)} frames for {len(wall.R)} nodes")
+    kappa, dkappa, tau = curvature
     return StationData(
         rho0=fluid.rho0, nu=fluid.nu,
         R=NodeArray(wall.R), dR=NodeArray(wall.dR_ds1),
         d2R=NodeArray(wall.d2R_ds12), Rdot=NodeArray(wall.dR_dt),
-        kappa=NodeArray([fr.curvature for fr in frames]),
-        dkappa=NodeArray([fr.curvature_rate for fr in frames]),
-        tau=NodeArray([fr.torsion for fr in frames]),
+        kappa=NodeArray(kappa), dkappa=NodeArray(dkappa), tau=NodeArray(tau),
         dp0=NodeArray(pexp.dp0), d2p0=NodeArray(pexp.d2p0),
         d3p0=NodeArray(pexp.d3p0), dt_dp0=NodeArray(pexp.dt_dp0),
         dp1=NodeArray(pexp.dp1), d2p1=NodeArray(pexp.d2p1),
@@ -827,7 +824,7 @@ def stations_from_grids(wall, pexp, frames, fluid: FluidParams,
 
 def truncated_solution(f: ExpansionFields, p0, p1, eps, order: int, z2, z3):
     """Truncated expansion at the disc point (z2, z3) of one station, or
-    at every point of a grid given as two :class:`~tubeflow.polydisc.PointPowers`.
+    at every point of a grid given as two :class:`~tubeflow.polydisc.NodeArray`.
 
     Order k keeps the velocity terms through eps^k and the pressure terms
     through eps^(k-2); ``p0``/``p1`` are the axial pressures at the

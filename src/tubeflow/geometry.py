@@ -6,9 +6,11 @@ The pipe interior is the image of the reference domain
     x(t, s1, s2, s3) = c(s1) + eps * s3 * R(t, s1) * (cos s2 N + sin s2 B),
 
 where (T, N, B) is the Frenet frame of the center curve c.  The pipeline
-solves on the reference domain, so this module provides only the frame
-(with curvature/torsion and their rates) and the bound
-eps * max(kappa R) < 1 under which the map is invertible.
+solves on the reference domain, where the curve enters only through
+kappa, kappa' and tau along the axis; this module provides those as
+arrays over arc lengths, the frame at one arc length (to map a cross
+section back to the world), and the bound eps * max(kappa R) < 1 under
+which the map is invertible.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class FrenetFrame:
     curvature: float
     curvature_rate: float
     torsion: float
-    torsion_rate: float
 
     def basis_matrix(self) -> np.ndarray:
         """Rows are (T, N, B) components in the world basis (v_ki)."""
@@ -53,13 +54,26 @@ def _any_perpendicular(d):
     return _unit(trial - np.dot(trial, d) * d)
 
 
-class CenterCurve:
-    """Pipe axis with analytic or sampled parametrization by arc length."""
+def _constant_curvature(kappa, tau):
+    """Curvature function of a curve with constant kappa and tau."""
+    def curvature(s):
+        return np.full(s.shape, kappa), np.zeros(s.shape), np.full(s.shape, tau)
+    return curvature
 
-    def __init__(self, length, point_fn, frame_fn, max_curvature):
+
+class CenterCurve:
+    """Pipe axis with analytic or sampled parametrization by arc length.
+
+    ``basis_fn`` gives (T, N, B) at one arc length; ``curvature_fn`` gives
+    kappa, kappa' and tau at each arc length of a float array.
+    """
+
+    def __init__(self, length, point_fn, basis_fn, curvature_fn,
+                 max_curvature):
         self.length = float(length)
         self._point = point_fn
-        self._frame = frame_fn
+        self._basis = basis_fn
+        self._curvature = curvature_fn
         self.max_curvature = float(max_curvature)
 
     # -- constructors ---------------------------------------------------
@@ -69,9 +83,9 @@ class CenterCurve:
         frame perpendicular to the direction."""
         d = _unit(np.asarray(direction, dtype=float))
         n = _any_perpendicular(d)
-        b = np.cross(d, n)
-        frame = FrenetFrame(d, n, b, 0.0, 0.0, 0.0, 0.0)
-        return cls(length, lambda s: s * d, lambda s: frame, 0.0)
+        basis = (d, n, np.cross(d, n))
+        return cls(length, lambda s: s * d, lambda s: basis,
+                   _constant_curvature(0.0, 0.0), 0.0)
 
     @classmethod
     def circular_arc(cls, radius, length):
@@ -84,14 +98,14 @@ class CenterCurve:
             th = s / a
             return np.array([a * np.cos(th), a * np.sin(th), 0.0])
 
-        def frame(s):
+        def basis(s):
             th = s / a
-            t = np.array([-np.sin(th), np.cos(th), 0.0])
-            n = np.array([-np.cos(th), -np.sin(th), 0.0])
-            b = np.array([0.0, 0.0, 1.0])
-            return FrenetFrame(t, n, b, 1.0 / a, 0.0, 0.0, 0.0)
+            return (np.array([-np.sin(th), np.cos(th), 0.0]),
+                    np.array([-np.cos(th), -np.sin(th), 0.0]),
+                    np.array([0.0, 0.0, 1.0]))
 
-        return cls(length, point, frame, 1.0 / a)
+        return cls(length, point, basis, _constant_curvature(1.0 / a, 0.0),
+                   1.0 / a)
 
     @classmethod
     def helix(cls, a, b, length):
@@ -107,14 +121,14 @@ class CenterCurve:
             th = s / c
             return np.array([a * np.cos(th), a * np.sin(th), b * th])
 
-        def frame(s):
+        def basis(s):
             th = s / c
-            t = np.array([-a * np.sin(th), a * np.cos(th), b]) / c
-            n = np.array([-np.cos(th), -np.sin(th), 0.0])
-            bb = np.array([b * np.sin(th), -b * np.cos(th), a]) / c
-            return FrenetFrame(t, n, bb, kappa, 0.0, tau, 0.0)
+            return (np.array([-a * np.sin(th), a * np.cos(th), b]) / c,
+                    np.array([-np.cos(th), -np.sin(th), 0.0]),
+                    np.array([b * np.sin(th), -b * np.cos(th), a]) / c)
 
-        return cls(length, point, frame, kappa)
+        return cls(length, point, basis, _constant_curvature(kappa, tau),
+                   kappa)
 
     @classmethod
     def from_samples(cls, s, points):
@@ -140,46 +154,46 @@ class CenterCurve:
         spline = CubicSpline(s, pts, axis=0)
         d1, d2, d3 = spline.derivative(1), spline.derivative(2), spline.derivative(3)
 
+        def vanishing(si):
+            return GeometryError(f"curvature vanishes near s1 = {si:.6g}; "
+                                 "use a straight/analytic curve instead")
+
         def kappa_tau(si):
             c1, c2, c3 = d1(si), d2(si), d3(si)
             cross = np.cross(c1, c2)
             ncross = np.linalg.norm(cross)
             nc1 = np.linalg.norm(c1)
             if ncross < 1e-12 * nc1**2:
-                raise GeometryError(
-                    f"curvature vanishes near s1 = {si:.6g}; "
-                    "use a straight/analytic curve instead"
-                )
+                raise vanishing(si)
             kappa = ncross / nc1**3
             tau = float(np.dot(cross, c3)) / ncross**2
             return kappa, tau
 
-        # kappa', tau' from a spline through densely sampled kappa, tau
+        # kappa', tau from splines through densely sampled kappa, tau
         dense = np.linspace(s[0], s[-1], max(200, 4 * s.size))
         kt = np.array([kappa_tau(si) for si in dense])
         kappa_spl = CubicSpline(dense, kt[:, 0])
         tau_spl = CubicSpline(dense, kt[:, 1])
         dkappa_spl = kappa_spl.derivative()
-        dtau_spl = tau_spl.derivative()
 
-        def frame(si):
+        def curvature(si):
+            # the normal is c'' less its tangential part; it must not vanish
+            c1, c2 = d1(si), d2(si)
+            t = c1 / np.linalg.norm(c1, axis=-1, keepdims=True)
+            n_raw = c2 - np.sum(c2 * t, axis=-1, keepdims=True) * t
+            flat = (np.linalg.norm(n_raw, axis=-1)
+                    < 1e-12 * np.maximum(np.linalg.norm(c2, axis=-1), 1.0))
+            if flat.any():
+                raise vanishing(si[flat][0])
+            return kappa_spl(si), dkappa_spl(si), tau_spl(si)
+
+        def basis(si):
             c1, c2 = d1(si), d2(si)
             t = _unit(c1)
-            n_raw = c2 - np.dot(c2, t) * t
-            if np.linalg.norm(n_raw) < 1e-12 * max(np.linalg.norm(c2), 1.0):
-                raise GeometryError(
-                    f"curvature vanishes near s1 = {si:.6g}; "
-                    "use a straight/analytic curve instead"
-                )
-            n = _unit(n_raw)
-            b = np.cross(t, n)
-            return FrenetFrame(
-                t, n, b,
-                float(kappa_spl(si)), float(dkappa_spl(si)),
-                float(tau_spl(si)), float(dtau_spl(si)),
-            )
+            n = _unit(c2 - np.dot(c2, t) * t)
+            return t, n, np.cross(t, n)
 
-        return cls(s[-1], lambda si: np.asarray(spline(si)), frame,
+        return cls(s[-1], lambda si: np.asarray(spline(si)), basis, curvature,
                    float(kt[:, 0].max()))
 
     @classmethod
@@ -201,14 +215,21 @@ class CenterCurve:
     def point(self, s1):
         return self._point(float(s1))
 
-    def frame(self, s1):
-        if not (0.0 <= s1 <= self.length + 1e-12):
-            raise GeometryError(f"s1 = {s1} outside [0, {self.length}]")
-        return self._frame(float(s1))
+    def curvature(self, s1):
+        """kappa, kappa' and tau at each arc length of ``s1``, as float
+        arrays: all the axis problem reads of the curve."""
+        s1 = np.asarray(s1, dtype=float)
+        outside = ~((s1 >= 0.0) & (s1 <= self.length + 1e-12))
+        if outside.any():
+            raise GeometryError(f"s1 = {s1[outside][0]} outside "
+                                f"[0, {self.length}]")
+        return self._curvature(s1)
 
-    def frames(self, s1):
-        """The frame at each arc length of ``s1``, as a list."""
-        return [self.frame(x) for x in s1]
+    def frame(self, s1):
+        """Frenet frame at one arc length, with the curvature data of
+        :meth:`curvature` there."""
+        kappa, dkappa, tau = (float(v[0]) for v in self.curvature([s1]))
+        return FrenetFrame(*self._basis(float(s1)), kappa, dkappa, tau)
 
 
 def frenet_frame(curve: CenterCurve, s1: float) -> FrenetFrame:

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polydisc import PointPowers
+from .polydisc import NodeArray
 
 _SIZE = 420
 _MARGIN = 30
@@ -73,7 +73,7 @@ _QUIVER_GRID = (8, 16)
 @lru_cache(maxsize=None)
 def _polar_centres(n_r, n_theta):
     """(z2, z3) at the half-offset radius of each polar cell, ring by ring,
-    as two :class:`~tubeflow.polydisc.PointPowers`."""
+    as two :class:`~tubeflow.polydisc.NodeArray`."""
     points = []
     for i in range(n_r):
         s3 = (i + 0.5) / n_r
@@ -81,7 +81,7 @@ def _polar_centres(n_r, n_theta):
             s2 = 2 * np.pi * j / n_theta
             points.append((float(s3 * np.cos(s2)), float(s3 * np.sin(s2))))
     z2, z3 = zip(*points)
-    return PointPowers(z2), PointPowers(z3)
+    return NodeArray(z2), NodeArray(z3)
 
 
 @lru_cache(maxsize=None)
@@ -127,9 +127,8 @@ def quiver_svg(poly2, poly3, title="field"):
     vmax = np.hypot(v2, v3).max()
     scale = (0.5 / n_r) / vmax if vmax > 0 else 0.0
 
-    x0, y0 = _to_px(z2.values, z3.values)
-    x1, y1 = _to_px(z2.values + scale * v2 * n_r,
-                    z3.values + scale * v3 * n_r)
+    x0, y0 = _to_px(z2, z3)
+    x1, y1 = _to_px(z2 + scale * v2 * n_r, z3 + scale * v3 * n_r)
     arrows = []
     for ends in zip(*(c.tolist() for c in (x0, y0, x1, y1))):
         a0, b0, a1, b1 = map(_fmt, ends)

@@ -10,7 +10,7 @@ Coefficients may be ``fractions.Fraction`` (exact verification domain) or
 ``float`` (runtime fields scaled by pressure data), or :class:`NodeArray`
 (one float per axis node, every node at once); all operations preserve
 whichever domain they are given.  :meth:`DiscPoly.evaluate` takes a point,
-or a whole grid of points as two :class:`PointPowers`.
+or a whole grid of points as two :class:`NodeArray`.
 """
 
 from __future__ import annotations
@@ -183,66 +183,45 @@ class DiscPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class PointPowers:
-    """One coordinate of many points, to evaluate polynomials on all at once.
-
-    ``v ** k`` is a float array of each point's Python-float power
-    ``x ** k``, computed once per k and kept.  Every other operation of
-    :meth:`DiscPoly.evaluate` is an elementwise IEEE product or sum, so a
-    grid gets the same bits as evaluating its points one at a time (an
-    array ``x ** k`` may differ from the scalar one in the last bit).  A
-    zero polynomial evaluates to the int 0; :meth:`broadcast` spreads such
-    a scalar over the points.
-    """
-
-    __slots__ = ("values", "_powers")
-
-    def __init__(self, values):
-        self.values = np.array(values, dtype=float)
-        self.values.flags.writeable = False
-        self._powers = {}
-
-    def __pow__(self, k):
-        out = self._powers.get(k)
-        if out is None:
-            out = _float_powers(self.values, k)
-            out.flags.writeable = False
-            self._powers[k] = out
-        return out
-
-    def broadcast(self, value):
-        """``value``, an array over the points or a scalar, as one float
-        per point (read-only)."""
-        return np.broadcast_to(np.asarray(value, dtype=float),
-                               self.values.shape)
-
-
 class NodeArray(np.ndarray):
-    """One quantity at every axis node, for the closed forms to run on all
-    nodes at once.
+    """One quantity at many points, for a formula to run on all at once:
+    every axis node of a closed form, or every disc point of a grid that
+    :meth:`DiscPoly.evaluate` tabulates.
 
     Arithmetic is numpy's elementwise IEEE arithmetic, which gives each
-    node the bits of the same formula on Python floats, except for
-    ``**``: here it is each node's Python-float power (an array ``x ** k``
-    may differ from the scalar one in the last bit).  The truth value is
-    "some node is nonzero", so :class:`DiscPoly` keeps a coefficient that
-    is nonzero at any node, and it is 0.0 at the nodes where a scalar
-    polynomial would drop it.
+    point the bits of the same formula on Python floats, except for
+    ``**``: here it is each point's Python-float power (an array
+    ``x ** k`` may differ from the scalar one in the last bit).  An array
+    made by ``NodeArray(values)`` is read-only and keeps each power it
+    returns, read-only too, so ``x ** k`` is the same object on every
+    call; the results of arithmetic are computed afresh.  The truth value
+    is "some point is nonzero", so :class:`DiscPoly` keeps a coefficient
+    that is nonzero anywhere, and it is 0.0 at the points where a scalar
+    polynomial would drop it.  A zero polynomial evaluates to the int 0;
+    :meth:`broadcast` spreads such a scalar over the points.
     """
 
     def __new__(cls, values):
-        return np.array(values, dtype=float).view(cls)
+        out = np.array(values, dtype=float).view(cls)
+        out.flags.writeable = False
+        out._powers = {}
+        return out
 
     def __pow__(self, k):
-        return _float_powers(self, k).view(NodeArray)
+        # an arithmetic result may be written to, so it keeps no powers
+        powers = getattr(self, "_powers", {})
+        out = powers.get(k)
+        if out is None:
+            out = powers[k] = NodeArray([x**k for x in self.tolist()])
+        return out
 
     def __bool__(self):
         return bool(self.view(np.ndarray).any())
 
-
-def _float_powers(values, k):
-    """Array of each element's Python-float power ``x ** k``."""
-    return np.array([x**k for x in values.tolist()], dtype=float)
+    def broadcast(self, value):
+        """``value``, an array over the points or a scalar, as one float
+        per point (read-only)."""
+        return np.broadcast_to(np.asarray(value, dtype=float), self.shape)
 
 
 def _as_poly(x):

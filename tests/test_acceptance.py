@@ -72,7 +72,7 @@ def straight_rigid_case(n=101):
     pexp = solve_pressures(wall, FLUID, PressureBC(1.0, 0.0), np.zeros(n),
                            BodyForce())
     curve = CenterCurve.straight(1.0)
-    data = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+    data = stations_from_grids(wall, pexp, curve.curvature(s), FLUID,
                                BodyForce())
     stations = NodeStations(data)
     fields = [evaluate_station(sd) for sd in stations]
@@ -110,7 +110,7 @@ def test_criterion_3_mass_conservation():
     pexp = solve_pressures(wall, FLUID, PressureBC(0.0, 0.0), np.zeros(n),
                            BodyForce())
     curve = CenterCurve.straight(1.0)
-    data = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+    data = stations_from_grids(wall, pexp, curve.curvature(s), FLUID,
                                BodyForce())
     flow = flow_rates(verification_terms(data), wall.R)
     rep = check_mass_conservation(flow, wall, pexp, FLUID)
@@ -130,7 +130,7 @@ def test_criterion_4_compatibility_identities():
             s, 1.0, dR_dt=None if rate is None else np.full(n, rate))
         pexp = solve_pressures(wall, FLUID, bc, np.zeros(n), BodyForce())
         curve = CenterCurve.straight(1.0)
-        data = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+        data = stations_from_grids(wall, pexp, curve.curvature(s), FLUID,
                                    BodyForce())
         rep = check_compatibility(wall, FLUID, pexp, verification_terms(data))
         checks.append(rep.max_u1_residual <= 1e-9)       # exact cases
@@ -143,7 +143,7 @@ def test_criterion_4_compatibility_identities():
         pexp = solve_pressures(wall, FLUID, PressureBC(1.0, 0.0),
                                np.zeros(n), BodyForce())
         curve = CenterCurve.straight(1.0)
-        data = stations_from_grids(wall, pexp, curve.frames(s), FLUID,
+        data = stations_from_grids(wall, pexp, curve.curvature(s), FLUID,
                                    BodyForce())
         rep = check_compatibility(wall, FLUID, pexp, verification_terms(data))
         resids.append(rep.max_u1_residual)
@@ -311,7 +311,7 @@ def test_criterion_9_rigid_steady_reduction():
     wall_s = WallState.from_radius(s, radius)
     pexp_s = solve_pressures(wall_s, FLUID, bc, kappa, BodyForce())
     stations_s = NodeStations(stations_from_grids(
-        wall_s, pexp_s, curve.frames(s), FLUID, BodyForce()))
+        wall_s, pexp_s, curve.curvature(s), FLUID, BodyForce()))
     fields_s = [evaluate_station(sd) for sd in stations_s]
 
     # rigid unsteady stepping reproduces it exactly

@@ -89,6 +89,23 @@ def test_node_array_powers_are_the_scalar_powers():
         assert got.tobytes() == ref.tobytes(), k
 
 
+def test_node_array_powers_are_cached_and_read_only():
+    x = [0.5, -0.3, 1 / 3, -0.0, 1e-200]
+    nodes = NodeArray(x)
+    with pytest.raises(ValueError):
+        nodes[0] = 1.0
+    for k in range(11):
+        got = nodes**k
+        assert got is nodes**k
+        assert got.tobytes() == np.array([v**k for v in x]).tobytes(), k
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+    # an arithmetic result may be written to, so its powers are not kept
+    twice = nodes * 2.0
+    assert twice**3 is not twice**3
+    assert (twice**3).tobytes() == np.array([(2 * v)**3 for v in x]).tobytes()
+
+
 def test_node_array_truth_and_polynomial_products():
     src = np.array([0.0, 2.0, -0.0])
     a = NodeArray(src)

@@ -4,10 +4,12 @@ Pins the sha256 of every file that ``tubeflow solve`` writes for each
 preset in ``presets/``, of ``solution_station*.csv`` at ``--order 0`` and
 ``--order 1`` for ``curved_rigid`` and ``helix_swirl``, of ``sweep.csv``
 for ``helix_swirl``, of ``tables_report.txt`` from ``tubeflow tables``,
-and of every file each script in ``scripts/`` writes.  A refactor that
-claims to keep behaviour keeps these digests.  A change that alters bytes
-on purpose re-records them with ``python tests/test_bundle_digests.py``
-and says why in CHANGES.md.
+of every file each script in ``scripts/`` writes, and of every file but
+``run_meta.txt`` (which records the curve file's path) of a solve on the
+sampled parabola y = x^2 / 2, whose curvature varies along the axis.  A
+refactor that claims to keep behaviour keeps these digests.  A change
+that alters bytes on purpose re-records them with
+``python tests/test_bundle_digests.py`` and says why in CHANGES.md.
 
 The digests hold for one platform: numpy 2.4.6 on x86-64 with AVX-512.
 Another numpy build or SIMD level may round differently in the last bit
@@ -22,6 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tubeflow.cli import main
@@ -38,25 +41,53 @@ CASES = {
        for name in ("curved_rigid", "helix_swirl") for k in (0, 1)},
     "helix_swirl_sweep": ("sweep", "helix_swirl", 2, "sweep.csv"),
     "tables": ("tables", None, None, "tables_report.txt"),
+    "sampled_parabola": ("sampled", None, 2, "*"),
     **{f"script_{p.stem}": ("script", p.stem, None, "*")
        for p in sorted((ROOT / "scripts").glob("*.py"))},
 }
 
 
+def write_parabola_config(where):
+    """Curve file and config of a steady solve on y = x^2 / 2, 0 <= x <= 1,
+    written into ``where``; returns the config path."""
+    x = np.linspace(0.0, 1.0, 400)
+    y = x**2 / 2
+    ds = np.hypot(np.gradient(x), np.gradient(y))
+    s = np.cumsum(ds) - ds[0]
+    where.mkdir(parents=True, exist_ok=True)
+    curve = where / "parabola.csv"
+    curve.write_text("s,x,y,z\n" + "".join(
+        f"{a!r},{b!r},{c!r},0.0\n" for a, b, c in
+        zip(s.tolist(), x.tolist(), y.tolist())))
+    cfg = where / "parabola.cfg"
+    cfg.write_text(f"geometry.kind = sampled\ngeometry.file = {curve}\n"
+                   f"geometry.length = {float(s[-1])!r}\neps = 0.05\n"
+                   "grid.n_s1 = 65\ngrid.n_disc = 8\n"
+                   "output.stations = 0.2, 0.9\n")
+    return cfg
+
+
 def run_case(case, out):
     """Run one case into ``out``; return its exit code and file digests."""
     command, preset, order, pattern = CASES[case]
+    out = Path(out)
+    skip = ()
     if command == "script":
         script = ROOT / "scripts" / f"{preset}.py"
         code = runpy.run_path(str(script))["main"](str(out))
     elif command == "tables":
         code = main(["tables", "--out", str(out)])
+    elif command == "sampled":
+        cfg = write_parabola_config(out.parent / f"{case}_input")
+        code = main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--order", str(order)])
+        skip = ("run_meta.txt",)
     else:
         code = main([command, "--config",
                      str(ROOT / "presets" / f"{preset}.cfg"),
                      "--out", str(out), "--order", str(order)])
     return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                  for p in sorted(Path(out).glob(pattern))}
+                  for p in sorted(out.glob(pattern)) if p.name not in skip}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -284,7 +284,7 @@ class TestStationAssembly:
         pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0),
                                np.full(n, 0.5), BodyForce())
         stations = NodeStations(stations_from_grids(
-            wall, pexp, curve.frames(s), fluid, BodyForce()))
+            wall, pexp, curve.curvature(s), fluid, BodyForce()))
         assert len(stations) == n
         assert stations[7].kappa == 0.5
         assert stations[7].dp0 == pytest.approx(-1.0)
@@ -358,7 +358,7 @@ class TestPhysicalAssembly:
         pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0),
                                np.zeros(s.size), BodyForce())
         stations = NodeStations(stations_from_grids(
-            wall, pexp, curve.frames(s), fluid, BodyForce()))
+            wall, pexp, curve.curvature(s), fluid, BodyForce()))
         return curve, pexp, evaluate_station(stations[self.MID])
 
     def solution(self, order, s2, s3):

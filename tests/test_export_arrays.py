@@ -1,7 +1,7 @@
 """Whole-grid evaluation writes the bytes of point-by-point evaluation.
 
 The export evaluates each polynomial once on all disc points of a grid,
-through :class:`~tubeflow.polydisc.PointPowers`.  These tests compare it,
+through :class:`~tubeflow.polydisc.NodeArray`.  These tests compare it,
 by ``tobytes()``, against evaluating the same points one at a time, and
 pin the heatmap colours and the CSV row format against the per-value
 rules they replace.
@@ -16,7 +16,7 @@ from tubeflow.cli import RunConfig, _disc_grid, run_pipeline, write_csv
 from tubeflow.expansion import truncated_solution
 from tubeflow.plotting import (_HEATMAP_GRID, _QUIVER_GRID, _diverging_colors,
                                _polar_centres)
-from tubeflow.polydisc import DiscPoly, PointPowers
+from tubeflow.polydisc import DiscPoly, NodeArray
 
 GRIDS = {
     "disc16": _disc_grid(16)[2:],
@@ -44,7 +44,7 @@ def float_polys():
 
 def pointwise(poly, z2, z3):
     return np.array([poly.evaluate(a, b) for a, b in
-                     zip(z2.values.tolist(), z3.values.tolist())],
+                     zip(z2.tolist(), z3.tolist())],
                     dtype=float)
 
 
@@ -53,7 +53,7 @@ def test_grid_evaluation_matches_pointwise_bits(grid):
     z2, z3 = GRIDS[grid]
     for poly in float_polys():
         whole = z2.broadcast(poly.evaluate(z2, z3))
-        assert whole.shape == z2.values.shape
+        assert whole.shape == z2.shape
         assert whole.tobytes() == pointwise(poly, z2, z3).tobytes(), poly
 
 
@@ -61,11 +61,11 @@ def test_zero_polynomial_broadcasts_to_float_zeros():
     z2, z3 = GRIDS["quiver"]
     value = DiscPoly.zero().evaluate(z2, z3)
     assert value == 0 and isinstance(value, int)
-    assert z2.broadcast(value).tobytes() == np.zeros(z2.values.size).tobytes()
+    assert z2.broadcast(value).tobytes() == np.zeros(z2.size).tobytes()
 
 
 def test_powers_are_python_float_powers_and_cached():
-    pts = PointPowers([0.5, -0.3, 1 / 3, -0.0])
+    pts = NodeArray([0.5, -0.3, 1 / 3, -0.0])
     for k in range(11):
         want = np.array([x**k for x in (0.5, -0.3, 1 / 3, -0.0)])
         assert (pts**k).tobytes() == want.tobytes()
@@ -84,7 +84,7 @@ def test_truncated_solution_on_grid_matches_pointwise(order):
     _, _, z2, z3 = _disc_grid(8)
     u, p = truncated_solution(f, p0, p1, 0.05, order, z2, z3)
     rows = [truncated_solution(f, p0, p1, 0.05, order, a, b)
-            for a, b in zip(z2.values.tolist(), z3.values.tolist())]
+            for a, b in zip(z2.tolist(), z3.tolist())]
     for k in range(3):
         want = np.array([r[0][k] for r in rows], dtype=float)
         assert z2.broadcast(u[k]).tobytes() == want.tobytes(), k

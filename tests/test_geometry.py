@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from tubeflow.cli import RunConfig, run_pipeline
 from tubeflow.coupling import WallState
 from tubeflow.errors import GeometryError, MapError
 from tubeflow.geometry import CenterCurve, check_invertibility, frenet_frame
@@ -13,6 +15,48 @@ from oracles import fd_frenet
 def unit_wall(n=32, R=1.0, dR_dt=0.0, length=1.0):
     s = np.linspace(0.0, length, n)
     return WallState.from_radius(s, R, dR_dt=dR_dt)
+
+
+def parabola():
+    """Sampled y = x^2 / 2 on [0, 1], whose curvature varies; and its s."""
+    x = np.linspace(0.0, 1.0, 400)
+    y = x**2 / 2
+    ds = np.hypot(np.gradient(x), np.gradient(y))
+    s = np.cumsum(ds) - ds[0]
+    pts = np.column_stack([x, y, np.zeros_like(x)])
+    return CenterCurve.from_samples(s, pts), s
+
+
+CURVES = {
+    "straight": lambda: CenterCurve.straight(1.5, direction=(1.0, 2.0, 2.0)),
+    "arc": lambda: CenterCurve.circular_arc(2.0, 1.0),
+    "helix": lambda: CenterCurve.helix(3.0, 4.0, 5.0),
+    "sampled": lambda: parabola()[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_curvature_arrays_match_the_frames(name):
+    # each frame reads its one arc length alone: the splines of a sampled
+    # curve must give it the bits it gets inside the whole array
+    curve = CURVES[name]()
+    s1 = np.linspace(0.0, curve.length, 33)
+    kappa, dkappa, tau = curve.curvature(s1)
+    frames = [curve.frame(v) for v in s1.tolist()]
+    for got, attr in ((kappa, "curvature"), (dkappa, "curvature_rate"),
+                      (tau, "torsion")):
+        assert got.dtype == float and got.shape == s1.shape
+        want = np.array([getattr(fr, attr) for fr in frames])
+        assert got.tobytes() == want.tobytes(), attr
+
+
+def test_curvature_rejects_arc_lengths_off_the_curve():
+    curve = CenterCurve.helix(3.0, 4.0, 5.0)
+    for bad in (-0.1, 5.1, float("nan")):
+        with pytest.raises(GeometryError, match="outside"):
+            curve.curvature([0.0, bad])
+        with pytest.raises(GeometryError, match="outside"):
+            curve.frame(bad)
 
 
 class TestFrames:
@@ -87,18 +131,13 @@ class TestSampledCurves:
         fr = curve.frame(2.5)
         assert fr.curvature == pytest.approx(0.12, abs=1e-5)
         assert fr.torsion == pytest.approx(0.16, abs=1e-5)
-        assert abs(fr.curvature_rate) < 1e-3 and abs(fr.torsion_rate) < 1e-3
+        assert abs(fr.curvature_rate) < 1e-3
         assert np.allclose(curve.point(2.5),
                            CenterCurve.helix(3, 4, 5).point(2.5), atol=1e-7)
 
     def test_curvature_rate_of_varying_curve(self):
         # planar curve y = x^2 / 2: kappa(s) varies; rate via FD cross-check
-        x = np.linspace(0.0, 1.0, 400)
-        y = x**2 / 2
-        ds = np.hypot(np.gradient(x), np.gradient(y))
-        s = np.cumsum(ds) - ds[0]
-        pts = np.column_stack([x, y, np.zeros_like(x)])
-        curve = CenterCurve.from_samples(s, pts)
+        curve, s = parabola()
         smid = s[200]
         h = 1e-3
         rate_fd = (curve.frame(smid + h).curvature
@@ -118,8 +157,7 @@ class TestSampledCurves:
             assert np.abs(base.point(si) - shifted.point(si)).max() < 1e-12
             # torsion takes the spline's third derivative, which amplifies
             # the last-bit change of s + 2 - 2
-            for attr in ("curvature", "curvature_rate", "torsion",
-                         "torsion_rate"):
+            for attr in ("curvature", "curvature_rate", "torsion"):
                 assert getattr(a, attr) == pytest.approx(getattr(b, attr),
                                                          abs=1e-9)
 
@@ -137,6 +175,23 @@ class TestSampledCurves:
         pts = np.column_stack([s, np.zeros(10), np.zeros(10)])
         with pytest.raises(GeometryError):
             CenterCurve.from_samples(s, pts).frame(0.5)
+
+    def test_inflection_at_an_axis_node_raises(self, tmp_path):
+        # y = x^3 on [-1, 1] inflects at its arc-length midpoint; the dense
+        # construction grid misses that point, the 65-node axis grid hits it
+        x = np.linspace(-1.0, 1.0, 41).tolist()
+        s = [quad(lambda v: np.sqrt(1 + 9 * v**4), -1.0, xi,
+                  epsabs=1e-12, epsrel=1e-12)[0] for xi in x]
+        path = tmp_path / "cubic.csv"
+        path.write_text("s,x,y,z\n" + "".join(
+            f"{a!r},{b!r},{b**3!r},0.0\n" for a, b in zip(s, x)))
+        CenterCurve.from_file(path)
+        cfg = RunConfig.from_mapping({
+            "geometry.kind": "sampled", "geometry.file": str(path),
+            "geometry.length": repr(s[-1]), "grid.n_s1": "65"})
+        with pytest.raises(GeometryError,
+                           match="curvature vanishes near s1 = 1.54787"):
+            run_pipeline(cfg)
 
     def test_from_file_roundtrip(self, tmp_path):
         s, pts = self.make_helix_samples()

@@ -257,7 +257,9 @@ def test_compatibility_error_names_the_worst_node():
                           f"worst at node {worst} (s1 = {s1[worst]:g}): ")
 
 
-def test_one_frame_per_axis_node(monkeypatch):
+def test_frames_only_for_exported_stations(monkeypatch, tmp_path):
+    # the axis problem reads kappa, kappa', tau as arrays; a frame is built
+    # only to rotate an exported station back to the world
     calls = []
     real = CenterCurve.frame
 
@@ -266,5 +268,8 @@ def test_one_frame_per_axis_node(monkeypatch):
         return real(self, s1)
 
     monkeypatch.setattr(CenterCurve, "frame", frame)
-    res = run_pipeline(RunConfig.from_mapping(HELIX))
-    assert calls == list(res.wall.s1)
+    cfg = RunConfig.from_mapping({**HELIX, "output.stations": "0.25, 0.75"})
+    res = run_pipeline(cfg)
+    assert calls == []
+    export_bundle(res, tmp_path)
+    assert calls == [res.wall.s1[8], res.wall.s1[24]]

@@ -40,11 +40,10 @@ def solved_case(n=65, radius=1.0, rate=None, kappa_val=0.0,
         s, radius, dR_dt=None if rate is None else np.full(n, rate))
     curve = curve or (CenterCurve.straight(1.0) if kappa_val == 0.0
                       else CenterCurve.circular_arc(1.0 / kappa_val, 1.0))
-    frames = curve.frames(s)
-    kappa = np.array([fr.curvature for fr in frames])
+    curvature = curve.curvature(s)
     bc = bc or PressureBC(1.0, 0.0)
-    pexp = solve_pressures(wall, FLUID, bc, kappa, BodyForce())
-    data = stations_from_grids(wall, pexp, frames, FLUID, BodyForce())
+    pexp = solve_pressures(wall, FLUID, bc, curvature[0], BodyForce())
+    data = stations_from_grids(wall, pexp, curvature, FLUID, BodyForce())
     stations = NodeStations(data)
     fields = [evaluate_station(sd) for sd in stations]
     return wall, pexp, stations, fields, verification_terms(data)
@@ -131,11 +130,10 @@ class TestCompatibility:
         wall = WallState.from_radius(s, 1.0 + 0.2 * np.sin(np.pi * s),
                                      dR_dt=np.ones(n))
         curve = CenterCurve.circular_arc(2.0, 1.0)
-        frames = curve.frames(s)
-        kappa = np.array([fr.curvature for fr in frames])
-        pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0), kappa,
-                               BodyForce())
-        data = stations_from_grids(wall, pexp, frames, fluid, BodyForce())
+        curvature = curve.curvature(s)
+        pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0),
+                               curvature[0], BodyForce())
+        data = stations_from_grids(wall, pexp, curvature, fluid, BodyForce())
         fields = [evaluate_station(sd) for sd in NodeStations(data)]
         lhs = check_compatibility(wall, fluid, pexp,
                                   verification_terms(data)).u1_lhs
