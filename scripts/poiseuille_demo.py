@@ -24,7 +24,7 @@ def main(outdir="out_poiseuille"):
     })
     result = run_pipeline(cfg)
     mid = cfg.n_s1 // 2
-    f = result.fields[mid]
+    f = result.stations.fields(mid)
 
     center = f.u1_0.to_float().evaluate(0.0, 0.0)
     q0 = result.flow.q0[mid]

@@ -14,7 +14,6 @@ import numpy as np
 
 from tubeflow.cli import RunConfig, run_pipeline, write_csv
 from tubeflow.plotting import heatmap_svg, quiver_svg
-from tubeflow.verify import azimuthal_polynomial, cos_mode_content
 
 CASES = [
     # label, kind, (kappa, tau), elastic pulse?
@@ -38,11 +37,13 @@ def main(outdir="out_gallery"):
         cfg = RunConfig.from_mapping({**BASE, **geo})
         result = run_pipeline(cfg)
         mid = cfg.n_s1 // 2
-        f = result.fields[mid]
+        f = result.stations.fields(mid)
         sd = result.stations[mid]
-        circ = cos_mode_content(azimuthal_polynomial(*f.U2))
+        # the shape checks read the same mid station
+        checks = result.shape_checks
+        circ = checks["U2_circulation_content"]
         rows.append((sd.kappa, sd.tau, result.flow.q0[mid],
-                     float(f.u1_1.coeff(3, 0)), circ))
+                     checks["u1_1_skew_group"], circ))
         (out / f"u1_1_{label}.svg").write_text(
             heatmap_svg(f.u1_0 + 0.05 * f.u1_1,
                         title=f"axial velocity through order 1, {label}"))
@@ -54,7 +55,7 @@ def main(outdir="out_gallery"):
     # moving wall: radial pattern with boundary speed dR/dt
     from tubeflow.coupling import WallState
     from tubeflow.expansion import (BodyForce, FluidParams, NodeStations,
-                                    evaluate_station, stations_from_grids)
+                                    stations_from_grids)
     from tubeflow.geometry import CenterCurve
     from tubeflow.pressure import PressureBC, solve_pressures
 
@@ -66,7 +67,7 @@ def main(outdir="out_gallery"):
                            BodyForce())
     stations = NodeStations(stations_from_grids(
         wall, pexp, CenterCurve.straight(1.0).curvature(s), fluid, BodyForce()))
-    f = evaluate_station(stations[n // 2])
+    f = stations.fields(n // 2)
     (out / "U1_moving_wall.svg").write_text(
         quiver_svg(*f.U1, title="first transversal correction, expanding wall"))
     print("moving    boundary radial speed:",

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import coupling, expansion, geometry, plotting, pressure, verify
 from .errors import ConfigurationError, TubeflowError
-from .polydisc import NodeArray
+from .polydisc import polar_grid
 
 _FMT = "%.17g"
 
@@ -260,8 +258,7 @@ class PipelineResult:
     curve: geometry.CenterCurve
     wall: coupling.WallState
     pexp: pressure.PressureExpansion
-    stations: expansion.NodeStations   # scalar StationData per node
-    fields: Sequence   # ExpansionFields per station, built on first read
+    stations: expansion.NodeStations   # node data; .fields(k) on first read
     flow: verify.FlowRates
     conservation: verify.ConservationReport
     compatibility: verify.CompatibilityReport
@@ -320,7 +317,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     data = expansion.stations_from_grids(wall, pexp, curvature, fluid, body)
     terms = expansion.verification_terms(data, s1)
     stations = expansion.NodeStations(data)
-    fields = expansion.StationFields(stations)
     flow = verify.flow_rates(terms, wall.R)
     conservation = verify.check_mass_conservation(flow, wall, pexp, fluid)
     compatibility = verify.check_compatibility(wall, fluid, pexp, terms)
@@ -328,10 +324,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     mid = cfg.n_s1 // 2
     # the wall-rate trace sits at the same O(h^2) error as the u1 identity
     shape_checks = verify.figure_shape_checks(
-        fields[mid], stations[mid], wall_rate_tol=compatibility.tol_u1)
+        stations.fields(mid), stations[mid],
+        wall_rate_tol=compatibility.tol_u1)
     return PipelineResult(
         config=cfg, curve=curve, wall=wall, pexp=pexp, stations=stations,
-        fields=fields, flow=flow, conservation=conservation,
+        flow=flow, conservation=conservation,
         compatibility=compatibility, residuals=residuals,
         shape_checks=shape_checks, history=history,
     )
@@ -339,29 +336,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 # -- field sampling and export --------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _disc_grid(n_disc: int) -> tuple:
-    """(s2, s3, z2, z3) of the polar product grid on the unit disc.
-
-    Radii are half-offset ((i + 1/2) / n) so the axis point, where the
-    angle is ambiguous, is never sampled.  s2 and s3 are float arrays,
-    z2 and z3 :class:`~tubeflow.polydisc.NodeArray`, so one
-    ``evaluate`` tabulates a polynomial on the whole grid.
-    """
-    grid = []
-    for i in range(n_disc):
-        s3 = (i + 0.5) / n_disc
-        for j in range(2 * n_disc):
-            s2 = np.pi * j / n_disc
-            grid.append((s2, s3, float(s3 * np.cos(s2)),
-                         float(s3 * np.sin(s2))))
-    s2, s3, z2, z3 = zip(*grid)
-    return (np.array(s2), np.array(s3), NodeArray(z2), NodeArray(z3))
-
-
 def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
                   names=None) -> dict:
-    """Tabulate disc fields on the polar grid of :func:`_disc_grid`.
+    """Tabulate disc fields on the polar grid of n_disc rings and
+    2 n_disc sectors (:func:`~tubeflow.polydisc.polar_grid`).
 
     Each name maps to a float array with one row per grid point: (z2, z3,
     value) for scalars, (z2, z3, v2, v3) for vectors.  The polynomials are
@@ -370,7 +348,7 @@ def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
     """
     if n_disc < 8:
         raise ConfigurationError("n_disc must be at least 8")
-    _, _, z2, z3 = _disc_grid(n_disc)
+    _, _, z2, z3 = polar_grid(n_disc, 2 * n_disc)
     out = {}
     for name in names or _FIELD_NAMES:
         if name not in _FIELD_NAMES:
@@ -421,11 +399,11 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
     velocity and the pressure of the expansion truncated at ``order``.
     """
     cfg, wall, pexp = result.config, result.wall, result.pexp
-    s2, s3, z2, z3 = _disc_grid(cfg.n_disc)
+    s2, s3, z2, z3 = polar_grid(cfg.n_disc, 2 * cfg.n_disc)
     for target in cfg.stations:
         idx = int(np.argmin(np.abs(wall.s1 - target)))
         tag = f"station{idx:04d}"
-        f = result.fields[idx]
+        f = result.stations.fields(idx)
         tables = sample_fields(f, cfg.n_disc, cfg.out_fields)
         for name, rows in tables.items():
             header = (["z2", "z3", name] if rows.shape[1] == 3
@@ -522,16 +500,12 @@ def run_sweep(cfg: RunConfig, outdir) -> int:
             for eps in epss:
                 sub.eps = eps
                 result = run_pipeline(sub)
-                mid = sub.n_s1 // 2
-                f = result.fields[mid]
-                circ = verify.cos_mode_content(
-                    verify.azimuthal_polynomial(*f.U2))
-                rows.append((
-                    kap, tau, eps,
-                    result.flow.q0[mid],
-                    float(f.u1_1.coeff(3, 0)),
-                    circ,
-                ))
+                # the shape checks read the same mid station
+                checks = result.shape_checks
+                rows.append((kap, tau, eps,
+                             result.flow.q0[sub.n_s1 // 2],
+                             checks["u1_1_skew_group"],
+                             checks["U2_circulation_content"]))
     write_csv(outdir / "sweep.csv",
               ["kappa", "tau", "eps", "Q0_mid", "u1_1_skew_group",
                "U2_circulation"], rows)

@@ -744,21 +744,13 @@ def evaluate_station(sd: StationData) -> ExpansionFields:
     )
 
 
-class _NodeList(Sequence):
-    """Read like a list of nodes; node k comes from ``self._node(k)``."""
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        return self._node(range(len(self))[i])   # negatives, IndexError
-
-
-class NodeStations(_NodeList):
+class NodeStations(Sequence):
     """The nodes of node-array :class:`StationData`, read like a list.
 
     Item k is a new scalar StationData whose node entries are node k's
     Python floats: they compute the same values as numpy float64 scalars,
-    at a fraction of the cost per operation.
+    at a fraction of the cost per operation.  :meth:`fields` gives a
+    node's full fields.
     """
 
     def __init__(self, data: StationData):
@@ -766,34 +758,27 @@ class NodeStations(_NodeList):
         self._node_fields = tuple(
             f.name for f in fields(data)
             if isinstance(getattr(data, f.name), np.ndarray))
+        self._fields = {}
 
     def __len__(self):
         return len(self.data.R)
 
-    def _node(self, k):
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        k = range(len(self))[i]   # negatives, IndexError
         return replace(self.data, **{name: getattr(self.data, name).item(k)
                                      for name in self._node_fields})
 
-
-class StationFields(_NodeList):
-    """The :class:`ExpansionFields` of each station, read like a list.
-
-    Station k is evaluated by :func:`evaluate_station` from the scalar
-    ``stations[k]`` the first time it is read and kept from then on, so a
-    run pays only for the stations that something reads.
-    """
-
-    def __init__(self, stations: NodeStations):
-        self._stations = stations
-        self._fields = {}
-
-    def __len__(self):
-        return len(self._stations)
-
-    def _node(self, k):
+    def fields(self, k) -> ExpansionFields:
+        """The :class:`ExpansionFields` of node k, evaluated by
+        :func:`evaluate_station` from ``self[k]`` the first time it is read
+        and kept from then on, so a run pays only for the stations that
+        something reads."""
+        k = range(len(self))[k]
         f = self._fields.get(k)
         if f is None:
-            f = self._fields[k] = evaluate_station(self._stations[k])
+            f = self._fields[k] = evaluate_station(self[k])
         return f
 
 

@@ -137,7 +137,8 @@ class CenterCurve:
         The s column is taken as arc length measured from the first sample,
         so it is rebased to start at 0 (tangents are renormalized but the
         parameter itself is not re-fit).  Curvature must stay away from
-        zero: sampled curves with straight segments are not supported.
+        zero: sampled curves with straight segments or inflections are not
+        supported.
         """
         s = np.asarray(s, dtype=float)
         pts = np.asarray(points, dtype=float)
@@ -158,7 +159,7 @@ class CenterCurve:
             return GeometryError(f"curvature vanishes near s1 = {si:.6g}; "
                                  "use a straight/analytic curve instead")
 
-        def kappa_tau(si):
+        def kappa_tau_binormal(si):
             c1, c2, c3 = d1(si), d2(si), d3(si)
             cross = np.cross(c1, c2)
             ncross = np.linalg.norm(cross)
@@ -167,13 +168,18 @@ class CenterCurve:
                 raise vanishing(si)
             kappa = ncross / nc1**3
             tau = float(np.dot(cross, c3)) / ncross**2
-            return kappa, tau
+            return kappa, tau, cross / ncross
 
         # kappa', tau from splines through densely sampled kappa, tau
         dense = np.linspace(s[0], s[-1], max(200, 4 * s.size))
-        kt = np.array([kappa_tau(si) for si in dense])
-        kappa_spl = CubicSpline(dense, kt[:, 0])
-        tau_spl = CubicSpline(dense, kt[:, 1])
+        kappa, tau, binormal = map(np.array, zip(
+            *(kappa_tau_binormal(si) for si in dense)))
+        # an inflection between dense points turns the binormal over
+        flips = np.flatnonzero(np.sum(binormal[1:] * binormal[:-1], axis=1) < 0)
+        if flips.size:
+            raise vanishing(dense[flips[0] + 1])
+        kappa_spl = CubicSpline(dense, kappa)
+        tau_spl = CubicSpline(dense, tau)
         dkappa_spl = kappa_spl.derivative()
 
         def curvature(si):
@@ -194,7 +200,7 @@ class CenterCurve:
             return t, n, np.cross(t, n)
 
         return cls(s[-1], lambda si: np.asarray(spline(si)), basis, curvature,
-                   float(kt[:, 0].max()))
+                   float(kappa.max()))
 
     @classmethod
     def from_file(cls, path):

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polydisc import NodeArray
+from .polydisc import polar_grid
 
 _SIZE = 420
 _MARGIN = 30
@@ -71,22 +71,9 @@ _QUIVER_GRID = (8, 16)
 
 
 @lru_cache(maxsize=None)
-def _polar_centres(n_r, n_theta):
-    """(z2, z3) at the half-offset radius of each polar cell, ring by ring,
-    as two :class:`~tubeflow.polydisc.NodeArray`."""
-    points = []
-    for i in range(n_r):
-        s3 = (i + 0.5) / n_r
-        for j in range(n_theta):
-            s2 = 2 * np.pi * j / n_theta
-            points.append((float(s3 * np.cos(s2)), float(s3 * np.sin(s2))))
-    z2, z3 = zip(*points)
-    return NodeArray(z2), NodeArray(z3)
-
-
-@lru_cache(maxsize=None)
 def _polygon_points(n_r, n_theta):
-    """SVG ``points`` text of each polar cell, in the order of the centres."""
+    """SVG ``points`` text of each polar cell, in the order of the cell
+    centres of :func:`~tubeflow.polydisc.polar_grid`."""
     out = []
     for i in range(n_r):
         r_in, r_out = i / n_r, (i + 1) / n_r
@@ -105,7 +92,7 @@ def _polygon_points(n_r, n_theta):
 
 def heatmap_svg(poly, title="field"):
     """Polar-cell heatmap of a scalar disc polynomial; returns SVG text."""
-    z2, z3 = _polar_centres(*_HEATMAP_GRID)
+    z2, z3 = polar_grid(*_HEATMAP_GRID)[2:]
     values = z2.broadcast(poly.to_float().evaluate(z2, z3))
     vmax = float(np.abs(values).max())
     norm = vmax if vmax > 0 else 1.0
@@ -120,7 +107,7 @@ def heatmap_svg(poly, title="field"):
 
 def quiver_svg(poly2, poly3, title="field"):
     """Arrow plot of a transversal vector field; returns SVG text."""
-    z2, z3 = _polar_centres(*_QUIVER_GRID)
+    z2, z3 = polar_grid(*_QUIVER_GRID)[2:]
     n_r = _QUIVER_GRID[0]
     v2, v3 = (z2.broadcast(p.to_float().evaluate(z2, z3))
               for p in (poly2, poly3))

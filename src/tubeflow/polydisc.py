@@ -10,7 +10,8 @@ Coefficients may be ``fractions.Fraction`` (exact verification domain) or
 ``float`` (runtime fields scaled by pressure data), or :class:`NodeArray`
 (one float per axis node, every node at once); all operations preserve
 whichever domain they are given.  :meth:`DiscPoly.evaluate` takes a point,
-or a whole grid of points as two :class:`NodeArray`.
+or a whole grid of points as two :class:`NodeArray`, such as the polar
+grids of :func:`polar_grid` that the export and the plots sample.
 """
 
 from __future__ import annotations
@@ -222,6 +223,29 @@ class NodeArray(np.ndarray):
         """``value``, an array over the points or a scalar, as one float
         per point (read-only)."""
         return np.broadcast_to(np.asarray(value, dtype=float), self.shape)
+
+
+@lru_cache(maxsize=None)
+def polar_grid(n_r, n_theta):
+    """(s2, s3, z2, z3) at the centre of each cell of a polar grid on the
+    unit disc with ``n_r`` rings and ``n_theta`` sectors, ring by ring.
+
+    Radii are half-offset ((i + 1/2) / n_r) so the axis point, where the
+    angle is ambiguous, is never sampled.  s2 and s3 are read-only float
+    arrays, z2 and z3 :class:`NodeArray`, so one :meth:`DiscPoly.evaluate`
+    tabulates a polynomial on the whole grid.
+    """
+    points = []
+    for i in range(n_r):
+        s3 = (i + 0.5) / n_r
+        for j in range(n_theta):
+            s2 = 2 * pi * j / n_theta
+            points.append((s2, s3, float(s3 * np.cos(s2)),
+                           float(s3 * np.sin(s2))))
+    s2, s3, z2, z3 = zip(*points)
+    s2, s3 = np.array(s2), np.array(s3)
+    s2.flags.writeable = s3.flags.writeable = False
+    return s2, s3, NodeArray(z2), NodeArray(z3)
 
 
 def _as_poly(x):

@@ -243,8 +243,7 @@ def cos_mode_content(poly: DiscPoly) -> float:
                if kind == "cos")
 
 
-def figure_shape_checks(fields_mid, sd_mid, wall_rate_tol: float = 1e-9
-                        ) -> dict:
+def figure_shape_checks(fields_mid, sd_mid, wall_rate_tol: float) -> dict:
     """Qualitative structure of the fields at one station.
 
     Mirrors the published cross-section plots: axisymmetric leading flow,

@@ -197,7 +197,7 @@ class TestPresets:
     def test_straight_rigid_zero_corrections(self):
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))
         mid = 16
-        f = res.fields[mid]
+        f = res.stations.fields(mid)
         assert f.u1_0.evaluate(0.0, 0.0) == pytest.approx(0.25, abs=1e-10)
         # kappa and p1 are exact zeros; U1/u1_2 inherit solver round-off
         # through the d2p0/d3p0 arrays (exact-domain zeros are unit-tested)
@@ -212,7 +212,7 @@ class TestPresets:
         res = run_pipeline(RunConfig.from_mapping(CURVED))
         checks = res.shape_checks
         # kappa > 0, dp0 < 0: evaluated cos-mode amplitude positive inside
-        f = res.fields[16]
+        f = res.stations.fields(16)
         amp = (f.u1_1.to_float().evaluate(0.5, 0.0)
                - f.u1_1.to_float().evaluate(-0.5, 0.0)) / 2
         assert amp > 0
@@ -295,9 +295,9 @@ class TestPresets:
 class TestSampling:
     def test_scalar_rows(self):
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))
-        rows = sample_fields(res.fields[16], 8, ["u1_0"])["u1_0"]
+        rows = sample_fields(res.stations.fields(16), 8, ["u1_0"])["u1_0"]
         assert len(rows) == 8 * 16
-        const = sample_fields(res.fields[16], 8, ["p2"])["p2"]
+        const = sample_fields(res.stations.fields(16), 8, ["p2"])["p2"]
         assert all(len(r) == 3 for r in const)
 
     def test_constant_polynomial(self):
@@ -316,12 +316,12 @@ class TestSampling:
     def test_min_resolution(self):
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))
         with pytest.raises(ConfigurationError):
-            sample_fields(res.fields[0], 4)
+            sample_fields(res.stations.fields(0), 4)
 
     def test_unknown_field(self):
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))
         with pytest.raises(ConfigurationError):
-            sample_fields(res.fields[0], 8, ["vorticity"])
+            sample_fields(res.stations.fields(0), 8, ["vorticity"])
 
 
 class TestCommandLine:
@@ -365,7 +365,7 @@ class TestCommandLine:
         res = run_pipeline(RunConfig.from_mapping(CURVED))
         header, data = read_field_csv(out / "field_u1_1_station0016.csv")
         assert header == ["z2", "z3", "u1_1"]
-        poly = res.fields[16].u1_1.to_float()
+        poly = res.stations.fields(16).u1_1.to_float()
         revals = np.array([poly.evaluate(z2, z3) for z2, z3, _ in data])
         assert np.abs(revals - data[:, 2]).max() <= 1e-12
 

@@ -12,17 +12,55 @@ import random
 import numpy as np
 import pytest
 
-from tubeflow.cli import RunConfig, _disc_grid, run_pipeline, write_csv
+from tubeflow.cli import RunConfig, run_pipeline, write_csv
 from tubeflow.expansion import truncated_solution
-from tubeflow.plotting import (_HEATMAP_GRID, _QUIVER_GRID, _diverging_colors,
-                               _polar_centres)
-from tubeflow.polydisc import DiscPoly, NodeArray
+from tubeflow.plotting import _HEATMAP_GRID, _QUIVER_GRID, _diverging_colors
+from tubeflow.polydisc import DiscPoly, NodeArray, polar_grid
 
 GRIDS = {
-    "disc16": _disc_grid(16)[2:],
-    "heatmap": _polar_centres(*_HEATMAP_GRID),
-    "quiver": _polar_centres(*_QUIVER_GRID),
+    "disc16": polar_grid(16, 32)[2:],
+    "heatmap": polar_grid(*_HEATMAP_GRID)[2:],
+    "quiver": polar_grid(*_QUIVER_GRID)[2:],
 }
+
+
+def old_export_grid(n_disc):
+    """(s2, s3, z2, z3) of the export's former per-point construction."""
+    grid = []
+    for i in range(n_disc):
+        s3 = (i + 0.5) / n_disc
+        for j in range(2 * n_disc):
+            s2 = np.pi * j / n_disc
+            grid.append((s2, s3, float(s3 * np.cos(s2)),
+                         float(s3 * np.sin(s2))))
+    return tuple(np.array(c) for c in zip(*grid))
+
+
+def old_plot_centres(n_r, n_theta):
+    """(z2, z3) of the plots' former per-point construction."""
+    points = []
+    for i in range(n_r):
+        s3 = (i + 0.5) / n_r
+        for j in range(n_theta):
+            s2 = 2 * np.pi * j / n_theta
+            points.append((float(s3 * np.cos(s2)), float(s3 * np.sin(s2))))
+    return tuple(np.array(c) for c in zip(*points))
+
+
+@pytest.mark.parametrize("n_disc", [8, 13, 16, 32])
+def test_polar_grid_matches_export_construction(n_disc):
+    new = polar_grid(n_disc, 2 * n_disc)
+    assert [type(c) for c in new] == [np.ndarray, np.ndarray,
+                                      NodeArray, NodeArray]
+    for got, want in zip(new, old_export_grid(n_disc)):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("grid", [_HEATMAP_GRID, _QUIVER_GRID])
+def test_polar_grid_matches_plot_centres(grid):
+    for got, want in zip(polar_grid(*grid)[2:], old_plot_centres(*grid)):
+        assert got.tobytes() == want.tobytes()
 
 
 def float_polys():
@@ -80,8 +118,8 @@ def test_truncated_solution_on_grid_matches_pointwise(order):
         "geometry.kind": "helix", "geometry.a": "1.6", "geometry.b": "0.8",
         "eps": "0.05", "grid.n_s1": "17", "grid.n_disc": "8"}))
     i = 8
-    f, p0, p1 = res.fields[i], res.pexp.p0[i], res.pexp.p1[i]
-    _, _, z2, z3 = _disc_grid(8)
+    f, p0, p1 = res.stations.fields(i), res.pexp.p0[i], res.pexp.p1[i]
+    _, _, z2, z3 = polar_grid(8, 16)
     u, p = truncated_solution(f, p0, p1, 0.05, order, z2, z3)
     rows = [truncated_solution(f, p0, p1, 0.05, order, a, b)
             for a, b in zip(z2.tolist(), z3.tolist())]

@@ -176,21 +176,38 @@ class TestSampledCurves:
         with pytest.raises(GeometryError):
             CenterCurve.from_samples(s, pts).frame(0.5)
 
-    def test_inflection_at_an_axis_node_raises(self, tmp_path):
-        # y = x^3 on [-1, 1] inflects at its arc-length midpoint; the dense
-        # construction grid misses that point, the 65-node axis grid hits it
+    @staticmethod
+    def cubic_config(tmp_path, n_s1):
+        """y = x^3 on [-1, 1] from 41 samples: it inflects at its
+        arc-length midpoint, which the dense construction grid misses."""
         x = np.linspace(-1.0, 1.0, 41).tolist()
         s = [quad(lambda v: np.sqrt(1 + 9 * v**4), -1.0, xi,
                   epsabs=1e-12, epsrel=1e-12)[0] for xi in x]
         path = tmp_path / "cubic.csv"
         path.write_text("s,x,y,z\n" + "".join(
             f"{a!r},{b!r},{b**3!r},0.0\n" for a, b in zip(s, x)))
-        CenterCurve.from_file(path)
-        cfg = RunConfig.from_mapping({
+        return path, RunConfig.from_mapping({
             "geometry.kind": "sampled", "geometry.file": str(path),
-            "geometry.length": repr(s[-1]), "grid.n_s1": "65"})
-        with pytest.raises(GeometryError,
-                           match="curvature vanishes near s1 = 1.54787"):
+            "geometry.length": repr(s[-1]), "grid.n_s1": str(n_s1)})
+
+    # the binormal turns over between the dense points that straddle the
+    # inflection; the error names the first point past it
+    INFLECTION = "curvature vanishes near s1 = 1.55564"
+
+    def test_inflection_at_an_axis_node_raises(self, tmp_path):
+        # the 65-node axis grid hits the inflection; construction already
+        # rejects the curve
+        path, cfg = self.cubic_config(tmp_path, 65)
+        with pytest.raises(GeometryError, match=self.INFLECTION):
+            CenterCurve.from_file(path)
+        with pytest.raises(GeometryError, match=self.INFLECTION):
+            run_pipeline(cfg)
+
+    def test_inflection_between_axis_nodes_raises(self, tmp_path):
+        # no node of the 64-node axis grid lands on the inflection, where
+        # the Frenet normal flips between nodes 31 and 32
+        _, cfg = self.cubic_config(tmp_path, 64)
+        with pytest.raises(GeometryError, match=self.INFLECTION):
             run_pipeline(cfg)
 
     def test_from_file_roundtrip(self, tmp_path):

@@ -2,8 +2,9 @@
 
 ``run_pipeline`` builds only the terms verification reads, for every axis
 node at once, with the U^2 compatibility check of every node;
-``PipelineResult.fields`` builds the full :class:`ExpansionFields` of a
-station from its scalar data the first time it is read.
+``PipelineResult.stations.fields(k)`` builds the full
+:class:`ExpansionFields` of a station from its scalar data the first time
+it is read.
 """
 
 import dataclasses
@@ -92,29 +93,40 @@ def counting(monkeypatch, name):
 def test_lazy_fields_equal_eager_fields(mapping):
     res = run_pipeline(RunConfig.from_mapping(mapping))
     n = len(res.stations)
-    assert len(res.fields) == n
     for i in range(n):
-        lazy, eager = res.fields[i], evaluate_station(res.stations[i])
+        lazy, eager = res.stations.fields(i), evaluate_station(res.stations[i])
         for fld in dataclasses.fields(eager):
             assert bits(getattr(lazy, fld.name)) \
                 == bits(getattr(eager, fld.name)), (i, fld.name)
 
 
 def test_fields_index_like_a_list():
+    # fields(k) takes one node index as a list does; nothing reads fields
+    # of a slice, so it takes none
     res = run_pipeline(RunConfig.from_mapping(HELIX))
-    fields, n = res.fields, len(res.stations)
-    assert fields[-1] is fields[n - 1]
-    assert fields[-n] is fields[0]
-    assert fields[np.int64(3)] is fields[3]
-    assert fields[1:n:7] == [fields[i] for i in range(1, n, 7)]
-    assert fields[::-1][0] is fields[n - 1]
-    assert fields[n:] == []
-    assert list(fields) == fields[:]
+    fields, n = res.stations.fields, len(res.stations)
+    assert fields(-1) is fields(n - 1)
+    assert fields(-n) is fields(0)
+    assert fields(np.int64(3)) is fields(3)
+    assert fields(5) is fields(5)
     for bad in (n, -n - 1):
         with pytest.raises(IndexError):
-            fields[bad]
+            fields(bad)
     with pytest.raises(TypeError):
-        fields[1.0]
+        fields(1.0)
+
+
+def test_stations_index_like_a_list():
+    res = run_pipeline(RunConfig.from_mapping(HELIX))
+    stations, n = res.stations, len(res.stations)
+    assert stations[-1] == stations[n - 1]
+    assert stations[np.int64(3)] == stations[3]
+    assert stations[1:n:7] == [stations[i] for i in range(1, n, 7)]
+    assert stations[n:] == []
+    assert list(stations) == stations[:]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            stations[bad]
 
 
 def test_only_read_stations_are_evaluated(monkeypatch, tmp_path):
