@@ -1,9 +1,8 @@
 """Config ingestion, pipeline orchestration, field export, plot emission.
 
-Configs are flat ``key = value`` text with dotted sections; see
-:class:`RunConfig` for the recognized keys.  All data files are written
-with 17 significant digits and no timestamps, so identical configs produce
-byte-identical outputs.
+Configs are flat ``key = value`` text with dotted sections; ``_KEYS`` lists
+the recognized keys.  All data files are written with 17 significant digits
+and no timestamps, so identical configs produce byte-identical outputs.
 
 Subcommands: ``solve`` (full pipeline), ``fields`` (sample/export only),
 ``verify`` (verification suites only), ``tables`` (secondary-flow
@@ -15,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, make_dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def _floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def _parse_bc_entry(text):
@@ -60,146 +60,124 @@ def _parse_bc_entry(text):
     return float(text)
 
 
-@dataclass
-class RunConfig:
-    """Validated run description (see the shipped presets for examples)."""
+_FLAGS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 
-    geometry_kind: str = "straight"
-    length: float = 1.0
-    arc_radius: float = 2.0
-    helix_a: float = 3.0
-    helix_b: float = 4.0
-    curve_file: str = ""
-    direction: tuple = (0.0, 0.0, 1.0)
-    eps: float = 0.1
-    rho0: float = 1.0
-    nu: float = 1.0
-    wall_law: str = "rigid"
-    wall_R0: float = 1.0
-    wall_E: float = 1e5
-    wall_h0: float = 0.01
-    wall_pe: float = 0.0
-    bc_p0_inlet: object = 1.0
-    bc_p0_outlet: object = 0.0
-    bc_p1_inlet: float = 0.0
-    bc_p1_outlet: float = 0.0
-    bc_p02_inlet: float = 0.0
-    bc_p02_outlet: float = 0.0
-    body: tuple = (0.0, 0.0, 0.0)
-    n_s1: int = 64
-    n_disc: int = 16
-    steady: bool = True
-    t_end: float = 1.0
-    dt: float = 0.1
-    out_fields: tuple = ("u1_0", "u1_1", "u1_2", "U1", "U2", "p2", "p3")
-    stations: tuple = (0.5,)
-    sweep_kappa: tuple = ()
-    sweep_tau: tuple = ()
-    sweep_eps: tuple = ()
+# Checks on each parsed value: what the error says it must be, and the test.
+# _FINITE passes a time series (a callable), which checks its own values.
+_POSITIVE = ("finite and positive", lambda v: np.isfinite(v) and v > 0)
+_FINITE = ("finite", lambda v: callable(v) or np.isfinite(v))
+_NON_NEGATIVE = ("finite and non-negative", lambda v: np.isfinite(v) and v >= 0)
+
+
+class _Key(NamedTuple):
+    attr: str            # the RunConfig field the key sets
+    default: object      # the field's default
+    parse: object        # text -> value
+    check: tuple = None  # on each value, or each of a tuple; None: see validate
+    slot: int = None     # body.b1-b3 each set one slot of the body tuple
+
+
+# Every config key, in the order of the RunConfig fields and of the checks.
+_KEYS = {
+    "geometry.kind": _Key("geometry_kind", "straight", str),
+    "geometry.length": _Key("length", 1.0, float, _POSITIVE),
+    "geometry.radius": _Key("arc_radius", 2.0, float, _POSITIVE),
+    "geometry.a": _Key("helix_a", 3.0, float, _POSITIVE),
+    "geometry.b": _Key("helix_b", 4.0, float, _FINITE),
+    "geometry.file": _Key("curve_file", "", str),
+    "geometry.direction": _Key("direction", (0.0, 0.0, 1.0), _floats),
+    "eps": _Key("eps", 0.1, float, _POSITIVE),
+    "fluid.rho0": _Key("rho0", 1.0, float, _POSITIVE),
+    "fluid.nu": _Key("nu", 1.0, float, _POSITIVE),
+    "wall.law": _Key("wall_law", "rigid", str),
+    "wall.R0": _Key("wall_R0", 1.0, float, _POSITIVE),
+    "wall.E": _Key("wall_E", 1e5, float, _POSITIVE),
+    "wall.h0": _Key("wall_h0", 0.01, float, _POSITIVE),
+    "wall.p_e": _Key("wall_pe", 0.0, float, _FINITE),
+    "bc.p0.inlet": _Key("bc_p0_inlet", 1.0, _parse_bc_entry, _FINITE),
+    "bc.p0.outlet": _Key("bc_p0_outlet", 0.0, _parse_bc_entry, _FINITE),
+    "bc.p1.inlet": _Key("bc_p1_inlet", 0.0, float, _FINITE),
+    "bc.p1.outlet": _Key("bc_p1_outlet", 0.0, float, _FINITE),
+    "bc.p02.inlet": _Key("bc_p02_inlet", 0.0, float, _FINITE),
+    "bc.p02.outlet": _Key("bc_p02_outlet", 0.0, float, _FINITE),
+    "body.b1": _Key("body", (0.0, 0.0, 0.0), float, _FINITE, 0),
+    "body.b2": _Key("body", (0.0, 0.0, 0.0), float, _FINITE, 1),
+    "body.b3": _Key("body", (0.0, 0.0, 0.0), float, _FINITE, 2),
+    "grid.n_s1": _Key("n_s1", 64, int),
+    "grid.n_disc": _Key("n_disc", 16, int),
+    "time.steady": _Key("steady", True, lambda v: _FLAGS[v.lower()]),
+    "time.t_end": _Key("t_end", 1.0, float),
+    "time.dt": _Key("dt", 0.1, float),
+    "output.fields": _Key(
+        "out_fields", ("u1_0", "u1_1", "u1_2", "U1", "U2", "p2", "p3"),
+        lambda v: _FIELD_NAMES if v == "all"
+        else tuple(x.strip() for x in v.split(","))),
+    "output.stations": _Key("stations", (0.5,), _floats),
+    "sweep.kappa": _Key("sweep_kappa", (), _floats, _NON_NEGATIVE),
+    "sweep.tau": _Key("sweep_tau", (), _floats, _FINITE),
+    "sweep.eps": _Key("sweep_eps", (), _floats, _POSITIVE),
+}
+
+
+# one dataclass field per attribute; the body slots share one
+class RunConfig(make_dataclass("_ConfigFields", [
+        (key.attr, object, dc_field(default=key.default))
+        for key in {key.attr: key for key in _KEYS.values()}.values()])):
+    """Validated run description: one field per ``_KEYS`` attribute, with
+    its default (see the shipped presets for examples)."""
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        kv = parse_config_text(Path(path).read_text())
-        return cls.from_mapping(kv)
+        return cls.from_mapping(parse_config_text(Path(path).read_text()))
 
     @classmethod
     def from_mapping(cls, kv: dict) -> "RunConfig":
         cfg = cls()
-        known = {
-            "geometry.kind": ("geometry_kind", str),
-            "geometry.length": ("length", float),
-            "geometry.radius": ("arc_radius", float),
-            "geometry.a": ("helix_a", float),
-            "geometry.b": ("helix_b", float),
-            "geometry.file": ("curve_file", str),
-            "geometry.direction": ("direction", lambda v: tuple(_floats(v))),
-            "eps": ("eps", float),
-            "fluid.rho0": ("rho0", float),
-            "fluid.nu": ("nu", float),
-            "wall.law": ("wall_law", str),
-            "wall.R0": ("wall_R0", float),
-            "wall.E": ("wall_E", float),
-            "wall.h0": ("wall_h0", float),
-            "wall.p_e": ("wall_pe", float),
-            "bc.p0.inlet": ("bc_p0_inlet", _parse_bc_entry),
-            "bc.p0.outlet": ("bc_p0_outlet", _parse_bc_entry),
-            "bc.p1.inlet": ("bc_p1_inlet", float),
-            "bc.p1.outlet": ("bc_p1_outlet", float),
-            "bc.p02.inlet": ("bc_p02_inlet", float),
-            "bc.p02.outlet": ("bc_p02_outlet", float),
-            "body.b1": None, "body.b2": None, "body.b3": None,
-            "grid.n_s1": ("n_s1", int),
-            "grid.n_disc": ("n_disc", int),
-            "time.steady": ("steady", lambda v: v.lower() in ("1", "true", "yes")),
-            "time.t_end": ("t_end", float),
-            "time.dt": ("dt", float),
-            "output.fields": ("out_fields",
-                              lambda v: tuple(x.strip() for x in v.split(","))
-                              if v != "all" else _FIELD_NAMES),
-            "output.stations": ("stations", lambda v: tuple(_floats(v))),
-            "sweep.kappa": ("sweep_kappa", lambda v: tuple(_floats(v))),
-            "sweep.tau": ("sweep_tau", lambda v: tuple(_floats(v))),
-            "sweep.eps": ("sweep_eps", lambda v: tuple(_floats(v))),
-        }
-        body = list(cfg.body)
-        for key, value in kv.items():
-            if key not in known:
+        for key, text in kv.items():
+            if key not in _KEYS:
                 raise ConfigurationError(f"unknown config key {key!r}")
+            attr, _, parse, _, slot = _KEYS[key]
             try:
-                if key.startswith("body."):
-                    body["b1 b2 b3".split().index(key.split(".")[1])] = float(value)
-                else:
-                    attr, conv = known[key]
-                    setattr(cfg, attr, conv(value))
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
+                value = parse(text)
+            except (TypeError, ValueError, KeyError) as exc:
+                raise ConfigurationError(f"bad value for {key}: {text!r}") from exc
             except ConfigurationError as exc:  # e.g. a bad time series
                 raise ConfigurationError(f"{key}: {exc}") from exc
-        cfg.body = tuple(body)
+            if slot is not None:
+                value = (*getattr(cfg, attr)[:slot], value,
+                         *getattr(cfg, attr)[slot + 1:])
+            setattr(cfg, attr, value)
         cfg.validate()
         return cfg
 
     def validate(self):
-        for key, value in [("eps", self.eps), ("fluid.rho0", self.rho0),
-                           ("fluid.nu", self.nu), ("wall.R0", self.wall_R0),
-                           ("wall.E", self.wall_E), ("wall.h0", self.wall_h0),
-                           ("geometry.length", self.length),
-                           ("geometry.radius", self.arc_radius),
-                           ("geometry.a", self.helix_a),
-                           *(("sweep.eps", e) for e in self.sweep_eps)]:
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigurationError(
-                    f"{key} = {value!r} must be finite and positive")
-        for key, value in [("wall.p_e", self.wall_pe),
-                           ("geometry.b", self.helix_b),
-                           *((f"body.b{k}", b)
-                             for k, b in enumerate(self.body, 1)),
-                           ("bc.p1.inlet", self.bc_p1_inlet),
-                           ("bc.p1.outlet", self.bc_p1_outlet),
-                           ("bc.p02.inlet", self.bc_p02_inlet),
-                           ("bc.p02.outlet", self.bc_p02_outlet),
-                           # a time series checks its own values
-                           *((k, v) for k, v in
-                             [("bc.p0.inlet", self.bc_p0_inlet),
-                              ("bc.p0.outlet", self.bc_p0_outlet)]
-                             if not callable(v)),
-                           *(("sweep.tau", t) for t in self.sweep_tau)]:
-            if not np.isfinite(value):
-                raise ConfigurationError(f"{key} = {value!r} must be finite")
-        for kappa in self.sweep_kappa:
-            if not (np.isfinite(kappa) and kappa >= 0):
-                raise ConfigurationError(
-                    f"sweep.kappa = {kappa!r} must be finite and non-negative")
+        for key, (attr, _, _, check, slot) in _KEYS.items():
+            if check is None:
+                continue
+            value = getattr(self, attr)
+            if slot is not None:
+                value = value[slot]
+            must_be, ok = check
+            for v in value if isinstance(value, tuple) else (value,):
+                if not ok(v):
+                    raise ConfigurationError(f"{key} = {v!r} must be {must_be}")
         if self.n_s1 < 8 or self.n_disc < 8:
             raise ConfigurationError("grids need at least 8 nodes")
         if self.geometry_kind not in ("straight", "circular-arc", "helix",
                                       "sampled"):
             raise ConfigurationError(f"unknown geometry {self.geometry_kind!r}")
+        if self.geometry_kind == "sampled" and not self.curve_file:
+            raise ConfigurationError(
+                "geometry.kind = 'sampled' needs geometry.file")
         if self.wall_law not in ("rigid", "elastic"):
             raise ConfigurationError(f"unknown wall law {self.wall_law!r}")
         if len(self.direction) != 3 or not np.all(np.isfinite(self.direction)):
             raise ConfigurationError(f"geometry.direction {self.direction!r}"
                                      " needs 3 finite components")
+        if np.linalg.norm(self.direction) == 0:
+            raise ConfigurationError(f"geometry.direction {self.direction!r}"
+                                     " must not be the zero vector")
         if not self.steady:  # steps of dt from 0 reach t_end exactly
             steps = self.t_end / self.dt if self.dt > 0 else np.nan
             if not (self.t_end > 0 and np.isfinite(steps)):
@@ -487,16 +465,12 @@ def run_sweep(cfg: RunConfig, outdir) -> int:
         for tau in taus:
             if kap == 0.0 and tau != 0.0:
                 continue  # a straight axis cannot carry torsion
-            sub = RunConfig(**{**vars(cfg)})
-            sub.steady = True
-            sub.wall_law = "rigid"
-            if kap == 0.0:
-                sub.geometry_kind = "straight"
-            else:
+            sub = replace(cfg, steady=True, wall_law="rigid",
+                          geometry_kind="straight")
+            if kap != 0.0:
                 denom = kap**2 + tau**2
-                sub.geometry_kind = "helix"
-                sub.helix_a = kap / denom
-                sub.helix_b = tau / denom
+                sub = replace(sub, geometry_kind="helix", helix_a=kap / denom,
+                              helix_b=tau / denom)
             for eps in epss:
                 sub.eps = eps
                 result = run_pipeline(sub)

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GeometryError, MapError
 
@@ -152,6 +151,7 @@ class CenterCurve:
         if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) < 1e-14):
             raise GeometryError("degenerate sampled curve: repeated points")
 
+        from scipy.interpolate import CubicSpline  # slow import, used only here
         spline = CubicSpline(s, pts, axis=0)
         d1, d2, d3 = spline.derivative(1), spline.derivative(2), spline.derivative(3)
 

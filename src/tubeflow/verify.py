@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import SolverError
 from .polydisc import (DiscPoly, NodeArray, disc_integral, polar_fourier,
@@ -140,6 +139,8 @@ def quadrature_reference(R_func, rhs_func, p_in, p_out, s_eval):
     constant is fixed by the outlet value.  rhs_func may be None for the
     homogeneous problems.
     """
+    from scipy.integrate import quad  # slow import, used only here
+
     def cumulative(f, pts):
         out = np.zeros(len(pts))
         total = 0.0

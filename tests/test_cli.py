@@ -1,6 +1,9 @@
 """Config parsing, pipeline presets, exports, and the command-line surface."""
 
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +182,31 @@ class TestConfigParsing:
 
     def test_time_grid_ignored_when_steady(self):
         RunConfig.from_mapping({"time.t_end": "0", "time.dt": "0.3"})
+
+    @pytest.mark.parametrize("text, steady", [
+        ("true", True), ("Yes", True), ("1", True), ("TRUE", True),
+        ("false", False), ("No", False), ("0", False), ("FALSE", False)])
+    def test_steady_flag_values(self, text, steady):
+        cfg = RunConfig.from_mapping({"time.steady": text})
+        assert cfg.steady is steady
+
+    @pytest.mark.parametrize("text", ["Ture", "unsteady", "2", ""])
+    def test_steady_flag_rejects_other_values(self, text):
+        # anything but 1/true/yes used to mean an unsteady run
+        with pytest.raises(ConfigurationError,
+                           match=f"time.steady: {text!r}"):
+            RunConfig.from_mapping({"time.steady": text})
+
+    def test_sampled_curve_needs_a_file(self):
+        # this failed at solve time on open(''), naming no key
+        with pytest.raises(ConfigurationError, match="geometry.file"):
+            RunConfig.from_mapping({"geometry.kind": "sampled"})
+
+    def test_zero_direction_rejected(self):
+        # this failed at solve time in the frame construction
+        with pytest.raises(ConfigurationError,
+                           match=r"geometry.direction \(0.0, 0.0, 0.0\)"):
+            RunConfig.from_mapping({"geometry.direction": "0, 0, 0"})
 
     def test_shipped_unsteady_preset_accepted(self):
         root = Path(__file__).resolve().parent.parent
@@ -430,11 +458,14 @@ class TestCommandLine:
     @pytest.mark.parametrize("entries", [
         {"wall.R0": "nan"}, {"body.b1": "nan"}, {"bc.p02.inlet": "nan"},
         {"geometry.length": "0", "output.stations": "0"},
-        {"bc.p0.outlet": "nan"}])
+        {"bc.p0.outlet": "nan"}, {"geometry.kind": "sampled"},
+        {"geometry.direction": "0, 0, 0"}, {"time.steady": "Ture"}])
     def test_bad_parameter_is_a_config_error(self, tmp_path, capsys, entries):
         # these ended in a SolverError from the tridiagonal solve,
-        # geometry.length = 0 in a raw ZeroDivisionError traceback, and
-        # bc.p0.outlet = nan in a solve-time error naming no key
+        # geometry.length = 0 in a raw ZeroDivisionError traceback,
+        # bc.p0.outlet = nan, a sampled curve without a file and a zero
+        # direction in solve-time errors naming no key, and time.steady =
+        # Ture in an unsteady run
         cfg = write_cfg(tmp_path, {**STRAIGHT, **entries})
         assert main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 1
@@ -499,3 +530,18 @@ class TestSvgEmission:
         assert "polygon" in svg
         quiv = (out / "plot_U1_station0016.svg").read_text()
         assert "line" in quiv
+
+
+def test_import_leaves_slow_scipy_modules_out():
+    # scipy.interpolate and scipy.integrate cost about 0.3 s to import and
+    # serve only sampled curves and the quadrature reference
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys, tubeflow, tubeflow.cli; print(sorted(m for m in "
+            "('scipy.interpolate', 'scipy.integrate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

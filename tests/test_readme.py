@@ -1,10 +1,13 @@
-"""The README's library sketch runs as printed and prints what it says."""
+"""The README's library sketch runs as printed and prints what it says, and
+its key table lists every config key with its default."""
 
 import math
 import re
 from pathlib import Path
 
 import pytest
+
+from tubeflow.cli import _KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +23,19 @@ def test_library_sketch_prints_pi_over_8(capsys):
     printed = capsys.readouterr().out.split()
     assert len(printed) == 1
     assert float(printed[0]) == pytest.approx(math.pi / 8, rel=1e-12)
+
+
+def key_table():
+    """{key: default text} from the README's config key table."""
+    rows = re.findall(r"^\| `([\w.]+)` \| (.*?) \|", README.read_text(), re.M)
+    return {key: default.strip("`") for key, default in rows}
+
+
+def test_key_table_lists_every_config_key_with_its_default():
+    table = key_table()
+    assert list(table) == list(_KEYS)
+    for key, text in table.items():
+        spec = _KEYS[key]
+        default = (spec.default if spec.slot is None
+                   else spec.default[spec.slot])
+        assert spec.parse(text) == default, key
