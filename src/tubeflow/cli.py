@@ -175,7 +175,7 @@ class RunConfig(make_dataclass("_ConfigFields", [
         if len(self.direction) != 3 or not np.all(np.isfinite(self.direction)):
             raise ConfigurationError(f"geometry.direction {self.direction!r}"
                                      " needs 3 finite components")
-        if np.linalg.norm(self.direction) == 0:
+        if not np.any(self.direction):
             raise ConfigurationError(f"geometry.direction {self.direction!r}"
                                      " must not be the zero vector")
         if not self.steady:  # steps of dt from 0 reach t_end exactly

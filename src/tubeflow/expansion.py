@@ -550,65 +550,56 @@ class _LinExpr:
         return " + ".join(f"{v}*{k}" for k, v in sorted(self.terms.items())) or "0"
 
 
+def _sub_scaled(row, factor, pivot_row):
+    """row -= factor * pivot_row on sparse rows, dropping zeros."""
+    for k, v in pivot_row.items():
+        w = row.get(k, 0) - factor * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+
+
 def _gauss_solve_exact(rows, unknowns):
     """Exact Gauss-Jordan: rows of {name: Fraction} meaning sum u + sum f = 0.
 
-    Names outside ``unknowns`` are right-hand-side symbols.  Returns
-    {unknown: {rhs_name: Fraction}}; raises on inconsistent or
-    underdetermined systems.
+    Names outside ``unknowns`` are right-hand-side symbols.  The
+    elimination is sparse: each row is a pair of dicts, {unknown: Fraction}
+    and {rhs_name: Fraction}, that hold only nonzero entries, and a pivot
+    is removed only from the rows that hold it.  Unknowns are pivoted in
+    the given order on the first remaining row that holds them.  Returns
+    {unknown: {rhs_name: Fraction}} in ``unknowns`` order; raises on
+    inconsistent or underdetermined systems.
     """
-    ncols = len(unknowns)
-    col_of = {u: j for j, u in enumerate(unknowns)}
-    a = []
-    b = []
-    for row in rows:
-        arow = [Fraction(0)] * ncols
-        brow = {}
-        for name, coeff in row.items():
-            if name in col_of:
-                arow[col_of[name]] = Fraction(coeff)
-            else:
-                brow[name] = brow.get(name, Fraction(0)) - Fraction(coeff)
-        a.append(arow)
-        b.append(brow)
-
-    nrows = len(a)
-    pivot_of_col = {}
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
+    names = set(unknowns)
+    remaining = [({k: Fraction(v) for k, v in row.items() if k in names and v},
+                  {k: -Fraction(v) for k, v in row.items()
+                   if k not in names and v})
+                 for row in rows]
+    pivots = {}
+    for u in unknowns:
+        i = next((i for i, (a, _) in enumerate(remaining) if u in a), None)
+        if i is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        b[r] = {k: v * inv for k, v in b[r].items()}
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [vi - factor * vr for vi, vr in zip(a[i], a[r])]
-                merged = dict(b[i])
-                for k, v in b[r].items():
-                    merged[k] = merged.get(k, Fraction(0)) - factor * v
-                b[i] = {k: v for k, v in merged.items() if v != 0}
-        pivot_of_col[c] = r
-        r += 1
+        a, b = remaining.pop(i)
+        inv = 1 / a[u]
+        a = {k: v * inv for k, v in a.items()}
+        b = {k: v * inv for k, v in b.items()}
+        for other_a, other_b in [*pivots.values(), *remaining]:
+            factor = other_a.get(u)
+            if factor is not None:
+                _sub_scaled(other_a, factor, a)
+                _sub_scaled(other_b, factor, b)
+        pivots[u] = (a, b)
 
-    if len(pivot_of_col) < ncols:
-        missing = [u for u in unknowns if col_of[u] not in pivot_of_col]
+    if len(pivots) < len(unknowns):
+        missing = [u for u in unknowns if u not in pivots]
         raise ModelInconsistencyError(
             f"ansatz system is underdetermined; free unknowns: {missing}"
         )
-    for i in range(r, nrows):
-        if any(v != 0 for v in a[i]) or any(v != 0 for v in b[i].values()):
-            raise ModelInconsistencyError("ansatz system is inconsistent")
-
-    out = {}
-    for u, c in col_of.items():
-        sol = b[pivot_of_col[c]]
-        out[u] = {k: v for k, v in sol.items() if v != 0}
-    return out
+    if any(a or b for a, b in remaining):
+        raise ModelInconsistencyError("ansatz system is inconsistent")
+    return {u: b for u, (_, b) in pivots.items()}
 
 
 def derive_wq_table():

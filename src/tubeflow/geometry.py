@@ -40,10 +40,15 @@ class FrenetFrame:
 
 
 def _unit(v):
-    n = np.linalg.norm(v)
-    if n == 0:
+    """v / |v|.  v is first scaled by a power of two that brings its largest
+    component into [1/2, 1), so |v| neither overflows nor underflows.  The
+    scaling is exact: where the unscaled |v| is representable, the result
+    has the bits of v / |v|."""
+    big = np.max(np.abs(v))
+    if big == 0:
         raise GeometryError("zero-length vector in frame construction")
-    return v / n
+    v = np.ldexp(v, -np.frexp(big)[1])
+    return v / np.linalg.norm(v)
 
 
 def _any_perpendicular(d):

@@ -431,6 +431,26 @@ class TestCommandLine:
         curved_tau = data[(data[:, 0] == 0.5) & (data[:, 1] == 0.25)]
         assert curved_tau[0, 5] > 0  # circulation switched on by torsion
 
+    @pytest.mark.parametrize("scale", ["1e200", "1e-160", "1e-200"])
+    def test_direction_scale_gives_the_unit_direction_run(self, tmp_path,
+                                                          scale):
+        # 1e200 gave an all-zero velocity with a passing verdict, 1e-160 a
+        # tangent of length 1.0000056 and 1e-200 a "zero vector" error
+        base = {**STRAIGHT, "grid.n_s1": "17"}
+        runs = {}
+        for name, direction in (("unit", "1, 0, 0"),
+                                ("scaled", f"{scale}, 0, 0")):
+            cfg = write_cfg(tmp_path, {**base, "geometry.direction": direction},
+                            name=f"{name}.cfg")
+            runs[name] = tmp_path / name
+            assert main(["solve", "--config", str(cfg),
+                         "--out", str(runs[name])]) == 0
+        names = sorted(p.name for p in runs["unit"].glob("solution_station*"))
+        assert names
+        match, mismatch, errors = filecmp.cmpfiles(
+            runs["unit"], runs["scaled"], names, shallow=False)
+        assert match == names and not mismatch and not errors
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("geometry.kind = moebius\n")

@@ -38,6 +38,7 @@ from tubeflow.expansion import (
     u1_2_problem_rhs,
     U1_divergence_data,
     verify_coefficient_tables,
+    _gauss_solve_exact,
 )
 from tubeflow.polydisc import (
     DiscPoly,
@@ -261,6 +262,41 @@ class TestCoefficientTables:
         assert any("all match" in line for line in lines)
 
 
+class TestExactElimination:
+    """The sparse Gauss-Jordan behind :func:`derive_wq_table`: a row
+    {name: coeff} means sum coeff * name = 0, names outside the unknowns
+    being right-hand-side symbols."""
+
+    def test_free_unknowns_named_in_unknowns_order(self):
+        rows = [{"b": 1, "c": 1}, {"b": 2, "c": 2, "d": 1, "f": 3}]
+        with pytest.raises(ModelInconsistencyError,
+                           match=r"underdetermined; free unknowns: "
+                                 r"\['a', 'c'\]$"):
+            _gauss_solve_exact(rows, ["a", "b", "c", "d"])
+        with pytest.raises(ModelInconsistencyError,
+                           match=r"free unknowns: \['b', 'a'\]$"):
+            _gauss_solve_exact(rows, ["d", "c", "b", "a"])
+
+    def test_inconsistent_system_rejected(self):
+        rows = [{"x": 1, "f": 1}, {"x": 2, "f": 1}]
+        with pytest.raises(ModelInconsistencyError,
+                           match="^ansatz system is inconsistent$"):
+            _gauss_solve_exact(rows, ["x"])
+
+    def test_consistent_redundant_row_accepted(self):
+        rows = [{"x": 1, "y": 1, "f": 1}, {"x": 1, "y": -1},
+                {"x": 2, "f": 1}]
+        assert _gauss_solve_exact(rows, ["x", "y"]) == {
+            "x": {"f": F(-1, 2)}, "y": {"f": F(-1, 2)}}
+
+    def test_zero_leading_entry_takes_a_later_pivot_row(self):
+        rows = [{"x": 0, "y": 1, "f": -1, "g": 0}, {"x": 2, "y": 1}]
+        out = _gauss_solve_exact(rows, ["x", "y"])
+        assert list(out) == ["x", "y"]
+        assert out == {"x": {"f": F(-1, 2)}, "y": {"f": F(1)}}
+
+
+
 class TestStationAssembly:
     def test_evaluate_station_bundle(self, exact_station):
         f = evaluate_station(exact_station)
@@ -439,3 +475,46 @@ def test_residual_oracles_hold_for_random_rational_stations(**kw):
     assert divergence(*U2) == g
     assert restrict_to_boundary(U2[0]).is_zero()
     assert restrict_to_boundary(U2[1]).is_zero()
+
+
+_entry = st.one_of(st.just(F(0)), _small_fraction)
+
+
+@st.composite
+def _nonsingular_systems(draw):
+    """Rows of a strictly diagonally dominant (so nonsingular) system in
+    unknowns u0.. and z, in shuffled order.  z's own row holds z alone, so
+    z = 0 whatever the right sides, though z appears in the other rows."""
+    n = draw(st.integers(1, 4))
+    n_rhs = draw(st.integers(1, 3))
+    names = [f"u{i}" for i in range(n)] + ["z"]
+    rows = []
+    for name in names:
+        off = {other: draw(_entry) for other in names
+               if other != name and name != "z"}
+        diag = sum(abs(v) for v in off.values()) + draw(_positive_fraction)
+        row = {**off, name: diag * draw(st.sampled_from([1, -1]))}
+        if name != "z":
+            row.update({f"f{k}": draw(_entry) for k in range(n_rhs)})
+        rows.append(row)
+    return (draw(st.permutations(rows)), draw(st.permutations(names)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_nonsingular_systems(), order=st.randoms(use_true_random=False))
+def test_exact_elimination_solves_every_row(system, order):
+    rows, unknowns = system
+    out = _gauss_solve_exact(rows, unknowns)
+    assert list(out) == unknowns
+    assert all(v != 0 for sol in out.values() for v in sol.values())
+    for row in rows:
+        residual = {}  # right-side symbols stand for themselves
+        for name, coeff in row.items():
+            for sym, v in out.get(name, {name: F(1)}).items():
+                residual[sym] = residual.get(sym, 0) + coeff * v
+        assert not any(residual.values()), row
+    # the solution is unique: z is a structural zero, row order is immaterial
+    assert out["z"] == {}
+    shuffled = list(rows)
+    order.shuffle(shuffled)
+    assert _gauss_solve_exact(shuffled, unknowns) == out

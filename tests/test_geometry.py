@@ -73,6 +73,22 @@ class TestFrames:
         assert np.allclose(fr0.normal, fr1.normal)
         assert np.allclose(fr0.binormal, fr1.binormal)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+    def test_straight_direction_scale_free(self, scale):
+        # the norm of (scale, 0, 0) overflows or underflows unless the
+        # direction is scaled first; the frame must be that of (1, 0, 0)
+        want = CenterCurve.straight(1.0, direction=(1.0, 0.0, 0.0)).frame(0.5)
+        got = CenterCurve.straight(1.0, direction=(scale, 0.0, 0.0)).frame(0.5)
+        assert np.array_equal(got.basis_matrix(), want.basis_matrix())
+        assert np.array_equal(got.tangent, [1.0, 0.0, 0.0])
+
+    def test_straight_direction_keeps_bits_under_power_of_two_scaling(self):
+        d = np.array([1.0, 2.0, 2.0]) / 3.0
+        want = CenterCurve.straight(1.0, direction=d).frame(0.0)
+        for k in (-600, -1, 1, 600):
+            got = CenterCurve.straight(1.0, direction=np.ldexp(d, k)).frame(0.0)
+            assert np.array_equal(got.basis_matrix(), want.basis_matrix())
+
     def test_helix_against_fd_oracle(self):
         # (3 cos th, 3 sin th, 4 th): kappa = 3/25, tau = 4/25
         curve = CenterCurve.helix(a=3.0, b=4.0, length=5.0)
