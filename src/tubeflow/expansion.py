@@ -404,6 +404,18 @@ def _read_forcing_coeffs(f2_poly: DiscPoly, f3_poly: DiscPoly):
     return f
 
 
+def stokes_residuals(W2: DiscPoly, W3: DiscPoly, q: DiscPoly,
+                     F2: DiscPoly, F3: DiscPoly):
+    """The disc Stokes problem Delta W = grad q + F, div W = 0 as residuals.
+
+    Returns (Delta W2 - dq/dz2 - F2, Delta W3 - dq/dz3 - F3, div W); all
+    three vanish identically when (W2, W3, q) solves the problem for F.
+    """
+    return (laplacian(W2) - diff_z2(q) - F2,
+            laplacian(W3) - diff_z3(q) - F3,
+            diff_z2(W2) + diff_z3(W3))
+
+
 def stokes_disc_solve(f2_poly: DiscPoly, f3_poly: DiscPoly):
     """Solve Delta W = grad q + F, div W = 0, W = 0 on the wall.
 
@@ -496,60 +508,6 @@ def _assemble_U2(F, g: DiscPoly, sd: StationData):
 
 # -- brute-force re-derivation of the coefficient tables ---------------------
 
-class _LinExpr:
-    """Linear form sum_i c_i * sym_i with exact rational coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def sym(cls, name):
-        return cls({name: Fraction(1)})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self
-            raise TypeError("cannot add a nonzero constant to a linear form")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return _LinExpr(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _LinExpr({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, _LinExpr):
-            raise TypeError("linear forms stay linear: no products")
-        return _LinExpr({k: v * other for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, _LinExpr):
-            return self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return " + ".join(f"{v}*{k}" for k, v in sorted(self.terms.items())) or "0"
-
-
 def _sub_scaled(row, factor, pivot_row):
     """row -= factor * pivot_row on sparse rows, dropping zeros."""
     for k, v in pivot_row.items():
@@ -605,26 +563,30 @@ def _gauss_solve_exact(rows, unknowns):
 def derive_wq_table():
     """Re-derive the W/q tables from scratch in exact rational arithmetic.
 
-    Substitutes the polynomial ansatz into the disc Stokes system with
-    symbolic forcing coefficients and solves the resulting linear system.
+    The Stokes operator is linear, so each row of the ansatz system is read
+    off :func:`stokes_residuals` applied to unit coefficients: entry
+    ``rows[(equation, monomial)][symbol]`` is that monomial's coefficient
+    in that equation's residual when the unknown (a W ansatz monomial times
+    the wall factor, or a q monomial) or forcing monomial ``symbol`` is 1
+    and every other is 0.  The rows are solved by exact elimination.
     """
-    f2_poly = DiscPoly({mn: _LinExpr.sym(f"f2_{mn[0]}{mn[1]}")
-                        for mn in _F2_MONOMIALS})
-    f3_poly = DiscPoly({mn: _LinExpr.sym(f"f3_{mn[0]}{mn[1]}")
-                        for mn in _F3_MONOMIALS})
-    w2 = DiscPoly({mn: _LinExpr.sym(f"w2_{mn[0]}{mn[1]}") for mn in _ANSATZ_W})
-    w3 = DiscPoly({mn: _LinExpr.sym(f"w3_{mn[0]}{mn[1]}") for mn in _ANSATZ_W})
-    q = DiscPoly({mn: _LinExpr.sym(f"q_{mn[0]}{mn[1]}") for mn in _ANSATZ_Q})
-    eqs = [
-        laplacian(w2 * _WALL) - diff_z2(q) - f2_poly,
-        laplacian(w3 * _WALL) - diff_z3(q) - f3_poly,
-        diff_z2(w2 * _WALL) + diff_z3(w3 * _WALL),
-    ]
-    rows = [dict(coeff.terms) for eq in eqs for coeff in eq.coeffs.values()]
-    unknowns = ([f"w2_{m}{n}" for m, n in _ANSATZ_W]
-                + [f"w3_{m}{n}" for m, n in _ANSATZ_W]
-                + [f"q_{m}{n}" for m, n in _ANSATZ_Q])
-    return _gauss_solve_exact(rows, unknowns)
+    zero = DiscPoly.zero()
+    rows = {}
+    unknowns = []
+    for slot, (prefix, monos) in enumerate((
+            ("w2", _ANSATZ_W), ("w3", _ANSATZ_W), ("q", _ANSATZ_Q),
+            ("f2", _F2_MONOMIALS), ("f3", _F3_MONOMIALS))):
+        for m, n in monos:
+            name = f"{prefix}_{m}{n}"
+            probe = DiscPoly.monomial(m, n, Fraction(1))
+            args = [zero] * 5
+            args[slot] = probe * _WALL if slot < 2 else probe
+            for eq, residual in enumerate(stokes_residuals(*args)):
+                for mono, c in residual.coeffs.items():
+                    rows.setdefault((eq, mono), {})[name] = c
+            if slot < 3:
+                unknowns.append(name)
+    return _gauss_solve_exact([rows[k] for k in sorted(rows)], unknowns)
 
 
 @dataclass

@@ -417,6 +417,31 @@ class TestCommandLine:
         assert "all match" in capsys.readouterr().out
         assert (out / "tables_report.txt").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    def test_failed_verdict_exits_2_and_writes_the_bundle(self, tmp_path,
+                                                          command):
+        """A soft wall (E = 20) fails the u1 compatibility check: its
+        steep outlet layer in R is not resolved on 33 uniform nodes.  This
+        is the soft-wall u1 error of ROADMAP items 5 and 7, not an artefact
+        of the check's scale."""
+        cfg = write_cfg(tmp_path, {
+            **STRAIGHT, "wall.law": "elastic", "wall.E": "20",
+            "wall.h0": "0.1", "bc.p0.inlet": "8"})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        report = dict(line.split(" = ") for line in
+                      (out / "verify_report.txt").read_text().splitlines())
+        assert report["verdict.passed"] == "False"
+        assert float(report["compatibility.max_u1_residual"]) \
+            == pytest.approx(0.558, abs=1e-3)
+        assert (out / "residuals.csv").exists()
+        if command == "solve":
+            for name in ("grids.csv", "run_meta.txt",
+                         "solution_station0016.csv",
+                         "field_U2_station0016.csv",
+                         "plot_U2_station0016.svg"):
+                assert (out / name).exists(), name
+
     def test_sweep_subcommand(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             **STRAIGHT, "sweep.kappa": "0, 0.5", "sweep.tau": "0, 0.25",

@@ -19,6 +19,8 @@ from tubeflow.expansion import (
     NodeStations,
     StationData,
     WQ_TABLE,
+    _F2_MONOMIALS,
+    _F3_MONOMIALS,
     build_U2_rhs,
     derive_wq_table,
     eval_U1,
@@ -31,6 +33,7 @@ from tubeflow.expansion import (
     solve_U2,
     stations_from_grids,
     stokes_disc_solve,
+    stokes_residuals,
     stream_function,
     transversal_potential,
     truncated_solution,
@@ -43,6 +46,8 @@ from tubeflow.expansion import (
 from tubeflow.polydisc import (
     DiscPoly,
     angular_derivative,
+    diff_z2,
+    diff_z3,
     disc_integral_over_pi,
     divergence,
     gradient,
@@ -232,6 +237,43 @@ class TestSecondaryFlowSolution:
         with pytest.raises(ModelInconsistencyError):
             stokes_disc_solve(DiscPoly.monomial(1, 0, F(1)), DiscPoly.zero())
 
+    @pytest.mark.parametrize("component, mono", [
+        pytest.param(k, mn, id=f"f{k + 2}_{mn[0]}{mn[1]}")
+        for k, monos in enumerate((_F2_MONOMIALS, _F3_MONOMIALS))
+        for mn in monos])
+    def test_tabulated_solve_satisfies_the_stokes_problem(self, component,
+                                                          mono):
+        # the runtime plans of WQ_TABLE against the PDE itself, one unit
+        # forcing direction at a time
+        forcing = [DiscPoly.zero(), DiscPoly.zero()]
+        forcing[component] = DiscPoly.monomial(*mono, F(1))
+        w2, w3, q = stokes_disc_solve(*forcing)
+        assert all(r.is_zero() for r in stokes_residuals(w2, w3, q, *forcing))
+        assert restrict_to_boundary(w2).is_zero()
+        assert restrict_to_boundary(w3).is_zero()
+        assert q.coeff(0, 0) == 0
+
+    @pytest.mark.parametrize("rho0, nu, R, kappa, dp0", [
+        (1, 1, 1, F(1, 2), -1),
+        (F(3, 2), F(2, 7), F(5, 3), F(2, 5), F(-7, 3)),
+    ])
+    def test_dean_limit(self, rho0, nu, R, kappa, dp0):
+        """Dean (1928), Phil. Mag. 5:673: on a torus station (constant
+        kappa, no torsion, constant R, linear p0, no body force) the
+        secondary flow is driven by (kappa R^2 / nu) (u1^0)^2 alone and
+        U^2 = -(A/288) (dpsi/dz3, -dpsi/dz2) with
+        psi = z3 (1 - rho^2)^2 (4 - rho^2)."""
+        sd = StationData(rho0=F(rho0), nu=F(nu), R=F(R), kappa=F(kappa),
+                         dp0=F(dp0))
+        f = evaluate_station(sd)
+        A = sd.kappa * sd.R**6 * sd.dp0**2 / (16 * sd.rho0**2 * sd.nu**3)
+        wall = RHO2 - ONE
+        assert f.F[0] == f.u1_0**2 * (sd.kappa * sd.R**2 / sd.nu)
+        assert f.F == (wall**2 * A, DiscPoly.zero())
+        assert f.g.is_zero()
+        psi = DiscPoly.z3() * wall**2 * (4 - RHO2)
+        assert f.U2 == (diff_z3(psi) * (-A / 288), diff_z2(psi) * (A / 288))
+
 
 class TestCoefficientTables:
     def test_brute_force_matches_frozen_table(self):
@@ -260,6 +302,22 @@ class TestCoefficientTables:
         report = verify_coefficient_tables()
         lines = report.summary_lines()
         assert any("all match" in line for line in lines)
+
+    def test_mismatch_is_reported(self, monkeypatch, capsys):
+        from tubeflow.cli import main
+
+        monkeypatch.setitem(WQ_TABLE, "w2_11", {"f3_20": F(1, 24)})
+        report = verify_coefficient_tables()
+        assert not report.all_match
+        lines = report.summary_lines()
+        assert [line for line in lines if "MISMATCH" in line] == [
+            "w2_11: MISMATCH", "total 50 coefficients, MISMATCHES PRESENT"]
+        i = lines.index("w2_11: MISMATCH")
+        assert lines[i + 1:i + 3] == [
+            "    derived:   {'f3_20': Fraction(-1, 24)}",
+            "    tabulated: {'f3_20': Fraction(1, 24)}"]
+        assert main(["tables"]) == 2
+        assert "MISMATCHES PRESENT" in capsys.readouterr().out
 
 
 class TestExactElimination:
