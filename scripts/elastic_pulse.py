@@ -30,7 +30,8 @@ def main(outdir="out_pulse"):
     for _ in range(20):
         state = advance_time_step(state, law, fluid, bc, dt=0.05)
         # the step carries only the wall; its pressure is solved again here
-        p0 = solve_p0(state.R, state.dR_dt, state.h, fluid, bc, t=state.t)[0]
+        p0 = solve_p0(state.R, state.dR_dt, state.h, fluid,
+                      *bc.p0_at(state.t))[0]
         law_res = wall_law_residual(law, p0, state.R).max()
         rhs = 16.0 * fluid.nu * fluid.rho0 * state.R * state.dR_dt
         bvp_res = flux_residual(state.R**4, state.h, p0, rhs)

@@ -15,7 +15,7 @@ from .expansion import (
     evaluate_station,
     verify_coefficient_tables,
 )
-from .geometry import CenterCurve, FrenetFrame, check_invertibility, frenet_frame
+from .geometry import CenterCurve, check_invertibility
 from .polydisc import DiscPoly, TrigSeries, disc_integral, restrict_to_boundary
 from .pressure import PressureBC, PressureExpansion, solve_p0, solve_p1, solve_p02
 from .verify import check_compatibility, check_mass_conservation, flow_rates
@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BodyForce", "CenterCurve", "DiscPoly", "ElasticWall", "ExpansionFields",
-    "FluidParams", "FrenetFrame", "PressureBC", "PressureExpansion",
-    "RigidWall", "StationData", "TrigSeries", "WallState",
-    "advance_time_step", "apply_wall_law", "check_compatibility",
-    "check_invertibility", "check_mass_conservation", "disc_integral",
-    "evaluate_station", "flow_rates", "frenet_frame", "restrict_to_boundary",
-    "solve_p0", "solve_p02", "solve_p1", "verify_coefficient_tables",
+    "FluidParams", "PressureBC", "PressureExpansion", "RigidWall",
+    "StationData", "TrigSeries", "WallState", "advance_time_step",
+    "apply_wall_law", "check_compatibility", "check_invertibility",
+    "check_mass_conservation", "disc_integral", "evaluate_station",
+    "flow_rates", "restrict_to_boundary", "solve_p0", "solve_p02", "solve_p1",
+    "verify_coefficient_tables",
 ]

@@ -34,15 +34,19 @@ _FIELD_NAMES = ("u1_0", "u1_1", "u1_2", "p2", "p3", "g", "U1", "U2", "F", "W")
 
 def parse_config_text(text: str) -> dict:
     """Flat dotted-key config: one ``key = value`` per line, # comments."""
-    out = {}
+    out, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first:
+            raise ConfigurationError(f"line {lineno}: key {key!r} already "
+                                     f"given on line {first[key]}")
+        first[key] = lineno
+        out[key] = value
     return out
 
 
@@ -129,7 +133,11 @@ class RunConfig(make_dataclass("_ConfigFields", [
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_mapping(parse_config_text(Path(path).read_text()))
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config {path}: {exc}") from exc
+        return cls.from_mapping(parse_config_text(text))
 
     @classmethod
     def from_mapping(cls, kv: dict) -> "RunConfig":
@@ -396,7 +404,7 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
                    else plotting.heatmap_svg(term, title=title))
             (outdir / f"plot_{name}_{tag}.svg").write_text(svg)
 
-        basis = result.curve.frame(float(wall.s1[idx])).basis_matrix()
+        basis = result.curve.frame(float(wall.s1[idx]))
         u, p = expansion.truncated_solution(
             f, pexp.p0[idx], pexp.p1[idx], cfg.eps, order, z2, z3)
         # one (n, 3) product rotates every row as its own u @ basis would

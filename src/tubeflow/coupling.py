@@ -6,7 +6,9 @@ algebraic elastic law
     p0 - p_e = (E h0 / R0^2) (R - R0),
 
 in which case the leading-order pressure and the law are solved together
-by one under-relaxed fixed point.
+by one under-relaxed fixed point.  Each step reads the p0 boundary values
+of :class:`~tubeflow.pressure.PressureBC` once, at its end time, and
+hands them to every :func:`~tubeflow.pressure.solve_p0` sweep.
 
 The model is quasi-static: the wall radius R(t, s1) is the only state
 carried from one time step to the next.  :func:`advance_time_step` takes
@@ -18,7 +20,7 @@ new WallState.  The pressure hierarchy is read off the final wall by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,9 +136,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
 
     r_old, h = state.R, state.h
     tol = 1e-12 if dt is None else 1e-10
-    # the step's boundary values, read once instead of once per sweep
     p_in, p_out = bc.p0_at(t)
-    bc = replace(bc, p0_inlet=p_in, p0_outlet=p_out)
 
     def rate(r):
         return np.zeros_like(r) if dt is None else (r - r_old) / dt
@@ -145,7 +145,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
     omega = 0.5
     history = []
     for _ in range(max_iter):
-        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, bc, t=t)[0]
+        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out)[0]
         r_target = apply_wall_law(law, p0)
         resid = float(np.abs(r_target - r_cur).max())
         history.append(resid)

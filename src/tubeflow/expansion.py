@@ -478,34 +478,6 @@ def check_U2_compatibility(g: DiscPoly, s1=None) -> None:
             )
 
 
-def solve_U2(F, g: DiscPoly, sd: StationData):
-    """Assemble (U^2, p^3) from potential + stream + tabulated Stokes parts.
-
-    Requires the divergence data to be compatible
-    (:func:`check_U2_compatibility`).  Free functions of (t, s1) in the
-    pressure are fixed to zero.
-    """
-    check_U2_compatibility(g)
-    return _assemble_U2(F, g, sd)
-
-
-def _assemble_U2(F, g: DiscPoly, sd: StationData):
-    """:func:`solve_U2` on divergence data already checked compatible."""
-    f2_poly, f3_poly = F
-    phi = secondary_potential(sd)
-    psi = stream_function(sd)
-    psi2, psi3 = stream_coefficients(sd)
-    w2, w3, q = stokes_disc_solve(f2_poly, f3_poly)
-
-    u2 = w2 + diff_z2(phi) + diff_z3(psi)
-    u3 = w3 + diff_z3(phi) - diff_z2(psi)
-    p3 = (q + g + _Z2 * (4 * psi3) - _Z3 * (4 * psi2)) \
-        * (sd.rho0 * sd.nu / sd.R)
-    aux = {"W": (w2, w3), "q2": q, "phi": phi, "psi": psi,
-           "psi2": psi2, "psi3": psi3}
-    return (u2, u3), p3, aux
-
-
 # -- brute-force re-derivation of the coefficient tables ---------------------
 
 def _sub_scaled(row, factor, pivot_row):
@@ -681,19 +653,29 @@ def verification_terms(sd: StationData, s1=None) -> VerificationTerms:
 
 
 def evaluate_station(sd: StationData) -> ExpansionFields:
-    """Evaluate every expansion term at one station (scalar data)."""
+    """Evaluate every expansion term at one station (scalar data).
+
+    (U^2, p^3) is the Neumann potential plus the stream function plus the
+    tabulated disc Stokes solve, on divergence data checked compatible.
+    Free functions of (t, s1) in the pressure are fixed to zero.
+    """
     fluid = sd.fluid
     t = verification_terms(sd)
     U1 = eval_U1(sd.R, sd.dR, fluid, sd.dp0, sd.d2p0)
     p2 = eval_p2(sd.R, sd.d2p0, sd.p02)
-    U2, p3, aux = _assemble_U2(t.F, t.g, sd)
+    phi = secondary_potential(sd)
+    psi = stream_function(sd)
+    psi2, psi3 = stream_coefficients(sd)
+    w2, w3, q = stokes_disc_solve(*t.F)
+    U2 = (w2 + diff_z2(phi) + diff_z3(psi), w3 + diff_z3(phi) - diff_z2(psi))
+    p3 = (q + t.g + _Z2 * (4 * psi3) - _Z3 * (4 * psi2)) \
+        * (sd.rho0 * sd.nu / sd.R)
     return ExpansionFields(
         u1_0=t.u1_0, u1_1=t.u1_1, u1_2=t.u1_2, U1=U1, U2=U2, p2=p2, p3=p3,
-        F=t.F, g=t.g, W=aux["W"], q2=aux["q2"],
+        F=t.F, g=t.g, W=(w2, w3), q2=q,
         phi_transversal=transversal_potential(sd.R, sd.dR, fluid,
                                               sd.dp0, sd.d2p0),
-        phi_secondary=aux["phi"], psi=aux["psi"],
-        psi2=aux["psi2"], psi3=aux["psi3"],
+        phi_secondary=phi, psi=psi, psi2=psi2, psi3=psi3,
     )
 
 

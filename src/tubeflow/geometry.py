@@ -16,27 +16,10 @@ which the map is invertible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError, MapError
-
-
-@dataclass(frozen=True)
-class FrenetFrame:
-    """Orthonormal frame and curvature data at one arc-length station."""
-
-    tangent: np.ndarray
-    normal: np.ndarray
-    binormal: np.ndarray
-    curvature: float
-    curvature_rate: float
-    torsion: float
-
-    def basis_matrix(self) -> np.ndarray:
-        """Rows are (T, N, B) components in the world basis (v_ki)."""
-        return np.vstack([self.tangent, self.normal, self.binormal])
 
 
 def _unit(v):
@@ -150,6 +133,8 @@ class CenterCurve:
             raise GeometryError("samples must be (n,) s values and (n, 3) points")
         if s.size < 4:
             raise GeometryError("need at least 4 samples for a cubic spline")
+        if not (np.isfinite(s).all() and np.isfinite(pts).all()):
+            raise GeometryError("samples must be finite")
         s = s - s[0]
         if np.any(np.diff(s) <= 0):
             raise GeometryError("sample arc lengths must be strictly increasing")
@@ -209,16 +194,18 @@ class CenterCurve:
 
     @classmethod
     def from_file(cls, path):
-        """Read a sampled curve from delimited text with header s, x, y, z."""
-        with open(path) as fh:
-            header = fh.readline()
-        cols = [c.strip().lower() for c in header.replace(";", ",").split(",")]
-        if cols[:4] != ["s", "x", "y", "z"]:
-            raise GeometryError(
-                f"curve file {path}: expected header 's,x,y,z', got {header!r}"
-            )
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        if data.ndim != 2 or data.shape[1] < 4:
+        """Read a sampled curve from comma-separated text, header s,x,y,z."""
+        try:   # a ValueError here is undecodable or non-numeric text
+            with open(path) as fh:
+                header = fh.readline()
+            cols = [c.strip().lower() for c in header.split(",")]
+            if cols[:4] != ["s", "x", "y", "z"]:
+                raise GeometryError(f"curve file {path}: expected header "
+                                    f"'s,x,y,z', got {header!r}")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise GeometryError(f"curve file {path}: {exc}") from exc
+        if data.shape[1] < 4:
             raise GeometryError(f"curve file {path}: need 4 columns")
         return cls.from_samples(data[:, 0], data[:, 1:4])
 
@@ -226,31 +213,25 @@ class CenterCurve:
     def point(self, s1):
         return self._point(float(s1))
 
-    def curvature(self, s1):
-        """kappa, kappa' and tau at each arc length of ``s1``, as float
-        arrays: all the axis problem reads of the curve."""
+    def _on_curve(self, s1):
+        """``s1`` as a float array, every arc length checked to lie on the
+        curve."""
         s1 = np.asarray(s1, dtype=float)
         outside = ~((s1 >= 0.0) & (s1 <= self.length + 1e-12))
         if outside.any():
             raise GeometryError(f"s1 = {s1[outside][0]} outside "
                                 f"[0, {self.length}]")
-        return self._curvature(s1)
+        return s1
+
+    def curvature(self, s1):
+        """kappa, kappa' and tau at each arc length of ``s1``, as float
+        arrays: all the axis problem reads of the curve."""
+        return self._curvature(self._on_curve(s1))
 
     def frame(self, s1):
-        """Frenet frame at one arc length, with the curvature data of
-        :meth:`curvature` there."""
-        kappa, dkappa, tau = (float(v[0]) for v in self.curvature([s1]))
-        return FrenetFrame(*self._basis(float(s1)), kappa, dkappa, tau)
-
-
-def frenet_frame(curve: CenterCurve, s1: float) -> FrenetFrame:
-    """Frame at s1 with orthonormality enforced to round-off."""
-    fr = curve.frame(s1)
-    m = fr.basis_matrix()
-    err = np.abs(m @ m.T - np.eye(3)).max()
-    if err > 1e-9:
-        raise GeometryError(f"frame not orthonormal at s1 = {s1} (err {err:.2e})")
-    return fr
+        """(3, 3) array whose rows are the Frenet vectors T, N, B at one arc
+        length, in world components."""
+        return np.vstack(self._basis(float(self._on_curve(s1))))
 
 
 def check_invertibility(eps: float, curve: CenterCurve, wall) -> float:

@@ -256,23 +256,16 @@ def _as_poly(x):
 
 # -- differential operators ---------------------------------------------
 
-def differentiate(p: DiscPoly, var: str) -> DiscPoly:
-    """Exact partial derivative with respect to ``"z2"`` or ``"z3"``."""
-    if var == "z2":
-        return DiscPoly._canonical(
-            ((m - 1, n), m * c) for (m, n), c in p.coeffs.items() if m)
-    if var == "z3":
-        return DiscPoly._canonical(
-            ((m, n - 1), n * c) for (m, n), c in p.coeffs.items() if n)
-    raise ValueError(f"unknown variable {var!r}")
-
-
 def diff_z2(p: DiscPoly) -> DiscPoly:
-    return differentiate(p, "z2")
+    """Exact partial derivative with respect to z2."""
+    return DiscPoly._canonical(
+        ((m - 1, n), m * c) for (m, n), c in p.coeffs.items() if m)
 
 
 def diff_z3(p: DiscPoly) -> DiscPoly:
-    return differentiate(p, "z3")
+    """Exact partial derivative with respect to z3."""
+    return DiscPoly._canonical(
+        ((m, n - 1), n * c) for (m, n), c in p.coeffs.items() if n)
 
 
 def laplacian(p: DiscPoly) -> DiscPoly:

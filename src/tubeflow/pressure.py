@@ -20,8 +20,10 @@ conservative too.  The interior system is symmetric tridiagonal;
 checking that it is finite.
 
 Each solver returns the solved grid and its midpoint flux.
-:func:`solve_p0` takes bare radius and rate arrays, not a WallState, so
-the wall fixed point calls it once per sweep without building one.
+:func:`solve_p0` takes bare radius and rate arrays, not a WallState, and
+the two boundary values, not the :class:`PressureBC`: the wall fixed
+point reads the boundary data once per time step and calls it once per
+sweep without building a WallState.
 :func:`solve_pressures` runs the three in order on one wall and is the one
 place where derivatives of the solved grids are taken: p0 up to the
 third, p1 up to the second, p02', and the mixed time derivative of p0',
@@ -216,17 +218,16 @@ def flux_residual(coef, h, p, rhs):
 
 # -- the three pressure problems -------------------------------------------
 
-def solve_p0(R, dR_dt, h, fluid: "FluidParams", bc: PressureBC,
-             t: float = 0.0):
+def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out):
     """Leading-order pressure: (R^4 p0')' = 16 nu rho0 R dR/dt.
 
-    Takes the bare nodal radius and its rate on a grid of spacing h, so
-    the wall fixed point can call it without building a WallState.
-    Returns (p0, flux).
+    Takes the bare nodal radius and its rate on a grid of spacing h, and
+    the boundary values ``PressureBC.p0_at`` gives at the solve's time, so
+    the wall fixed point can call it without building a WallState or
+    reading the boundary data again.  Returns (p0, flux).
     """
     if (R <= 0).any():
         raise SolverError("wall radius must stay positive")
-    p_in, p_out = bc.p0_at(t)
     rhs = 16.0 * fluid.nu * fluid.rho0 * R * dR_dt
     return solve_flux_bvp(R**4, h, rhs, p_in, p_out)
 
@@ -285,12 +286,13 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
     without ``prev``, on the first step, and in steady mode).
     """
     h = wall.h
-    p0, flux0 = solve_p0(wall.R, wall.dR_dt, h, fluid, bc, t=wall.t)
+    p0, flux0 = solve_p0(wall.R, wall.dR_dt, h, fluid, *bc.p0_at(wall.t))
     dp0 = fd_derivative(p0, h)
     d2p0 = fd_second_derivative(p0, h)
     d3p0 = fd_third_derivative(p0, h)
     if prev is not None and dt:
-        prev_p0 = solve_p0(prev.R, prev.dR_dt, h, fluid, bc, t=prev.t)[0]
+        prev_p0 = solve_p0(prev.R, prev.dR_dt, h, fluid,
+                           *bc.p0_at(prev.t))[0]
         dt_dp0 = (dp0 - fd_derivative(prev_p0, h)) / dt
     else:
         dt_dp0 = np.zeros_like(p0)

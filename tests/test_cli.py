@@ -61,6 +61,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             parse_config_text("just words\n")
 
+    def test_key_given_twice(self):
+        # the second value used to win silently
+        with pytest.raises(ConfigurationError,
+                           match="line 3: key 'bc.p0.inlet' already given "
+                                 "on line 1"):
+            parse_config_text("bc.p0.inlet = 1\neps = 0.1\nbc.p0.inlet = 5\n")
+
+    def test_undecodable_file(self, tmp_path):
+        # raised an uncaught UnicodeDecodeError
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe\x00e\x00p\x00s")
+        with pytest.raises(ConfigurationError, match=str(path)):
+            RunConfig.from_file(path)
+
     def test_unknown_key(self):
         with pytest.raises(ConfigurationError):
             RunConfig.from_mapping({"geometry.radius_typo": "1"})
@@ -276,9 +290,9 @@ class TestPresets:
             "geometry.file": str(self.helix_file(tmp_path)),
             "geometry.length": "5.0"}))
         assert res.wall.s1[-1] == 5.0
-        assert np.allclose(res.curve.frame(0.0).basis_matrix(),
-                           CenterCurve.helix(3.0, 4.0, 5.0).frame(0.0)
-                           .basis_matrix(), atol=1e-6)
+        assert np.allclose(res.curve.frame(0.0),
+                           CenterCurve.helix(3.0, 4.0, 5.0).frame(0.0),
+                           atol=1e-6)
 
     @pytest.mark.parametrize("length", ["1.0", "5.0625"])
     def test_sampled_curve_length_mismatch(self, tmp_path, length):
@@ -517,6 +531,27 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "error [ConfigurationError]" in err
         assert next(iter(entries)) in err
+
+    @pytest.mark.parametrize("rows, says", [
+        ("s;x;y;z\n0;0;0;0\n", "expected header 's,x,y,z'"),
+        ("s,x,y,z\n0,0,0,0\n1,1,one,0\n", "could not convert"),
+        ("s,x,y,z\n0,0,0,0\n1,1,1,0\nnan,2,4,0\n3,3,9,0\n4,4,16,0\n",
+         "must be finite"),
+        ("s,x,y,z\n0,0,0,0\n", "need at least 4 samples"),
+        ("\xffs,x,y,z\n", "can't decode"),
+    ], ids=["semicolons", "non-numeric", "nan", "one-row", "undecodable"])
+    def test_bad_curve_file_is_a_geometry_error(self, tmp_path, capsys, rows,
+                                                says):
+        # all but one row escaped as raw ValueError tracebacks; one row
+        # was read as a 1-D array and said "need 4 columns"
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(rows.encode("latin-1"))   # "\xff" is one byte
+        cfg = write_cfg(tmp_path, {**STRAIGHT, "geometry.kind": "sampled",
+                                   "geometry.file": str(curve)})
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error [GeometryError]" in err and says in err
 
     @pytest.mark.parametrize("key, value, bad", [
         ("sweep.kappa", "0.5, -0.5", "-0.5"), ("sweep.kappa", "nan", "nan"),

@@ -22,6 +22,7 @@ from tubeflow.errors import (
 from tubeflow.expansion import BodyForce, FluidParams
 from tubeflow.pressure import (
     PressureBC,
+    TimeSeries,
     flux_residual,
     solve_p0,
     solve_pressures,
@@ -37,7 +38,8 @@ def grid():
 
 def p0_on(wall, bc):
     """Leading-order pressure solved on a stepped wall at its time."""
-    return solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, bc, t=wall.t)[0]
+    return solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
+                    *bc.p0_at(wall.t))[0]
 
 
 class TestWallState:
@@ -124,6 +126,22 @@ class TestTimeStepping:
         assert wall_law_residual(law, p0, new_state.R).max() <= 1e-9
         rhs = 16.0 * new_state.R * new_state.dR_dt
         assert flux_residual(new_state.R**4, new_state.h, p0, rhs) <= 1e-8
+
+    def test_one_boundary_read_per_step(self, monkeypatch):
+        # the time series is read once per step, not once per sweep
+        reads = []
+        p0_at = PressureBC.p0_at
+
+        def counted(bc, t):
+            reads.append(t)
+            return p0_at(bc, t)
+
+        monkeypatch.setattr(PressureBC, "p0_at", counted)
+        law = ElasticWall(E=1e3, h0=0.1, R0=1.0)
+        bc = PressureBC(TimeSeries((0.0, 1.0), (0.0, 10.0)), 0.0)
+        advance_time_step(WallState.from_radius(grid(), 1.0), law, FLUID, bc,
+                          dt=0.05)
+        assert reads == [0.05]
 
     def test_stiff_wall_matches_rigid(self):
         bc = PressureBC(5.0, 0.0)

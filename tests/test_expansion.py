@@ -30,7 +30,6 @@ from tubeflow.expansion import (
     eval_u1_2,
     evaluate_station,
     secondary_potential,
-    solve_U2,
     stations_from_grids,
     stokes_disc_solve,
     stokes_residuals,
@@ -174,17 +173,16 @@ class TestSecondaryFlowData:
     def test_compatibility_violation_detected(self):
         # break the p1 relation: the g integral is nonzero and rejected
         sd = make_exact_station(d2p1=F(1, 3))
-        (f2, f3), g = build_U2_rhs(sd)
+        _, g = build_U2_rhs(sd)
         assert disc_integral_over_pi(g) != 0
         with pytest.raises(ModelInconsistencyError):
-            solve_U2((f2, f3), g, sd)
+            evaluate_station(sd)
 
     def test_float_compatibility_tolerance(self):
         sd = make_exact_station()
         sd_float = StationData(**{k: float(getattr(sd, k))
                                   for k in StationData.__dataclass_fields__})
-        F_pair, g = build_U2_rhs(sd_float)
-        U2, p3, _ = solve_U2(F_pair, g, sd_float)  # ~1e-16 integral passes
+        g = evaluate_station(sd_float).g  # ~1e-16 integral passes
         assert float(abs(disc_integral_over_pi(g))) < 1e-14
 
 
@@ -192,7 +190,8 @@ class TestSecondaryFlowSolution:
     def test_full_stokes_residual_exact(self, exact_station):
         sd = exact_station
         F_pair, g = build_U2_rhs(sd)
-        U2, p3, aux = solve_U2(F_pair, g, sd)
+        f = evaluate_station(sd)
+        U2, p3 = f.U2, f.p3
         gp3 = gradient(p3)
         scale = sd.R / (sd.rho0 * sd.nu)
         assert laplacian(U2[0]) - gp3[0] * scale - F_pair[0] == DiscPoly.zero()
@@ -218,9 +217,9 @@ class TestSecondaryFlowSolution:
 
     def test_zero_forcing_gives_zero_solution(self):
         sd = StationData(rho0=1, nu=1, R=1, dp0=-1)
-        U2, p3, _ = solve_U2((DiscPoly.zero(), DiscPoly.zero()),
-                             DiscPoly.zero(), sd)
-        assert U2[0].is_zero() and U2[1].is_zero() and p3.is_zero()
+        f = evaluate_station(sd)
+        assert f.F[0].is_zero() and f.F[1].is_zero() and f.g.is_zero()
+        assert f.U2[0].is_zero() and f.U2[1].is_zero() and f.p3.is_zero()
 
     def test_table_spot_values_single_forcing(self):
         # forcing with only f3^20 = 24
@@ -475,7 +474,7 @@ class TestPhysicalAssembly:
     def test_world_frame_is_isometric(self):
         curve = self.build()[0]
         uf, _ = self.solution(2, 0.7, 0.6)
-        uw = np.array(uf) @ curve.frame(0.5).basis_matrix()
+        uw = np.array(uf) @ curve.frame(0.5)
         assert np.linalg.norm(uf) == pytest.approx(np.linalg.norm(uw))
 
     def test_pressure_truncation(self):
@@ -526,7 +525,8 @@ def test_residual_oracles_hold_for_random_rational_stations(**kw):
 
     F_pair, g = build_U2_rhs(sd)
     assert disc_integral_over_pi(g) == 0
-    U2, p3, _ = solve_U2(F_pair, g, sd)
+    f = evaluate_station(sd)
+    U2, p3 = f.U2, f.p3
     gp3 = gradient(p3)
     assert laplacian(U2[0]) - gp3[0] * scale - F_pair[0] == DiscPoly.zero()
     assert laplacian(U2[1]) - gp3[1] * scale - F_pair[1] == DiscPoly.zero()

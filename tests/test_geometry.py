@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from tubeflow.cli import RunConfig, run_pipeline
 from tubeflow.coupling import WallState
 from tubeflow.errors import GeometryError, MapError
-from tubeflow.geometry import CenterCurve, check_invertibility, frenet_frame
+from tubeflow.geometry import CenterCurve, check_invertibility
 
 from oracles import fd_frenet
 
@@ -37,17 +37,16 @@ CURVES = {
 
 @pytest.mark.parametrize("name", sorted(CURVES))
 def test_curvature_arrays_match_the_frames(name):
-    # each frame reads its one arc length alone: the splines of a sampled
-    # curve must give it the bits it gets inside the whole array
+    # a read at one arc length, such as a frame's station, takes it alone:
+    # the splines of a sampled curve must give it the bits it gets inside
+    # the whole array
     curve = CURVES[name]()
     s1 = np.linspace(0.0, curve.length, 33)
-    kappa, dkappa, tau = curve.curvature(s1)
-    frames = [curve.frame(v) for v in s1.tolist()]
-    for got, attr in ((kappa, "curvature"), (dkappa, "curvature_rate"),
-                      (tau, "torsion")):
+    points = [curve.curvature([v]) for v in s1.tolist()]
+    for i, got in enumerate(curve.curvature(s1)):
         assert got.dtype == float and got.shape == s1.shape
-        want = np.array([getattr(fr, attr) for fr in frames])
-        assert got.tobytes() == want.tobytes(), attr
+        want = np.concatenate([p[i] for p in points])
+        assert got.tobytes() == want.tobytes(), i
 
 
 def test_curvature_rejects_arc_lengths_off_the_curve():
@@ -62,16 +61,15 @@ def test_curvature_rejects_arc_lengths_off_the_curve():
 class TestFrames:
     def test_circular_arc(self):
         curve = CenterCurve.circular_arc(radius=2.0, length=1.0)
-        fr = frenet_frame(curve, 0.7)
-        assert fr.curvature == pytest.approx(0.5)
-        assert fr.torsion == 0.0
+        kappa, _, tau = curve.curvature([0.7])
+        assert kappa[0] == pytest.approx(0.5)
+        assert tau[0] == 0.0
 
     def test_straight_line(self):
         curve = CenterCurve.straight(length=2.0, direction=(1.0, 2.0, 2.0))
-        fr0, fr1 = frenet_frame(curve, 0.0), frenet_frame(curve, 1.5)
-        assert fr0.curvature == 0.0 and fr0.torsion == 0.0
-        assert np.allclose(fr0.normal, fr1.normal)
-        assert np.allclose(fr0.binormal, fr1.binormal)
+        kappa, _, tau = curve.curvature([0.0, 1.5])
+        assert (kappa == 0.0).all() and (tau == 0.0).all()
+        assert np.allclose(curve.frame(0.0)[1:], curve.frame(1.5)[1:])
 
     @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
     def test_straight_direction_scale_free(self, scale):
@@ -79,25 +77,25 @@ class TestFrames:
         # direction is scaled first; the frame must be that of (1, 0, 0)
         want = CenterCurve.straight(1.0, direction=(1.0, 0.0, 0.0)).frame(0.5)
         got = CenterCurve.straight(1.0, direction=(scale, 0.0, 0.0)).frame(0.5)
-        assert np.array_equal(got.basis_matrix(), want.basis_matrix())
-        assert np.array_equal(got.tangent, [1.0, 0.0, 0.0])
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[0], [1.0, 0.0, 0.0])
 
     def test_straight_direction_keeps_bits_under_power_of_two_scaling(self):
         d = np.array([1.0, 2.0, 2.0]) / 3.0
         want = CenterCurve.straight(1.0, direction=d).frame(0.0)
         for k in (-600, -1, 1, 600):
             got = CenterCurve.straight(1.0, direction=np.ldexp(d, k)).frame(0.0)
-            assert np.array_equal(got.basis_matrix(), want.basis_matrix())
+            assert np.array_equal(got, want)
 
     def test_helix_against_fd_oracle(self):
         # (3 cos th, 3 sin th, 4 th): kappa = 3/25, tau = 4/25
         curve = CenterCurve.helix(a=3.0, b=4.0, length=5.0)
-        fr = frenet_frame(curve, 2.0)
-        assert fr.curvature == pytest.approx(0.12, abs=1e-12)
-        assert fr.torsion == pytest.approx(0.16, abs=1e-12)
+        (kappa,), _, (tau,) = curve.curvature([2.0])
+        assert kappa == pytest.approx(0.12, abs=1e-12)
+        assert tau == pytest.approx(0.16, abs=1e-12)
         kappa_fd, tau_fd = fd_frenet(curve.point, 2.0)
-        assert fr.curvature == pytest.approx(kappa_fd, abs=1e-8)
-        assert fr.torsion == pytest.approx(tau_fd, abs=1e-5)
+        assert kappa == pytest.approx(kappa_fd, abs=1e-8)
+        assert tau == pytest.approx(tau_fd, abs=1e-5)
 
     @pytest.mark.parametrize("make", [
         lambda: CenterCurve.circular_arc(2.0, 1.0),
@@ -107,7 +105,7 @@ class TestFrames:
     def test_orthonormality_everywhere(self, make):
         curve = make()
         for s in np.linspace(0.0, curve.length, 9):
-            m = frenet_frame(curve, s).basis_matrix()
+            m = curve.frame(s)
             assert np.abs(m @ m.T - np.eye(3)).max() < 1e-12
 
     @pytest.mark.parametrize("make_curve", [
@@ -123,14 +121,12 @@ class TestFrames:
         curve = make_curve()
         h = 1e-4
         for s in (1.0, 2.5):
-            fr = frenet_frame(curve, s)
-            plus, minus = frenet_frame(curve, s + h), frenet_frame(curve, s - h)
-            dmat = (plus.basis_matrix() - minus.basis_matrix()) / (2 * h)
-            k, t = fr.curvature, fr.torsion
-            assert np.linalg.norm(dmat[0] - k * fr.normal) < 1e-5
-            assert np.linalg.norm(
-                dmat[1] + k * fr.tangent - t * fr.binormal) < 1e-5
-            assert np.linalg.norm(dmat[2] + t * fr.normal) < 1e-5
+            tangent, normal, binormal = curve.frame(s)
+            dmat = (curve.frame(s + h) - curve.frame(s - h)) / (2 * h)
+            (k,), _, (t,) = curve.curvature([s])
+            assert np.linalg.norm(dmat[0] - k * normal) < 1e-5
+            assert np.linalg.norm(dmat[1] + k * tangent - t * binormal) < 1e-5
+            assert np.linalg.norm(dmat[2] + t * normal) < 1e-5
 
 
 class TestSampledCurves:
@@ -144,10 +140,10 @@ class TestSampledCurves:
     def test_sampled_helix_matches_analytic(self):
         s, pts = self.make_helix_samples()
         curve = CenterCurve.from_samples(s, pts)
-        fr = curve.frame(2.5)
-        assert fr.curvature == pytest.approx(0.12, abs=1e-5)
-        assert fr.torsion == pytest.approx(0.16, abs=1e-5)
-        assert abs(fr.curvature_rate) < 1e-3
+        (kappa,), (dkappa,), (tau,) = curve.curvature([2.5])
+        assert kappa == pytest.approx(0.12, abs=1e-5)
+        assert tau == pytest.approx(0.16, abs=1e-5)
+        assert abs(dkappa) < 1e-3
         assert np.allclose(curve.point(2.5),
                            CenterCurve.helix(3, 4, 5).point(2.5), atol=1e-7)
 
@@ -156,10 +152,9 @@ class TestSampledCurves:
         curve, s = parabola()
         smid = s[200]
         h = 1e-3
-        rate_fd = (curve.frame(smid + h).curvature
-                   - curve.frame(smid - h).curvature) / (2 * h)
-        assert curve.frame(smid).curvature_rate == pytest.approx(
-            rate_fd, rel=1e-3)
+        kappa, dkappa, _ = curve.curvature([smid - h, smid, smid + h])
+        rate_fd = (kappa[2] - kappa[0]) / (2 * h)
+        assert dkappa[1] == pytest.approx(rate_fd, rel=1e-3)
 
     def test_shifted_arc_length_column(self):
         # an s column starting at 2 describes the same curve as one from 0
@@ -168,14 +163,12 @@ class TestSampledCurves:
         shifted = CenterCurve.from_samples(s + 2.0, pts)
         assert shifted.length == pytest.approx(base.length, abs=1e-12)
         for si in np.linspace(0.0, base.length, 11):
-            a, b = base.frame(si), shifted.frame(si)
-            assert np.abs(a.basis_matrix() - b.basis_matrix()).max() < 1e-12
+            assert np.abs(base.frame(si) - shifted.frame(si)).max() < 1e-12
             assert np.abs(base.point(si) - shifted.point(si)).max() < 1e-12
             # torsion takes the spline's third derivative, which amplifies
             # the last-bit change of s + 2 - 2
-            for attr in ("curvature", "curvature_rate", "torsion"):
-                assert getattr(a, attr) == pytest.approx(getattr(b, attr),
-                                                         abs=1e-9)
+            for a, b in zip(base.curvature([si]), shifted.curvature([si])):
+                assert a[0] == pytest.approx(b[0], abs=1e-9)
 
     def test_degenerate_samples_rejected(self):
         s = np.array([0.0, 1.0, 2.0, 3.0])
@@ -233,7 +226,7 @@ class TestSampledCurves:
                          for si, pi in zip(s, pts))
         path.write_text("s,x,y,z\n" + rows + "\n")
         curve = CenterCurve.from_file(path)
-        assert curve.frame(2.5).curvature == pytest.approx(0.12, abs=1e-5)
+        assert curve.curvature([2.5])[0][0] == pytest.approx(0.12, abs=1e-5)
 
     def test_from_file_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

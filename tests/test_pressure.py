@@ -44,8 +44,7 @@ def steady_p0_data(wall, bc):
 class TestP0:
     def test_constant_coefficient_linear(self):
         wall, s = make_wall()
-        p0, _ = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
-                         PressureBC(1.0, 0.0))
+        p0, _ = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 1.0, 0.0)
         dp0 = steady_p0_data(wall, PressureBC(1.0, 0.0))[0]
         assert np.abs(p0 - (1 - s)).max() < 1e-13
         assert np.abs(dp0 + 1.0).max() < 1e-12
@@ -53,8 +52,7 @@ class TestP0:
     def test_nonuniform_radius_vs_quadrature(self):
         # frozen: p0(0.5) = (2/3)(0.5 + 0.125) = 0.41666...
         wall, s = make_wall(n=201, radius=lambda x: (1 + x) ** -0.25)
-        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
-                      PressureBC(0.0, 1.0))[0]
+        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 0.0, 1.0)[0]
         assert p0[100] == pytest.approx(0.4166666666666667, abs=1e-6)
         oracle = quadrature_bvp(lambda x: (1 + x) ** -0.25, None, 0.0, 1.0, s)
         assert np.abs(p0 - oracle).max() < 1e-6
@@ -62,8 +60,7 @@ class TestP0:
     def test_moving_wall_parabola(self):
         # R = 1, dR/dt = 1, nu = rho0 = 1: p'' = 16 -> 8 s^2 - 8 s exactly
         wall, s = make_wall(rate=lambda x: np.ones_like(x))
-        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
-                      PressureBC(0.0, 0.0))[0]
+        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 0.0, 0.0)[0]
         assert np.abs(p0 - (8 * s**2 - 8 * s)).max() < 1e-11
         assert p0[50] == pytest.approx(-2.0, abs=1e-8)
 
@@ -87,10 +84,9 @@ class TestP0:
     def test_vanishing_radius_rejected(self):
         wall, _ = make_wall()
         with pytest.raises(SolverError):
-            solve_p0(wall.R * 1e-200, wall.dR_dt, wall.h, FLUID,
-                     PressureBC(1.0, 0.0))
+            solve_p0(wall.R * 1e-200, wall.dR_dt, wall.h, FLUID, 1.0, 0.0)
         with pytest.raises(SolverError):
-            solve_p0(-wall.R, wall.dR_dt, wall.h, FLUID, PressureBC(1.0, 0.0))
+            solve_p0(-wall.R, wall.dR_dt, wall.h, FLUID, 1.0, 0.0)
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(SolverError):
@@ -244,8 +240,7 @@ class TestInvariantsAndHelpers:
         errs = []
         for n in (51, 101, 201, 401):
             wall, s = make_wall(n, radius=lambda x: (1 + x) ** -0.25)
-            p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
-                          PressureBC(0.0, 1.0))[0]
+            p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 0.0, 1.0)[0]
             exact = (2.0 / 3.0) * (s + s**2 / 2)
             errs.append(np.abs(p0 - exact).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]

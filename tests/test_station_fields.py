@@ -18,8 +18,7 @@ from tubeflow import expansion
 from tubeflow.cli import RunConfig, export_bundle, run_pipeline
 from tubeflow.errors import ModelInconsistencyError
 from tubeflow.expansion import (NodeStations, StationData, build_U2_rhs,
-                                evaluate_station, solve_U2,
-                                verification_terms)
+                                evaluate_station, verification_terms)
 from tubeflow.geometry import CenterCurve
 from tubeflow.polydisc import DiscPoly, disc_integral
 
@@ -207,11 +206,8 @@ def test_compatibility_violation_raises_at_every_stage(num):
     exact = make_exact_station(d2p1=F(1, 3))
     sd = StationData(**{k: num(getattr(exact, k))
                         for k in StationData.__dataclass_fields__})
-    F_pair, g = build_U2_rhs(sd)
     with pytest.raises(ModelInconsistencyError, match="U\\^2 compatibility"):
         verification_terms(sd)
-    with pytest.raises(ModelInconsistencyError, match="U\\^2 compatibility"):
-        solve_U2(F_pair, g, sd)
     with pytest.raises(ModelInconsistencyError, match="U\\^2 compatibility"):
         evaluate_station(sd)
 
