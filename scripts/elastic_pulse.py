@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from tubeflow.coupling import ElasticWall, WallState, advance_time_step, wall_law_residual
-from tubeflow.expansion import FluidParams
-from tubeflow.pressure import PressureBC, TimeSeries, flux_residual, solve_p0
+from tubeflow.expansion import BodyForce, FluidParams
+from tubeflow.pressure import PressureBC, TimeSeries, solve_pressures
 from tubeflow.cli import write_csv
 
 
@@ -30,11 +30,9 @@ def main(outdir="out_pulse"):
     for _ in range(20):
         state = advance_time_step(state, law, fluid, bc, dt=0.05)
         # the step carries only the wall; its pressure is solved again here
-        p0 = solve_p0(state.R, state.dR_dt, state.h, fluid,
-                      *bc.p0_at(state.t))[0]
+        pexp = solve_pressures(state, fluid, bc, np.zeros(n), BodyForce())
+        p0, bvp_res = pexp.p0, pexp.residuals["p0"]
         law_res = wall_law_residual(law, p0, state.R).max()
-        rhs = 16.0 * fluid.nu * fluid.rho0 * state.R * state.dR_dt
-        bvp_res = flux_residual(state.R**4, state.h, p0, rhs)
         rows.append((state.t, state.R.max(), state.R.min(),
                      p0[0], law_res, bvp_res))
         print(f"t={state.t:5.2f}  R in [{state.R.min():.4f}, "

@@ -30,7 +30,7 @@ def main(outdir="out_poiseuille"):
     q0 = result.flow.q0[mid]
     print(f"centerline u1_0 : {center:.15f}  (closed form 0.25)")
     print(f"flow rate Q0    : {q0:.15f}  (closed form pi/8 = {np.pi/8:.15f})")
-    print(f"p0 residual     : {result.residuals['p0']:.3e}")
+    print(f"p0 residual     : {result.pexp.residuals['p0']:.3e}")
     print(f"verification    : {'pass' if result.verification_passed() else 'FAIL'}")
 
     out = Path(outdir)

@@ -17,7 +17,7 @@ from .expansion import (
 )
 from .geometry import CenterCurve, check_invertibility
 from .polydisc import DiscPoly, TrigSeries, disc_integral, restrict_to_boundary
-from .pressure import PressureBC, PressureExpansion, solve_p0, solve_p1, solve_p02
+from .pressure import PressureBC, PressureExpansion, solve_p0
 from .verify import check_compatibility, check_mass_conservation, flow_rates
 
 __version__ = "0.1.0"
@@ -28,6 +28,6 @@ __all__ = [
     "StationData", "TrigSeries", "WallState", "advance_time_step",
     "apply_wall_law", "check_compatibility", "check_invertibility",
     "check_mass_conservation", "disc_integral", "evaluate_station",
-    "flow_rates", "restrict_to_boundary", "solve_p0", "solve_p02", "solve_p1",
+    "flow_rates", "restrict_to_boundary", "solve_p0",
     "verify_coefficient_tables",
 ]

@@ -248,13 +248,12 @@ class PipelineResult:
     flow: verify.FlowRates
     conservation: verify.ConservationReport
     compatibility: verify.CompatibilityReport
-    residuals: dict
     shape_checks: dict
     history: list = dc_field(default_factory=list)
 
     def verification_passed(self) -> bool:
         return (
-            max(self.residuals.values()) <= 1e-8
+            max(self.pexp.residuals.values()) <= 1e-8
             and self.conservation.passed()
             and self.compatibility.passed()
             and all(v for k, v in self.shape_checks.items()
@@ -306,7 +305,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     flow = verify.flow_rates(terms, wall.R)
     conservation = verify.check_mass_conservation(flow, wall, pexp, fluid)
     compatibility = verify.check_compatibility(wall, fluid, pexp, terms)
-    residuals = verify.pressure_residuals(wall, fluid, pexp, kappa, body)
     mid = cfg.n_s1 // 2
     # the wall-rate trace sits at the same O(h^2) error as the u1 identity
     shape_checks = verify.figure_shape_checks(
@@ -315,7 +313,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     return PipelineResult(
         config=cfg, curve=curve, wall=wall, pexp=pexp, stations=stations,
         flow=flow, conservation=conservation,
-        compatibility=compatibility, residuals=residuals,
+        compatibility=compatibility,
         shape_checks=shape_checks, history=history,
     )
 
@@ -415,9 +413,9 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
 
 
 def _export_reports(result: PipelineResult, outdir: Path):
-    con, comp, res = result.conservation, result.compatibility, result.residuals
+    con, comp = result.conservation, result.compatibility
     lines = verify.report_key_values(
-        bvp_residuals={k: float(v) for k, v in res.items()},
+        bvp_residuals={k: float(v) for k, v in result.pexp.residuals.items()},
         conservation={"max_q0_residual": con.max_q0,
                       "max_q1_residual": con.max_q1},
         compatibility={"max_u1_residual": comp.max_u1_residual,

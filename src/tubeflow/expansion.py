@@ -97,8 +97,8 @@ class StationData:
     # compound derivatives the printed formulas are phrased in
     @property
     def d_R2dp0(self):
-        """(R^2 p0')' = 2 R R' p0' + R^2 p0''."""
-        return 2 * self.R * self.dR * self.dp0 + self.R**2 * self.d2p0
+        """(R^2 p0')'."""
+        return r2dp0_derivative(self.R, self.dR, self.dp0, self.d2p0)
 
     @property
     def d2_R2dp0(self):
@@ -214,9 +214,14 @@ def u1_2_problem_rhs(sd: StationData) -> DiscPoly:
 
 # -- transversal velocity, first order --------------------------------------
 
+def r2dp0_derivative(R, dR, dp0, d2p0):
+    """(R^2 p0')' = 2 R R' p0' + R^2 p0''."""
+    return 2 * R * dR * dp0 + R**2 * d2p0
+
+
 def eval_U1(R, dR, fluid: FluidParams, dp0, d2p0):
     """First transversal correction, radial: f(rho^2) (z2, z3)."""
-    d_r2dp0 = 2 * R * dR * dp0 + R**2 * d2p0
+    d_r2dp0 = r2dp0_derivative(R, dR, dp0, d2p0)
     radial = (DiscPoly.constant(2 * d_r2dp0) - _RHO2 * (R**2 * d2p0)) \
         * (R / (16 * fluid.rho0 * fluid.nu))
     return radial * _Z2, radial * _Z3
@@ -224,7 +229,7 @@ def eval_U1(R, dR, fluid: FluidParams, dp0, d2p0):
 
 def U1_divergence_data(R, dR, fluid: FluidParams, dp0, d2p0) -> DiscPoly:
     """div-constraint g^1 of the first transversal Stokes problem."""
-    d_r2dp0 = 2 * R * dR * dp0 + R**2 * d2p0
+    d_r2dp0 = r2dp0_derivative(R, dR, dp0, d2p0)
     return (DiscPoly.constant(d_r2dp0) - _RHO2 * (R**2 * d2p0)) \
         * (R / (4 * fluid.rho0 * fluid.nu))
 
@@ -236,7 +241,7 @@ def eval_p2(R, d2p0, p02) -> DiscPoly:
 
 def transversal_potential(R, dR, fluid: FluidParams, dp0, d2p0) -> DiscPoly:
     """Scalar potential whose gradient is the whole of U^1 (gauge zero)."""
-    d_r2dp0 = 2 * R * dR * dp0 + R**2 * d2p0
+    d_r2dp0 = r2dp0_derivative(R, dR, dp0, d2p0)
     return (_RHO2 * (R / (16 * fluid.rho0 * fluid.nu))
             * (DiscPoly.constant(d_r2dp0) - _RHO2 * (R**2 * d2p0 / 4)))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, pi
+from math import pi
 
 import numpy as np
 
@@ -475,37 +475,6 @@ def polar_fourier(p: DiscPoly):
         if not out[key]:
             del out[key]
     return out
-
-
-def from_polar_fourier(modes) -> DiscPoly:
-    """Inverse of :func:`polar_fourier`.
-
-    Each entry s3^j cos(k s2) (resp. sin) requires j >= k and j - k even;
-    anything else is not a polynomial on the disc.
-    """
-    total = DiscPoly.zero()
-    for (kind, k), radial in modes.items():
-        harmonic = _circular_harmonic(k, kind)
-        for j, c in radial.items():
-            if j < k or (j - k) % 2:
-                raise ValueError(
-                    f"s3^{j} {kind}({k} s2) is not polynomial on the disc"
-                )
-            total = total + c * (DiscPoly.radius_sq() ** ((j - k) // 2) * harmonic)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _circular_harmonic(k: int, kind: str) -> DiscPoly:
-    """s3^k cos(k s2) or s3^k sin(k s2) as a polynomial: Re/Im (z2 + i z3)^k."""
-    coeffs = {}
-    for j in range(k + 1):
-        c = comb(k, j)
-        if kind == "cos" and j % 2 == 0:
-            coeffs[(k - j, j)] = c * (-1) ** (j // 2)
-        elif kind == "sin" and j % 2 == 1:
-            coeffs[(k - j, j)] = c * (-1) ** ((j - 1) // 2)
-    return DiscPoly(coeffs)
 
 
 def restrict_to_boundary(p: DiscPoly) -> TrigSeries:

@@ -19,16 +19,18 @@ conservative too.  The interior system is symmetric tridiagonal;
 :func:`solve_flux_bvp` hands it straight to LAPACK ``dgtsv`` after
 checking that it is finite.
 
-Each solver returns the solved grid and its midpoint flux.
-:func:`solve_p0` takes bare radius and rate arrays, not a WallState, and
-the two boundary values, not the :class:`PressureBC`: the wall fixed
-point reads the boundary data once per time step and calls it once per
-sweep without building a WallState.
-:func:`solve_pressures` runs the three in order on one wall and is the one
+:func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid and
+its midpoint flux.  :func:`solve_p0` takes bare radius and rate arrays,
+not a WallState, and the two boundary values, not the
+:class:`PressureBC`: the wall fixed point reads the boundary data once
+per time step and calls it once per sweep without building a WallState.
+:func:`solve_pressures` is the one way in to the hierarchy: it states
+each right side once, solves the three on one wall and keeps each
+solve's flux-form residual against that right side.  It is also the one
 place where derivatives of the solved grids are taken: p0 up to the
 third, p1 up to the second, p02', and the mixed time derivative of p0',
-for which it also solves p0 on the previous step's wall.  A run calls it
-once, on its final wall.
+for which it also solves p0 on the previous step's wall.  A run calls
+it once, on its final wall.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ class PressureBC:
 
 @dataclass
 class PressureExpansion:
-    """Solved pressure grids and every derivative the velocity formulas use."""
+    """Solved grids, every derivative the velocity formulas use, and the
+    relative flux-form residual of each solve ("p0", "p1", "p02")."""
 
-    s1: np.ndarray
     p0: np.ndarray
     dp0: np.ndarray
     d2p0: np.ndarray
@@ -108,13 +110,10 @@ class PressureExpansion:
     d2p1: np.ndarray
     p02: np.ndarray
     dp02: np.ndarray
-    flux_p0: np.ndarray = field(repr=False, default=None)
-    flux_p1: np.ndarray = field(repr=False, default=None)
-    flux_p02: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def h(self):
-        return self.s1[1] - self.s1[0]
+    flux_p0: np.ndarray = field(repr=False)
+    flux_p1: np.ndarray = field(repr=False)
+    flux_p02: np.ndarray = field(repr=False)
+    residuals: dict
 
 
 # -- finite-difference helpers --------------------------------------------
@@ -218,6 +217,11 @@ def flux_residual(coef, h, p, rhs):
 
 # -- the three pressure problems -------------------------------------------
 
+def _p0_source(R, dR_dt, fluid: "FluidParams"):
+    """Right side of the leading-order problem: 16 nu rho0 R dR/dt."""
+    return 16.0 * fluid.nu * fluid.rho0 * R * dR_dt
+
+
 def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out):
     """Leading-order pressure: (R^4 p0')' = 16 nu rho0 R dR/dt.
 
@@ -228,14 +232,7 @@ def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out):
     """
     if (R <= 0).any():
         raise SolverError("wall radius must stay positive")
-    rhs = 16.0 * fluid.nu * fluid.rho0 * R * dR_dt
-    return solve_flux_bvp(R**4, h, rhs, p_in, p_out)
-
-
-def solve_p1(wall: "WallState", bc: PressureBC):
-    """First pressure correction: (R^4 p1')' = 0.  Returns (p1, flux)."""
-    return solve_flux_bvp(wall.R**4, wall.h, np.zeros_like(wall.R),
-                          bc.p1_inlet, bc.p1_outlet)
+    return solve_flux_bvp(R**4, h, _p0_source(R, dR_dt, fluid), p_in, p_out)
 
 
 def p02_bracket(wall: "WallState", fluid: "FluidParams", kappa, p0_data,
@@ -263,18 +260,6 @@ def p02_bracket(wall: "WallState", fluid: "FluidParams", kappa, p0_data,
     )
 
 
-def solve_p02(wall: "WallState", fluid: "FluidParams", kappa, p0_data,
-              body: "BodyForce", bc: PressureBC):
-    """Axisymmetric second-order pressure: (R^4 p02')' = d/ds1 [bracket].
-
-    ``p0_data`` is (dp0, d2p0, d3p0, dt_dp0).  Returns (p02, flux).
-    """
-    bracket = p02_bracket(wall, fluid, kappa, p0_data, body)
-    return solve_flux_bvp(wall.R**4, wall.h,
-                          bracket_derivative(bracket, wall.h),
-                          bc.p02_inlet, bc.p02_outlet)
-
-
 def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
                     kappa, body: "BodyForce", prev: "WallState | None" = None,
                     dt: float | None = None) -> PressureExpansion:
@@ -296,12 +281,19 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
         dt_dp0 = (dp0 - fd_derivative(prev_p0, h)) / dt
     else:
         dt_dp0 = np.zeros_like(p0)
-    p1, flux1 = solve_p1(wall, bc)
-    p02, flux2 = solve_p02(wall, fluid, kappa, (dp0, d2p0, d3p0, dt_dp0),
-                           body, bc)
+    r4 = wall.R**4
+    rhs1 = np.zeros_like(wall.R)
+    p1, flux1 = solve_flux_bvp(r4, h, rhs1, bc.p1_inlet, bc.p1_outlet)
+    bracket = p02_bracket(wall, fluid, kappa, (dp0, d2p0, d3p0, dt_dp0), body)
+    rhs02 = bracket_derivative(bracket, h)
+    p02, flux2 = solve_flux_bvp(r4, h, rhs02, bc.p02_inlet, bc.p02_outlet)
+    rhs0 = _p0_source(wall.R, wall.dR_dt, fluid)
     return PressureExpansion(
-        s1=wall.s1, p0=p0, dp0=dp0, d2p0=d2p0, d3p0=d3p0, dt_dp0=dt_dp0,
+        p0=p0, dp0=dp0, d2p0=d2p0, d3p0=d3p0, dt_dp0=dt_dp0,
         p1=p1, dp1=fd_derivative(p1, h), d2p1=fd_second_derivative(p1, h),
         p02=p02, dp02=fd_derivative(p02, h),
         flux_p0=flux0, flux_p1=flux1, flux_p02=flux2,
+        residuals={"p0": flux_residual(r4, h, p0, rhs0),
+                   "p1": flux_residual(r4, h, p1, rhs1),
+                   "p02": flux_residual(r4, h, p02, rhs02)},
     )

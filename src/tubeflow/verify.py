@@ -3,7 +3,8 @@
 This is the quantitative acceptance layer: everything here either
 integrates the disc fields exactly or re-evaluates a conservation law with
 the same stencils the pressure solver used, so that residuals of solved
-states sit at round-off rather than at discretization level.
+states sit at round-off rather than at discretization level.  The three
+pressure solves' own residuals are ``PressureExpansion.residuals``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
+from .expansion import r2dp0_derivative
 from .polydisc import (DiscPoly, NodeArray, disc_integral, polar_fourier,
                        restrict_to_boundary)
-from .pressure import (bracket_derivative, flux_residual, p02_bracket,
-                       solve_flux_bvp)
+from .pressure import solve_flux_bvp
 
 
 @dataclass
@@ -70,7 +71,7 @@ def check_mass_conservation(flow: FlowRates, wall, pexp, fluid
     algebraically identical to the solved pressure equation; the residuals
     are then round-off, not discretization error.
     """
-    h = pexp.h
+    h = wall.h
     coef = -np.pi / (8.0 * fluid.rho0 * fluid.nu)
     dq0 = coef * np.diff(pexp.flux_p0) / h
     dq1 = coef * np.diff(pexp.flux_p1) / h
@@ -114,7 +115,7 @@ def check_compatibility(wall, fluid, pexp, terms) -> CompatibilityReport:
     (full arrays are reported for inspection).
     """
     r, dr, h = wall.R, wall.dR_ds1, wall.h
-    d_r2dp0 = 2.0 * r * dr * pexp.dp0 + r**2 * pexp.d2p0
+    d_r2dp0 = r2dp0_derivative(r, dr, pexp.dp0, pexp.d2p0)
     lhs = 2.0 * np.pi * r / (16.0 * fluid.rho0 * fluid.nu) \
         * (2.0 * d_r2dp0 - r**2 * pexp.d2p0)
     rhs = 2.0 * np.pi * wall.dR_dt
@@ -250,7 +251,8 @@ def figure_shape_checks(fields_mid, sd_mid, wall_rate_tol: float) -> dict:
     Mirrors the published cross-section plots: axisymmetric leading flow,
     curvature skew carried by the single cos-s2 mode, purely radial first
     transversal correction with wall speed dR/dt, and angular circulation
-    in the second transversal correction exactly when kappa*tau != 0.
+    in the second transversal correction of the size kappa*tau sets (none
+    when kappa*tau = 0).
     ``wall_rate_tol`` bounds the boundary-trace mismatch, which sits at the
     discretization error of the solved leading pressure.
     """
@@ -283,29 +285,18 @@ def figure_shape_checks(fields_mid, sd_mid, wall_rate_tol: float) -> dict:
         <= wall_rate_tol * max(1.0, abs(float(sd_mid.Rdot)))
     )
 
+    # one rule whatever kappa*tau: the content is exactly |kappa tau| R^4
+    # |p0'| / (16 rho0 nu), so spline-noise torsion expects a tiny swirl
     circ = cos_mode_content(azimuthal_polynomial(*fields_mid.U2))
     checks["U2_circulation_content"] = circ
-    kt = float(sd_mid.kappa) * float(sd_mid.tau)
+    expected = (abs(float(sd_mid.kappa) * float(sd_mid.tau))
+                * float(sd_mid.R)**4 * abs(float(sd_mid.dp0))
+                / (16.0 * float(sd_mid.rho0) * float(sd_mid.nu)))
     scale = max(1e-300, float(fields_mid.U2[0].max_abs()),
                 float(fields_mid.U2[1].max_abs()))
     checks["U2_circulation_iff_kappa_tau"] = (
-        circ / scale > 1e-12 if kt != 0 else circ / scale <= 1e-12
-    )
+        abs(circ - expected) <= 1e-12 * scale)
     return checks
-
-
-def pressure_residuals(wall, fluid, pexp, kappa, body) -> dict:
-    """Relative flux-form residuals of the three solved pressure problems."""
-    r4 = wall.R**4
-    h = wall.h
-    rhs0 = 16.0 * fluid.nu * fluid.rho0 * wall.R * wall.dR_dt
-    bracket = p02_bracket(wall, fluid, kappa,
-                          (pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0), body)
-    return {
-        "p0": flux_residual(r4, h, pexp.p0, rhs0),
-        "p1": flux_residual(r4, h, pexp.p1, np.zeros_like(rhs0)),
-        "p02": flux_residual(r4, h, pexp.p02, bracket_derivative(bracket, h)),
-    }
 
 
 # -- report serialization ------------------------------------------------------

@@ -51,6 +51,8 @@ def test_elastic_run_counts_steps_and_solves(smoke_config, tmp_path):
     # pressure solve (the final wall and the wall before it)
     sweeps = round(m["coupling.p0_solves_per_step"] * m["coupling.steps"])
     assert m["pressure.p0_solves"] == sweeps + 2
+    # besides the p0 solves, one p1 and one p02 solve per pipeline
+    assert m["pressure.bvp_solves"] == m["pressure.p0_solves"] + 2
     assert m["cli.pipelines"] == 1
 
 

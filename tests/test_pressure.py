@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from tubeflow.coupling import WallState
+from tubeflow.coupling import ElasticWall, WallState, advance_time_step
 from tubeflow.errors import ConfigurationError, SolverError
 from tubeflow.expansion import BodyForce, FluidParams
 from tubeflow.pressure import (
@@ -18,8 +18,6 @@ from tubeflow.pressure import (
     p02_bracket,
     solve_flux_bvp,
     solve_p0,
-    solve_p02,
-    solve_p1,
     solve_pressures,
 )
 
@@ -34,10 +32,15 @@ def make_wall(n=101, radius=None, rate=None, length=1.0):
     return WallState.from_radius(s, R, dR_dt=rate(s) if rate else None), s
 
 
+def steady(wall, bc, body=None):
+    """Steady pressure solve on a straight axis."""
+    return solve_pressures(wall, FLUID, bc, np.zeros(wall.s1.size),
+                           body or BodyForce())
+
+
 def steady_p0_data(wall, bc):
-    """(dp0, d2p0, d3p0, dt_dp0) of a steady solve, as solve_p02 takes it."""
-    pexp = solve_pressures(wall, FLUID, bc, np.zeros(wall.s1.size),
-                           BodyForce())
+    """(dp0, d2p0, d3p0, dt_dp0) of a steady solve, as p02_bracket takes it."""
+    pexp = steady(wall, bc)
     return pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0
 
 
@@ -146,17 +149,17 @@ class TestFluxSolver:
 class TestP1:
     def test_zero_dirichlet_gives_zero(self):
         wall, _ = make_wall(radius=lambda x: 1 + 0.3 * x)
-        p1 = solve_p1(wall, PressureBC())[0]
+        p1 = steady(wall, PressureBC()).p1
         assert np.all(p1 == 0.0)
 
     def test_unit_radius_linear(self):
         wall, s = make_wall()
-        p1 = solve_p1(wall, PressureBC(p1_inlet=1.0, p1_outlet=0.0))[0]
+        p1 = steady(wall, PressureBC(p1_inlet=1.0, p1_outlet=0.0)).p1
         assert np.abs(p1 - (1 - s)).max() < 1e-13
 
     def test_nonuniform_same_profile_family_as_p0(self):
         wall, s = make_wall(radius=lambda x: (1 + x) ** -0.25)
-        p1 = solve_p1(wall, PressureBC(p1_inlet=0.0, p1_outlet=1.0))[0]
+        p1 = steady(wall, PressureBC(p1_inlet=0.0, p1_outlet=1.0)).p1
         oracle = quadrature_bvp(lambda x: (1 + x) ** -0.25, None, 0.0, 1.0, s)
         assert np.abs(p1 - oracle).max() < 2e-6
 
@@ -164,17 +167,13 @@ class TestP1:
 class TestP02:
     def test_straight_rigid_linear_p0_gives_zero(self):
         wall, _ = make_wall()
-        p02, _ = solve_p02(wall, FLUID, np.zeros(101),
-                           steady_p0_data(wall, PressureBC(1.0, 0.0)),
-                           BodyForce(), PressureBC())
+        p02 = steady(wall, PressureBC(1.0, 0.0)).p02
         assert np.abs(p02).max() < 1e-10
 
     def test_constant_body_force_still_zero(self):
         # constant R and b01: the bracket is constant, so its gradient is 0
         wall, _ = make_wall()
-        p02, _ = solve_p02(wall, FLUID, np.zeros(101),
-                           steady_p0_data(wall, PressureBC(1.0, 0.0)),
-                           BodyForce(b1=3.0), PressureBC())
+        p02 = steady(wall, PressureBC(1.0, 0.0), BodyForce(b1=3.0)).p02
         assert np.abs(p02).max() < 1e-9
 
     def test_bracket_against_independent_assembly(self):
@@ -218,21 +217,21 @@ class TestP02:
         errs = []
         for n in (51, 101, 201):
             wall, s = make_wall(n, radius=radius)
-            p0_data = steady_p0_data(wall, PressureBC(1.0, 0.0))
-            p02, _ = solve_p02(wall, FLUID, np.zeros(n), p0_data,
-                               BodyForce(), PressureBC())
+            pexp = steady(wall, PressureBC(1.0, 0.0))
             # residual in flux form is the authoritative check here
-            bracket = p02_bracket(wall, FLUID, np.zeros(n), p0_data,
+            bracket = p02_bracket(wall, FLUID, np.zeros(n),
+                                  steady_p0_data(wall, PressureBC(1.0, 0.0)),
                                   BodyForce())
-            errs.append(flux_residual(wall.R**4, wall.h, p02,
+            errs.append(flux_residual(wall.R**4, wall.h, pexp.p02,
                                       bracket_derivative(bracket, wall.h)))
+            assert pexp.residuals["p02"] == errs[-1]
         assert max(errs) < 1e-12
 
 
 class TestInvariantsAndHelpers:
     def test_flux_continuity_homogeneous(self):
         wall, _ = make_wall(radius=lambda x: (1 + x) ** -0.25)
-        _, flux = solve_p1(wall, PressureBC(p1_inlet=0.0, p1_outlet=1.0))
+        flux = steady(wall, PressureBC(p1_inlet=0.0, p1_outlet=1.0)).flux_p1
         assert np.abs(np.diff(flux)).max() <= 1e-12 * max(
             1.0, np.abs(flux).max())
 
@@ -265,11 +264,40 @@ class TestInvariantsAndHelpers:
 
     def test_solve_pressures_bundle(self):
         wall, _ = make_wall(radius=lambda x: 1 + 0.1 * x)
-        pexp = solve_pressures(wall, FLUID, PressureBC(1.0, 0.0),
-                               np.zeros(101), BodyForce())
+        pexp = steady(wall, PressureBC(1.0, 0.0))
         assert pexp.flux_p0 is not None and pexp.p02.shape == (101,)
         assert flux_residual(wall.R**4, wall.h, pexp.p0,
                              16 * wall.R * wall.dR_dt) < 1e-12
+
+        # an unsteady elastic step with its previous wall (dt_dp0 != 0):
+        # each kept residual is flux_residual against the right side
+        # stated here, bit for bit
+        n, dt = 65, 0.05
+        s = np.linspace(0.0, 1.0, n)
+        fluid = FluidParams(1.2, 0.7)
+        law = ElasticWall(E=2e3, h0=0.1, R0=1.0)
+        bc = PressureBC(TimeSeries((0.0, 1.0), (6.0, 2.0)), 0.0,
+                        p1_inlet=0.5, p02_outlet=-0.25)
+        kappa = 0.4 + 0.2 * s
+        body = BodyForce(b1=0.3)
+        prev = advance_time_step(WallState.from_radius(s, 1.0), law, fluid,
+                                 bc, dt)
+        wall = advance_time_step(prev, law, fluid, bc, dt)
+        pexp = solve_pressures(wall, fluid, bc, kappa, body, prev, dt)
+        assert np.abs(pexp.dt_dp0).max() > 0 and np.abs(wall.dR_dt).max() > 0
+        r4, h = wall.R**4, wall.h
+        rhs0 = 16.0 * 0.7 * 1.2 * wall.R * wall.dR_dt
+        bracket = p02_bracket(
+            wall, fluid, kappa,
+            (pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0), body)
+        expected = {
+            "p0": flux_residual(r4, h, pexp.p0, rhs0),
+            "p1": flux_residual(r4, h, pexp.p1, np.zeros(n)),
+            "p02": flux_residual(r4, h, pexp.p02,
+                                 bracket_derivative(bracket, h)),
+        }
+        assert pexp.residuals == expected
+        assert max(expected.values()) < 1e-12
 
     def test_dirichlet_data_held_exactly(self):
         wall, _ = make_wall(radius=lambda x: (1 + x) ** -0.25)

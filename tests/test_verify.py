@@ -1,8 +1,12 @@
 """Flow rates, conservation residuals, compatibility, convergence studies."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tubeflow.cli import RunConfig, parse_config_text, run_pipeline
 from tubeflow.coupling import WallState
 from tubeflow.expansion import (
     BodyForce,
@@ -13,8 +17,8 @@ from tubeflow.expansion import (
     verification_terms,
 )
 from tubeflow.geometry import CenterCurve
-from tubeflow.polydisc import DiscPoly, restrict_to_boundary
-from tubeflow.pressure import PressureBC, solve_pressures
+from tubeflow.polydisc import DiscPoly, NodeArray, restrict_to_boundary
+from tubeflow.pressure import PressureBC, p02_bracket, solve_pressures
 from tubeflow.verify import (
     azimuthal_polynomial,
     check_compatibility,
@@ -23,7 +27,6 @@ from tubeflow.verify import (
     figure_shape_checks,
     flow_rates,
     fourier_mode_magnitudes,
-    pressure_residuals,
     quadrature_reference,
     run_convergence_study,
 )
@@ -31,6 +34,15 @@ from tubeflow.verify import (
 from oracles import polar_quadrature_integral, quadrature_bvp
 
 FLUID = FluidParams(1.0, 1.0)
+HELIX_PRESET = Path(__file__).resolve().parent.parent / "presets" \
+    / "helix_swirl.cfg"
+
+
+def helix_preset_run(edits=()):
+    """run_pipeline on the helix preset with some keys set anew."""
+    kv = parse_config_text(HELIX_PRESET.read_text())
+    kv.update(edits)
+    return run_pipeline(RunConfig.from_mapping(kv))
 
 
 def solved_case(n=65, radius=1.0, rate=None, kappa_val=0.0,
@@ -90,7 +102,7 @@ class TestMassConservation:
             rate=1.0, bc=PressureBC(0.0, 0.0))
         flow = flow_rates(terms, wall.R)
         report = check_mass_conservation(flow, wall, pexp, FLUID)
-        h = pexp.h
+        h = wall.h
         dq0 = -np.pi / 8 * np.diff(pexp.flux_p0) / h
         assert np.abs(dq0 + 2 * np.pi).max() < 1e-8
         assert np.abs(report.residual_q0).max() <= 1e-8
@@ -176,9 +188,50 @@ class TestPressureResiduals:
     def test_solved_state_is_small(self):
         wall, pexp, stations, fields, terms = solved_case(
             n=65, radius=(1 + np.linspace(0, 1, 65)) ** -0.25, kappa_val=0.5)
-        res = pressure_residuals(wall, FLUID, pexp, np.full(65, 0.5),
-                                 BodyForce())
-        assert max(res.values()) < 1e-12
+        assert set(pexp.residuals) == {"p0", "p1", "p02"}
+        assert max(pexp.residuals.values()) < 1e-12
+
+
+class TestP02BracketIsOrderTwoFlow:
+    """p02_bracket is (8 rho0 nu / pi) Q2 of the closed-form u1^2 with
+    p02' = 0: the numpy bracket and the generic disc polynomial agree."""
+
+    @staticmethod
+    def gap(wall, pexp, curvature, fluid, body):
+        data = stations_from_grids(wall, pexp, curvature, fluid, body)
+        data = dataclasses.replace(data, dp02=NodeArray(np.zeros(wall.R.size)))
+        q2 = flow_rates(verification_terms(data), wall.R).q2
+        bracket = p02_bracket(wall, fluid, curvature[0],
+                              (pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0),
+                              body)
+        flow = 8.0 * fluid.rho0 * fluid.nu / np.pi * q2
+        return np.abs(bracket - flow).max() / np.abs(bracket).max()
+
+    def test_rigid_taper(self):
+        s = np.linspace(0.0, 1.0, 65)
+        wall = WallState.from_radius(s, 1.0 + 0.2 * s)
+        fluid = FluidParams(1.2, 0.7)
+        curvature = CenterCurve.straight(1.0).curvature(s)
+        pexp = solve_pressures(wall, fluid, PressureBC(1.0, 0.0),
+                               curvature[0], BodyForce())
+        assert self.gap(wall, pexp, curvature, fluid, BodyForce()) < 1e-13
+
+    @pytest.mark.parametrize("elastic", [False, True])
+    def test_helix_preset(self, elastic):
+        # elastic: a helix pulse with a body force, so dR/dt, dt_dp0 and b1
+        # all enter the bracket
+        edits = {"wall.law": "elastic", "wall.E": "2e3", "wall.h0": "0.1",
+                 "time.steady": "false", "time.t_end": "0.2",
+                 "time.dt": "0.05", "body.b1": "0.3",
+                 "bc.p0.inlet": "0:0, 0.2:8, 0.4:0, 1:0"} if elastic else {}
+        r = helix_preset_run(edits)
+        if elastic:
+            assert np.abs(r.pexp.dt_dp0).max() > 0
+            assert np.abs(r.wall.dR_dt).max() > 0
+        cfg = r.config
+        gap = self.gap(r.wall, r.pexp, r.curve.curvature(r.wall.s1),
+                       cfg.build_fluid(), cfg.build_body())
+        assert gap < 1e-13
 
 
 class TestFigureShape:
@@ -212,6 +265,53 @@ class TestFigureShape:
         assert stations[32].tau != 0.0
         assert checks["U2_circulation_content"] > 0.0
         assert checks["U2_circulation_iff_kappa_tau"]
+
+    @staticmethod
+    def circulation_verdict(fields, sd):
+        return figure_shape_checks(fields, sd, wall_rate_tol=1e-9)[
+            "U2_circulation_iff_kappa_tau"]
+
+    def test_tiny_helix_torsion_passes(self):
+        # circulation of a tiny kappa*tau is tiny; it is expected, not absent
+        result = helix_preset_run({"geometry.b": "1e-13"})
+        assert result.shape_checks["U2_circulation_iff_kappa_tau"]
+        assert result.verification_passed()
+
+    @pytest.mark.parametrize("tilt", [np.pi / 4, 1e-6])
+    def test_tilted_planar_arc_passes(self, tilt, tmp_path):
+        # radius 2, length 1, 300 samples in a tilted plane: spline noise
+        # gives a torsion of round-off size where the true one is zero
+        s = np.linspace(0.0, 1.0, 300)
+        x, y = 2.0 * np.sin(s / 2.0), 2.0 * (1.0 - np.cos(s / 2.0))
+        curve = tmp_path / "arc.csv"
+        curve.write_text("s,x,y,z\n" + "".join(
+            f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(
+                s.tolist(), x.tolist(), (y * np.cos(tilt)).tolist(),
+                (y * np.sin(tilt)).tolist())))
+        result = run_pipeline(RunConfig.from_mapping({
+            "geometry.kind": "sampled", "geometry.file": str(curve),
+            "geometry.length": "1.0", "eps": "0.05", "grid.n_s1": "65"}))
+        assert result.shape_checks["U2_circulation_iff_kappa_tau"]
+        assert result.verification_passed()
+
+    def test_planted_circulation_without_torsion_fails(self):
+        # the helix preset's U2 checked against its station with tau = 0
+        result = helix_preset_run()
+        sd = result.stations[32]
+        planar = dataclasses.replace(sd, tau=0.0)
+        assert self.circulation_verdict(result.stations.fields(32), sd)
+        assert self.circulation_verdict(evaluate_station(planar), planar)
+        assert not self.circulation_verdict(result.stations.fields(32),
+                                            planar)
+
+    def test_missing_circulation_at_helix_torsion_fails(self):
+        # U2 of the station with tau = 0 checked at the preset's kappa*tau
+        result = helix_preset_run()
+        sd = result.stations[32]
+        assert sd.kappa * sd.tau != 0.0
+        swirl_free = evaluate_station(dataclasses.replace(sd, tau=0.0))
+        assert cos_mode_content(azimuthal_polynomial(*swirl_free.U2)) == 0.0
+        assert not self.circulation_verdict(swirl_free, sd)
 
     def test_mode_helpers(self):
         p = DiscPoly({(1, 0): 2.0, (0, 1): 1.0})
