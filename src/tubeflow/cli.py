@@ -321,7 +321,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 # -- field sampling and export --------------------------------------------------
 
 def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
-                  names=None) -> dict:
+                  names) -> dict:
     """Tabulate disc fields on the polar grid of n_disc rings and
     2 n_disc sectors (:func:`~tubeflow.polydisc.polar_grid`).
 
@@ -334,7 +334,7 @@ def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
         raise ConfigurationError("n_disc must be at least 8")
     _, _, z2, z3 = polar_grid(n_disc, 2 * n_disc)
     out = {}
-    for name in names or _FIELD_NAMES:
+    for name in names:
         if name not in _FIELD_NAMES:
             raise ConfigurationError(f"unknown field {name!r}")
         term = getattr(fields, name)

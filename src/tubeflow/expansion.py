@@ -138,7 +138,6 @@ _Z3_RHO2 = _Z3 * _RHO2
 _Z2_Z3 = _Z2 * _Z3
 _WALL_Z2 = _WALL * _Z2
 _WALL_Z2SQ_M_Z3SQ = _WALL * (_Z2SQ - DiscPoly.monomial(0, 2))
-_HALF = Fraction(1, 2)
 
 
 # -- axial velocity terms ---------------------------------------------------
@@ -317,8 +316,7 @@ def stream_coefficients(sd: StationData):
 def stream_function(sd: StationData) -> DiscPoly:
     """psi = (psi2 z2 + psi3 z3)(z2^2 + z3^2 - 1) / 2."""
     psi2, psi3 = stream_coefficients(sd)
-    lin = _Z2 * psi2 + _Z3 * psi3
-    return lin * _WALL * _HALF
+    return (_Z2 * (psi2 / 2) + _Z3 * (psi3 / 2)) * _WALL
 
 
 # -- the disc Stokes solve on the W/q ansatz ---------------------------------
@@ -436,9 +434,10 @@ def stokes_disc_solve(f2_poly: DiscPoly, f3_poly: DiscPoly):
             for fname, weight, fweight in terms:
                 fv = f[fname]
                 if fv != 0:
-                    # Fraction * float is float(weight) * float
-                    val = val + (fweight if isinstance(fv, float)
-                                 else weight) * fv
+                    # Fraction * float is float(weight) * float, also per
+                    # node of a node array
+                    floats = isinstance(fv, (float, np.ndarray))
+                    val = val + (fweight if floats else weight) * fv
             if val != 0:
                 coeffs[mono] = val
         return DiscPoly._canonical(coeffs.items())
@@ -658,7 +657,7 @@ def verification_terms(sd: StationData, s1=None) -> VerificationTerms:
 
 
 def evaluate_station(sd: StationData) -> ExpansionFields:
-    """Evaluate every expansion term at one station (scalar data).
+    """Evaluate every expansion term at one station, or at every node at once.
 
     (U^2, p^3) is the Neumann potential plus the stream function plus the
     tabulated disc Stokes solve, on divergence data checked compatible.
@@ -704,8 +703,6 @@ class NodeStations(Sequence):
         return len(self.data.R)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
         k = range(len(self))[i]   # negatives, IndexError
         return replace(self.data, **{name: getattr(self.data, name).item(k)
                                      for name in self._node_fields})

@@ -138,14 +138,7 @@ class DiscPoly:
             return self.coeffs == DiscPoly.constant(other).coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     # -- queries --------------------------------------------------------
-    @property
-    def degree(self):
-        return max((m + n for m, n in self.coeffs), default=0)
-
     def is_zero(self):
         return not self.coeffs
 
@@ -380,24 +373,14 @@ class TrigSeries:
             total = total + a * cos(k * s2) + b * sin(k * s2)
         return total
 
-    def __add__(self, other):
-        out = {k: list(v) for k, v in self.modes.items()}
-        for k, (a, b) in other.modes.items():
-            cur = out.setdefault(k, [0, 0])
-            cur[0] = cur[0] + a
-            cur[1] = cur[1] + b
-        return TrigSeries(out)
-
-    def __neg__(self):
-        return TrigSeries({k: [-a, -b] for k, (a, b) in self.modes.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
+        """Equal when every mode's difference is zero, so an exact series
+        equals the float series it rounds to."""
         if not isinstance(other, TrigSeries):
             return NotImplemented
-        return (self - other).is_zero()
+        return not any(self.cos_coeff(k) - other.cos_coeff(k) != 0
+                       or self.sin_coeff(k) - other.sin_coeff(k) != 0
+                       for k in self.modes.keys() | other.modes.keys())
 
     def __repr__(self):
         if not self.modes:
@@ -484,14 +467,8 @@ def restrict_to_boundary(p: DiscPoly) -> TrigSeries:
     cos^2 + sin^2 = 1, so e.g. (z2^2 + z3^2 - 1) * q restricts to zero.
     """
     modes = {}
-    for key, radial in polar_fourier(p).items():
-        kind, k = key
-        total = 0
-        for _, c in radial.items():
-            total = total + c
+    for (kind, k), radial in polar_fourier(p).items():
+        total = sum(radial.values())
         if total != 0:
-            cur = modes.setdefault(k, [0, 0])
-            cur[0 if kind == "cos" else 1] = (
-                cur[0 if kind == "cos" else 1] + total
-            )
+            modes.setdefault(k, [0, 0])[kind == "sin"] = total   # [cos, sin]
     return TrigSeries(modes)

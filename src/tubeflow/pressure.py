@@ -28,9 +28,9 @@ per time step and calls it once per sweep without building a WallState.
 each right side once, solves the three on one wall and keeps each
 solve's flux-form residual against that right side.  It is also the one
 place where derivatives of the solved grids are taken: p0 up to the
-third, p1 up to the second, p02', and the mixed time derivative of p0',
-for which it also solves p0 on the previous step's wall.  A run calls
-it once, on its final wall.
+third, p1' (p1'' = -4 R' p1' / R from the p1 equation, not differenced),
+p02', and the mixed time derivative of p0', for which it also solves p0
+on the previous step's wall.  A run calls it once, on its final wall.
 """
 
 from __future__ import annotations
@@ -284,13 +284,15 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
     r4 = wall.R**4
     rhs1 = np.zeros_like(wall.R)
     p1, flux1 = solve_flux_bvp(r4, h, rhs1, bc.p1_inlet, bc.p1_outlet)
+    dp1 = fd_derivative(p1, h)
+    d2p1 = -4.0 * wall.dR_ds1 * dp1 / wall.R + 0.0   # +0.0 where p1' = 0
     bracket = p02_bracket(wall, fluid, kappa, (dp0, d2p0, d3p0, dt_dp0), body)
     rhs02 = bracket_derivative(bracket, h)
     p02, flux2 = solve_flux_bvp(r4, h, rhs02, bc.p02_inlet, bc.p02_outlet)
     rhs0 = _p0_source(wall.R, wall.dR_dt, fluid)
     return PressureExpansion(
         p0=p0, dp0=dp0, d2p0=d2p0, d3p0=d3p0, dt_dp0=dt_dp0,
-        p1=p1, dp1=fd_derivative(p1, h), d2p1=fd_second_derivative(p1, h),
+        p1=p1, dp1=dp1, d2p1=d2p1,
         p02=p02, dp02=fd_derivative(p02, h),
         flux_p0=flux0, flux_p1=flux1, flux_p02=flux2,
         residuals={"p0": flux_residual(r4, h, p0, rhs0),

@@ -4,16 +4,18 @@
 on node-array :class:`StationData` (:func:`stations_from_grids`).  Here
 each node of that one evaluation is compared with the scalar evaluation of
 the same node's Python-float data, coefficient by coefficient, and the
-flow rates and compatibility integrals with the per-node reductions.
+flow rates and compatibility integrals with the per-node reductions.  The
+full fields of :func:`evaluate_station` are compared the same way.
 """
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tubeflow.cli import RunConfig, run_pipeline
-from tubeflow.expansion import verification_terms
+from tubeflow.expansion import evaluate_station, verification_terms
 from tubeflow.polydisc import DiscPoly, NodeArray, disc_integral
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -44,21 +46,54 @@ def polys(terms):
             "F2": terms.F[0], "F3": terms.F[1], "g": terms.g}
 
 
-def test_batched_coefficients_are_the_per_node_coefficients(run):
-    res, batched, per_node = run
-    n = len(res.stations)
-    assert len(per_node) == n
-    for name, poly in polys(batched).items():
+def assert_per_node(batched, per_node):
+    """Each node of the batched polynomials (by name) has the bits of the
+    per-node polynomials of the same name."""
+    n = len(per_node)
+    for name, poly in batched.items():
         for c in poly.coeffs.values():
             assert isinstance(c, NodeArray) and c.shape == (n,), name
+            assert c.dtype == float, name   # not an object array
         for i, scalar in enumerate(per_node):
-            ref = polys(scalar)[name].coeffs
+            ref = scalar[name].coeffs
             for key, c in ref.items():
                 assert isinstance(c, float), (name, i, key)
                 assert poly.coeffs[key][i].hex() == c.hex(), (name, i, key)
             # a coefficient the scalar term dropped is zero at this node
             for key in poly.coeffs.keys() - ref.keys():
                 assert poly.coeffs[key][i] == 0, (name, i, key)
+
+
+def test_batched_coefficients_are_the_per_node_coefficients(run):
+    res, batched, per_node = run
+    assert len(per_node) == len(res.stations)
+    assert_per_node(polys(batched), [polys(t) for t in per_node])
+
+
+def field_polys(f):
+    """Every polynomial of an ExpansionFields by name, and its two stream
+    coefficients psi2 and psi3."""
+    out, scalars = {}, {}
+    for fld in fields(f):
+        term = getattr(f, fld.name)
+        if isinstance(term, tuple):
+            out.update((f"{fld.name}[{k}]", p) for k, p in enumerate(term))
+        elif isinstance(term, DiscPoly):
+            out[fld.name] = term
+        else:
+            scalars[fld.name] = term
+    return out, scalars
+
+
+def test_batched_full_fields_are_the_per_node_fields(run):
+    res = run[0]
+    batched, coeffs = field_polys(evaluate_station(res.stations.data))
+    per_node = [field_polys(evaluate_station(sd)) for sd in res.stations]
+    assert_per_node(batched, [p for p, _ in per_node])
+    for name, c in coeffs.items():
+        assert isinstance(c, np.ndarray) and c.dtype == float, name
+        ref = np.array([s[name] for _, s in per_node], dtype=float)
+        assert c.tobytes() == ref.tobytes(), name
 
 
 def test_batched_reductions_are_the_per_node_reductions(run):

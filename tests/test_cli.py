@@ -358,7 +358,7 @@ class TestSampling:
     def test_min_resolution(self):
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))
         with pytest.raises(ConfigurationError):
-            sample_fields(res.stations.fields(0), 4)
+            sample_fields(res.stations.fields(0), 4, ["u1_0"])
 
     def test_unknown_field(self):
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))

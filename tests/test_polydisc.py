@@ -98,8 +98,8 @@ class TestRingLaws:
                   -fa, fa * (fb - fb), diff_z2(fa), diff_z3(fb)):
             assert all(c != 0 for c in r.coeffs.values()), r.coeffs
 
-    def test_power_and_degree(self):
-        assert (RHO2**2).degree == 4
+    def test_power(self):
+        assert RHO2**2 == RHO2 * RHO2
         assert RHO2**0 == DiscPoly.constant(1)
         with pytest.raises(ValueError):
             RHO2 ** (-1)
@@ -213,11 +213,17 @@ class TestBoundaryRestriction:
         direct = [p.evaluate(np.cos(t), np.sin(t)) for t in thetas]
         assert trig_series_samples(series, thetas) == pytest.approx(direct)
 
-    def test_trig_series_algebra(self):
+    def test_trig_series_equality(self):
         a = TrigSeries({0: [F(1), 0], 2: [F(1, 2), F(-1, 3)]})
-        b = TrigSeries({2: [F(1, 2), F(-1, 3)]})
-        assert (a - b) == TrigSeries({0: [F(1), 0]})
-        assert not a.is_zero() and (a - a).is_zero()
+        # an exact series equals the float series it rounds to
+        assert a == TrigSeries({0: [1.0, 0.0], 2: [0.5, float(F(-1, 3))]})
+        assert a != TrigSeries({0: [F(1), 0], 2: [F(1, 2), F(1, 3)]})
+        assert a != TrigSeries({2: [F(1, 2), F(-1, 3)]})
+        # zero modes are dropped; b_0 is unused
+        assert a == TrigSeries({0: [F(1), F(7)], 2: [F(1, 2), F(-1, 3)],
+                                5: [0, 0.0]})
+        assert TrigSeries({3: [0, 0]}) == TrigSeries() and TrigSeries().is_zero()
+        assert not a.is_zero()
 
 
 class TestPolarConversions:

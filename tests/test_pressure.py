@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from tubeflow.cli import RunConfig, run_pipeline
 from tubeflow.coupling import ElasticWall, WallState, advance_time_step
 from tubeflow.errors import ConfigurationError, SolverError
 from tubeflow.expansion import BodyForce, FluidParams
@@ -162,6 +163,23 @@ class TestP1:
         p1 = steady(wall, PressureBC(p1_inlet=0.0, p1_outlet=1.0)).p1
         oracle = quadrature_bvp(lambda x: (1 + x) ** -0.25, None, 0.0, 1.0, s)
         assert np.abs(p1 - oracle).max() < 2e-6
+
+    def test_second_derivative_from_the_p1_equation(self):
+        wall, _ = make_wall(radius=lambda x: 1 + 0.3 * x)
+        pexp = steady(wall, PressureBC(p1_inlet=0.7, p1_outlet=-0.2))
+        assert np.array_equal(pexp.d2p1,
+                              -4.0 * wall.dR_ds1 * pexp.dp1 / wall.R)
+        # zero data gives +0.0, as the differenced p1 did
+        zero = steady(wall, PressureBC()).d2p1
+        assert not np.signbit(zero).any() and not zero.any()
+
+    def test_fine_straight_pipe_passes_the_U2_compatibility_check(self):
+        # a second difference of p1 left round-off / h^2 in d2p1, which the
+        # compatibility integral of g took for a violation at 251 nodes
+        cfg = RunConfig.from_mapping({"wall.R0": "4.47", "grid.n_s1": "513",
+                                      "bc.p1.inlet": "0.94"})
+        res = run_pipeline(cfg)
+        assert res.compatibility.passed() and res.verification_passed()
 
 
 class TestP02:

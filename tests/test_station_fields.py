@@ -120,9 +120,7 @@ def test_stations_index_like_a_list():
     stations, n = res.stations, len(res.stations)
     assert stations[-1] == stations[n - 1]
     assert stations[np.int64(3)] == stations[3]
-    assert stations[1:n:7] == [stations[i] for i in range(1, n, 7)]
-    assert stations[n:] == []
-    assert list(stations) == stations[:]
+    assert list(stations) == [stations[i] for i in range(n)]
     for bad in (n, -n - 1):
         with pytest.raises(IndexError):
             stations[bad]
