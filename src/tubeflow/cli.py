@@ -196,6 +196,10 @@ class RunConfig(make_dataclass("_ConfigFields", [
                 raise ConfigurationError(
                     f"time.t_end = {self.t_end!r} is not a whole multiple of "
                     f"time.dt = {self.dt!r}")
+            if round(steps) < 1:  # t_end / inf = 0 is a whole number
+                raise ConfigurationError(
+                    f"time.dt = {self.dt!r} makes no step up to time.t_end ="
+                    f" {self.t_end!r}; unsteady runs need at least one")
         for s1 in self.stations:
             if not 0.0 <= s1 <= self.length:
                 raise ConfigurationError(

@@ -28,6 +28,7 @@ from .errors import ModelInconsistencyError, TubeflowError
 from .polydisc import (
     DiscPoly,
     NodeArray,
+    _is_float,
     diff_z2,
     diff_z3,
     disc_integral_over_pi,
@@ -433,12 +434,11 @@ def stokes_disc_solve(f2_poly: DiscPoly, f3_poly: DiscPoly):
             val = 0
             for fname, weight, fweight in terms:
                 fv = f[fname]
-                if fv != 0:
+                if fv:
                     # Fraction * float is float(weight) * float, also per
                     # node of a node array
-                    floats = isinstance(fv, (float, np.ndarray))
-                    val = val + (fweight if floats else weight) * fv
-            if val != 0:
+                    val = val + (fweight if _is_float(fv) else weight) * fv
+            if val:
                 coeffs[mono] = val
         return DiscPoly._canonical(coeffs.items())
 
@@ -449,16 +449,16 @@ def stokes_disc_solve(f2_poly: DiscPoly, f3_poly: DiscPoly):
 def check_U2_compatibility(g: DiscPoly, s1=None) -> None:
     """Require the divergence data g of (U^2, p^3) to be compatible.
 
-    Its disc integral must vanish: exactly for Fraction data, and within
-    1e-10 of max|g| (at least 1) for floats, at every node for node-array
-    data.  A violation raises :class:`ModelInconsistencyError` that
-    reports the integral; for node arrays it names the worst failing node
-    (and its ``s1``, the axis positions of the nodes, if given) and how
-    many nodes fail.
+    Its disc integral must vanish: exactly when it is exact (a Fraction,
+    or the int 0 of a zero g), and within 1e-10 of max|g| (at least 1)
+    for floats, at every node for node-array data.  A violation raises
+    :class:`ModelInconsistencyError` that reports the integral; for node
+    arrays it names the worst failing node (and its ``s1``, the axis
+    positions of the nodes, if given) and how many nodes fail.
     """
     integral = disc_integral_over_pi(g)
-    if isinstance(integral, Fraction):
-        if integral != 0:
+    if not _is_float(integral):
+        if integral:
             raise ModelInconsistencyError(
                 f"U^2 compatibility violated: disc integral of g = {integral}*pi"
             )

@@ -12,6 +12,20 @@ Coefficients may be ``fractions.Fraction`` (exact verification domain) or
 whichever domain they are given.  :meth:`DiscPoly.evaluate` takes a point,
 or a whole grid of points as two :class:`NodeArray`, such as the polar
 grids of :func:`polar_grid` that the export and the plots sample.
+
+Two rules hold in every domain, and keep one code path cheap in all three:
+
+- *Zero means falsy.*  A coefficient is dropped when ``not c``, never by
+  ``c != 0``: the truth value is the same test for ``Fraction``, int and
+  float (NaN counts as nonzero, +-0.0 as zero), and for a
+  :class:`NodeArray` it is "nonzero at some point" without building a
+  boolean array first.
+- *A float coefficient times an exact table uses the table's float.*  The
+  disc moments and the Fourier modes of ``cos^m sin^n`` are exact
+  ``Fraction`` tables; a float or node-array coefficient is multiplied by
+  a cached float of each entry.  The bits are those of ``c * Fraction``,
+  which Python computes as ``float(c) * float(Fraction)``, and a node
+  array stays a float array.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ class DiscPoly:
         for (m, n), c in (coeffs or {}).items():
             if m < 0 or n < 0:
                 raise ValueError(f"negative exponent in monomial ({m},{n})")
-            if c != 0:
+            if c:
                 clean[(int(m), int(n))] = c
         self.coeffs = clean
 
@@ -52,7 +66,7 @@ class DiscPoly:
         coefficients are dropped.  Every ring operation builds through it.
         """
         poly = object.__new__(cls)
-        poly.coeffs = {k: c for k, c in items if c != 0}
+        poly.coeffs = {k: c for k, c in items if c}
         return poly
 
     # -- constructors -------------------------------------------------
@@ -188,11 +202,16 @@ class NodeArray(np.ndarray):
     ``x ** k`` may differ from the scalar one in the last bit).  An array
     made by ``NodeArray(values)`` is read-only and keeps each power it
     returns, read-only too, so ``x ** k`` is the same object on every
-    call; the results of arithmetic are computed afresh.  The truth value
-    is "some point is nonzero", so :class:`DiscPoly` keeps a coefficient
-    that is nonzero anywhere, and it is 0.0 at the points where a scalar
-    polynomial would drop it.  A zero polynomial evaluates to the int 0;
-    :meth:`broadcast` spreads such a scalar over the points.
+    call; the results of arithmetic are computed afresh.
+
+    Zero means falsy: the truth value is "some point is nonzero" (NaN
+    counts, +-0.0 does not), a Python ``bool`` at the cost of one
+    ``count_nonzero``.  So :class:`DiscPoly` keeps a coefficient that is
+    nonzero anywhere, and it is 0.0 at the points where a scalar
+    polynomial would drop it.  Times an exact table (disc moments, Fourier
+    modes), a node array takes the table's float, so it stays a float
+    array with each point's scalar bits.  A zero polynomial evaluates to
+    the int 0; :meth:`broadcast` spreads such a scalar over the points.
     """
 
     def __new__(cls, values):
@@ -210,7 +229,8 @@ class NodeArray(np.ndarray):
         return out
 
     def __bool__(self):
-        return bool(self.view(np.ndarray).any())
+        # a Python bool: `if` raises TypeError on a numpy.bool from here
+        return bool(np.count_nonzero(self))
 
     def broadcast(self, value):
         """``value``, an array over the points or a scalar, as one float
@@ -245,6 +265,12 @@ def _as_poly(x):
     if isinstance(x, DiscPoly):
         return x
     return DiscPoly.constant(x)
+
+
+def _is_float(c):
+    """True for a float coefficient (one per node for a node array), which
+    takes the float of an exact table entry; False for an exact one."""
+    return isinstance(c, (float, np.ndarray))
 
 
 # -- differential operators ---------------------------------------------
@@ -323,8 +349,7 @@ def disc_integral_over_pi(p: DiscPoly):
         mom, fmom = _moment_pair(m, n)
         if mom:
             # float * Fraction is float * float(Fraction)
-            total = total + c * (fmom if isinstance(c, (float, np.ndarray))
-                                 else mom)
+            total = total + c * (fmom if _is_float(c) else mom)
     return total
 
 
@@ -352,7 +377,7 @@ class TrigSeries:
         for k, (a, b) in (modes or {}).items():
             if k == 0:
                 b = 0
-            if a != 0 or b != 0:
+            if a or b:
                 clean[int(k)] = [a, b]
         self.modes = clean
 
@@ -378,8 +403,8 @@ class TrigSeries:
         equals the float series it rounds to."""
         if not isinstance(other, TrigSeries):
             return NotImplemented
-        return not any(self.cos_coeff(k) - other.cos_coeff(k) != 0
-                       or self.sin_coeff(k) - other.sin_coeff(k) != 0
+        return not any((self.cos_coeff(k) - other.cos_coeff(k))
+                       or (self.sin_coeff(k) - other.sin_coeff(k))
                        for k in self.modes.keys() | other.modes.keys())
 
     def __repr__(self):
@@ -388,9 +413,9 @@ class TrigSeries:
         parts = []
         for k in sorted(self.modes):
             a, b = self.modes[k]
-            if a != 0:
+            if a:
                 parts.append(f"{a}" if k == 0 else f"{a}*cos({k}s2)")
-            if b != 0:
+            if b:
                 parts.append(f"{b}*sin({k}s2)")
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -436,6 +461,14 @@ def _trig_expand(m: int, n: int):
     )
 
 
+@lru_cache(maxsize=None)
+def _trig_tables(m: int, n: int):
+    """The exact modes of :func:`_trig_expand` and their floats, for float
+    coefficients."""
+    exact = _trig_expand(m, n)
+    return exact, tuple((k, float(a), float(b)) for k, a, b in exact)
+
+
 def polar_fourier(p: DiscPoly):
     """Fourier/radial decomposition of p(z2, z3) in polar coordinates.
 
@@ -446,7 +479,7 @@ def polar_fourier(p: DiscPoly):
     out = {}
     for (m, n), c in p.coeffs.items():
         j = m + n
-        for k, a, b in _trig_expand(m, n):
+        for k, a, b in _trig_tables(m, n)[_is_float(c)]:
             if a:
                 rad = out.setdefault(("cos", k), {})
                 rad[j] = rad.get(j, 0) + c * a
@@ -454,7 +487,7 @@ def polar_fourier(p: DiscPoly):
                 rad = out.setdefault(("sin", k), {})
                 rad[j] = rad.get(j, 0) + c * b
     for key in list(out):
-        out[key] = {j: c for j, c in out[key].items() if c != 0}
+        out[key] = {j: c for j, c in out[key].items() if c}
         if not out[key]:
             del out[key]
     return out
@@ -469,6 +502,6 @@ def restrict_to_boundary(p: DiscPoly) -> TrigSeries:
     modes = {}
     for (kind, k), radial in polar_fourier(p).items():
         total = sum(radial.values())
-        if total != 0:
+        if total:
             modes.setdefault(k, [0, 0])[kind == "sin"] = total   # [cos, sin]
     return TrigSeries(modes)

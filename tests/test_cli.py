@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +195,15 @@ class TestConfigParsing:
                                       "time.t_end": t_end, "time.dt": dt})
         assert round(cfg.t_end / cfg.dt) == steps
 
+    @pytest.mark.parametrize("t_end, dt", [("1.0", "inf"), ("1e-300", "1e300")])
+    def test_unsteady_run_needs_a_step(self, t_end, dt):
+        # t_end / dt = 0 passed as a whole number of steps, and the run
+        # made none
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"time.dt = {float(dt)!r} makes")):
+            RunConfig.from_mapping({"time.steady": "false",
+                                    "time.t_end": t_end, "time.dt": dt})
+
     def test_time_grid_ignored_when_steady(self):
         RunConfig.from_mapping({"time.t_end": "0", "time.dt": "0.3"})
 
@@ -234,6 +244,13 @@ class TestPresets:
         cfg = RunConfig.from_mapping(STRAIGHT)
         cfg.steady, cfg.t_end = False, 0.0
         with pytest.raises(ConfigurationError, match="t_end"):
+            run_pipeline(cfg)
+
+    def test_pipeline_rejects_an_infinite_step(self):
+        # zero steps of dt = inf ended in an UnboundLocalError
+        cfg = RunConfig.from_mapping(MOVING)
+        cfg.dt = float("inf")
+        with pytest.raises(ConfigurationError, match="time.dt = inf"):
             run_pipeline(cfg)
 
     def test_straight_rigid_zero_corrections(self):
@@ -531,6 +548,17 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "error [ConfigurationError]" in err
         assert next(iter(entries)) in err
+
+    def test_infinite_step_is_a_config_error(self, tmp_path, capsys):
+        # the elastic_pulse preset with time.dt = inf died in a traceback
+        root = Path(__file__).resolve().parent.parent
+        text = (root / "presets" / "elastic_pulse.cfg").read_text()
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(text.replace("time.dt = 0.05", "time.dt = inf"))
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error [ConfigurationError]" in err and "time.dt = inf" in err
 
     @pytest.mark.parametrize("rows, says", [
         ("s;x;y;z\n0;0;0;0\n", "expected header 's,x,y,z'"),

@@ -22,6 +22,7 @@ from tubeflow.expansion import (
     _F2_MONOMIALS,
     _F3_MONOMIALS,
     build_U2_rhs,
+    check_U2_compatibility,
     derive_wq_table,
     eval_U1,
     eval_p2,
@@ -44,6 +45,7 @@ from tubeflow.expansion import (
 )
 from tubeflow.polydisc import (
     DiscPoly,
+    NodeArray,
     angular_derivative,
     diff_z2,
     diff_z3,
@@ -169,6 +171,19 @@ class TestSecondaryFlowData:
     def test_compatibility_integral_exact(self, exact_station):
         _, g = build_U2_rhs(exact_station)
         assert disc_integral_over_pi(g) == 0
+
+    def test_compatibility_domains(self):
+        # exact integrals are checked exactly, the int 0 of a zero g too;
+        # float and node-array integrals against the tolerance
+        check_U2_compatibility(DiscPoly.zero())
+        with pytest.raises(ModelInconsistencyError, match=r"= 1/4\*pi"):
+            check_U2_compatibility(DiscPoly.monomial(2, 0, F(1)))
+        check_U2_compatibility(DiscPoly.constant(1e-12))
+        with pytest.raises(ModelInconsistencyError, match="tol 1e-10"):
+            check_U2_compatibility(DiscPoly.constant(1e-9))
+        with pytest.raises(ModelInconsistencyError, match="at 1 of 2 nodes"):
+            check_U2_compatibility(
+                DiscPoly.constant(NodeArray([1e-12, 1e-9])))
 
     def test_compatibility_violation_detected(self):
         # break the p1 relation: the g integral is nonzero and rejected

@@ -3,13 +3,17 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubeflow.polydisc import (
     DiscPoly,
+    NodeArray,
     TrigSeries,
+    _trig_expand,
+    _trig_tables,
     angular_derivative,
     diff_z2,
     diff_z3,
@@ -252,6 +256,176 @@ class TestPolarConversions:
         p = Z2**2 - Z3**2
         modes = polar_fourier(angular_derivative(p))
         assert modes == {("sin", 2): {2: -2}}
+
+
+# -- zero means falsy ---------------------------------------------------------
+
+EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.0)
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
+                      allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
+NODE_CASES = {
+    "all -0.0": [-0.0, -0.0, -0.0],
+    "mixed-sign zeros": [0.0, -0.0, 0.0],
+    "NaN at one node": [0.0, math.nan, -0.0],
+    "empty": [],
+    "one nonzero node": [-0.0, 0.0, 5e-324],
+}
+SCALAR_COEFFS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    st.integers(-2, 2), ANY_FLOAT, ANY_FLOAT.map(np.float64))
+NODE_COEFFS = (st.sampled_from(list(NODE_CASES.values()))
+               | st.lists(ANY_FLOAT, max_size=4)).map(NodeArray)
+COEFFS = SCALAR_COEFFS | NODE_COEFFS
+MONOS = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+def kept_by_ne(c):
+    """The zero test the ring used before truth values: ``c != 0``,
+    reduced over the nodes of a node array."""
+    return bool(np.asarray(c != 0).any())
+
+
+class TestZeroMeansFalsy:
+    def assert_keeps_what_ne_kept(self, coeffs):
+        expected = [(k, c) for k, c in coeffs.items() if kept_by_ne(c)]
+        for poly in (DiscPoly._canonical(coeffs.items()), DiscPoly(coeffs)):
+            assert list(poly.coeffs) == [k for k, _ in expected]
+            assert all(poly.coeffs[k] is c for k, c in expected)
+
+    @settings(max_examples=100)
+    @given(st.dictionaries(MONOS, COEFFS, max_size=6))
+    def test_polynomials_keep_what_ne_kept(self, coeffs):
+        self.assert_keeps_what_ne_kept(coeffs)
+
+    @pytest.mark.parametrize("c", [
+        F(0), F(-1, 3), 0, -2, 0.0, -0.0, math.nan, math.inf, -math.inf,
+        5e-324, -5e-324, np.float64(-0.0), np.float64(math.nan),
+        *map(NodeArray, NODE_CASES.values())])
+    def test_edge_coefficients_keep_what_ne_kept(self, c):
+        self.assert_keeps_what_ne_kept({(1, 2): c, (0, 0): F(1)})
+
+    @settings(max_examples=100)
+    @given(st.dictionaries(st.integers(0, 4), st.tuples(COEFFS, COEFFS),
+                           max_size=5))
+    def test_trig_series_keep_what_ne_kept(self, modes):
+        series = TrigSeries(modes)
+        # b_0 is unused
+        assert set(series.modes) == {
+            k for k, (a, b) in modes.items()
+            if kept_by_ne(a) or (k and kept_by_ne(b))}
+
+    @settings(max_examples=100)
+    @given(st.lists(ANY_FLOAT, max_size=6))
+    def test_node_array_truth_is_a_python_bool(self, values):
+        x = NodeArray(values)
+        truth = x.__bool__()
+        assert type(truth) is bool
+        assert truth == bool((x != 0).any())
+
+    @pytest.mark.parametrize("values", NODE_CASES.values(), ids=NODE_CASES)
+    def test_node_array_truth_at_the_edges(self, values):
+        x = NodeArray(values)
+        assert bool(x) is any(v != 0 for v in values)
+
+
+# -- a float coefficient times an exact table uses the table's float ----------
+
+FLOAT_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    ANY_FLOAT.filter(lambda c: c != 0), max_size=6).map(DiscPoly)
+
+
+def polar_fourier_exact_table(p):
+    """polar_fourier as it multiplied every coefficient by the exact
+    Fraction modes."""
+    out = {}
+    for (m, n), c in p.coeffs.items():
+        for k, a, b in _trig_expand(m, n):
+            for kind, w in (("cos", a), ("sin", b)):
+                if w:
+                    rad = out.setdefault((kind, k), {})
+                    rad[m + n] = rad.get(m + n, 0) + c * w
+    out = {key: {j: c for j, c in rad.items() if c != 0}
+           for key, rad in out.items()}
+    return {key: rad for key, rad in out.items() if rad}
+
+
+def restrict_exact_table(p):
+    modes = {}
+    for (kind, k), radial in polar_fourier_exact_table(p).items():
+        total = sum(radial.values())
+        if total != 0:
+            modes.setdefault(k, [0, 0])[kind == "sin"] = total
+    return TrigSeries(modes)
+
+
+def flat_bytes(entries):
+    """Sorted keys, the values' types, and the values' bytes."""
+    keys = sorted(entries)
+    values = [entries[k] for k in keys]
+    return keys, {type(v) for v in values}, np.array(values).tobytes()
+
+
+def radial_entries(modes):
+    return {(kind, k, j): c for (kind, k), rad in modes.items()
+            for j, c in rad.items()}
+
+
+def trig_entries(series):
+    return {(k, i): ab[i] for k, ab in series.modes.items() for i in (0, 1)}
+
+
+class TestFloatTables:
+    @settings(max_examples=100)
+    @given(FLOAT_POLYS)
+    def test_float_polynomials_match_the_exact_table(self, p):
+        assert (flat_bytes(radial_entries(polar_fourier(p)))
+                == flat_bytes(radial_entries(polar_fourier_exact_table(p))))
+        assert (flat_bytes(trig_entries(restrict_to_boundary(p)))
+                == flat_bytes(trig_entries(restrict_exact_table(p))))
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 4).flatmap(lambda nodes: st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                           allow_subnormal=True) | st.just(-0.0),
+                 min_size=nodes, max_size=nodes).map(NodeArray),
+        max_size=6)).map(DiscPoly))
+    def test_node_arrays_match_each_node(self, p):
+        modes = radial_entries(polar_fourier(p))
+        trace = trig_entries(restrict_to_boundary(p))
+        values = [*modes.values(), *trace.values()]
+        assert all(v.dtype == np.float64 for v in values
+                   if isinstance(v, np.ndarray))
+        n_nodes = max((c.size for c in p.coeffs.values()), default=0)
+        for i in range(n_nodes):
+            scalar = DiscPoly({k: float(c[i]) for k, c in p.coeffs.items()})
+            for batched, per_node in (
+                    (modes, radial_entries(polar_fourier(scalar))),
+                    (trace, trig_entries(restrict_to_boundary(scalar)))):
+                # a value the scalar polynomial drops is 0.0 at its node
+                assert per_node.keys() <= batched.keys()
+                for key, v in batched.items():
+                    v_i = np.broadcast_to(v, (n_nodes,))[i]
+                    ref = per_node.get(key, 0.0)
+                    if ref:
+                        assert np.float64(v_i).tobytes() == np.float64(
+                            ref).tobytes(), key
+                    else:
+                        assert v_i == 0, key
+
+    def test_float_table_is_an_immutable_copy(self):
+        for m, n in ((0, 0), (3, 1), (2, 4)):
+            exact, floats = _trig_tables(m, n)
+            assert exact is _trig_expand(m, n)
+            assert _trig_tables(m, n)[1] is floats
+            assert isinstance(floats, tuple)
+            assert all(isinstance(entry, tuple) for entry in floats)
+            assert floats == tuple((k, float(a), float(b))
+                                   for k, a, b in exact)
+            assert all(type(a) is float and type(b) is float
+                       for _, a, b in floats)
 
 
 def test_repr_is_readable():
