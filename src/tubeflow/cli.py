@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field as dc_field, make_dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -348,13 +349,39 @@ def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
     return out
 
 
-def write_csv(path, header, rows):
+@lru_cache(maxsize=None)
+def _grid_text(n_disc):
+    """The coordinate columns of ``polar_grid(n_disc, 2 n_disc)`` as CSV
+    text: for each point, ``"%.17g,%.17g,"`` of (s2, s3) in the first
+    tuple and of (z2, z3) in the second.  Cached as the grid is, so a
+    process formats each coordinate once."""
+    s2, s3, z2, z3 = polar_grid(n_disc, 2 * n_disc)
+    pair = f"{_FMT},{_FMT},"
+    return (tuple(pair % p for p in zip(s2.tolist(), s3.tolist())),
+            tuple(pair % p for p in zip(z2.tolist(), z3.tolist())))
+
+
+def write_csv(path, header, rows, lead=None):
     """Header line, then each row: one value per column, 17 significant
-    digits."""
-    line = ",".join([_FMT] * len(header)) + "\n"
+    digits.
+
+    ``lead``, if given, holds the ready text of each row's first columns,
+    one string per row that ends in a comma (as :func:`_grid_text` gives
+    the disc-grid coordinates); ``rows`` then hold the remaining columns
+    only.  A row of the wrong length raises TypeError.  Rows of Python
+    floats format fastest.  The body is built first and written in one
+    call after the header, so the file takes two writes.
+    """
+    n_lead = lead[0].count(",") if lead else 0
+    line = ",".join([_FMT] * (len(header) - n_lead)) + "\n"
+    if lead is None:
+        body = "".join([line % tuple(row) for row in rows])
+    else:
+        body = "".join([text + line % tuple(row)
+                        for text, row in zip(lead, rows, strict=True)])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        fh.write(body)
 
 
 def read_field_csv(path):
@@ -375,7 +402,9 @@ def _export_grids(result: PipelineResult, outdir: Path):
         ("p02", pexp.p02), ("dp02", pexp.dp02),
         ("Q0", flow.q0), ("Q1", flow.q1), ("Q2", flow.q2), ("A0", flow.area),
     ]
-    rows = zip(*(c for _, c in cols))
+    # one row of Python floats at a time: whole columns of them would
+    # outweigh the file
+    rows = (r.tolist() for r in np.column_stack([c for _, c in cols]))
     write_csv(outdir / "grids.csv", [n for n, _ in cols], rows)
 
 
@@ -387,7 +416,8 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
     velocity and the pressure of the expansion truncated at ``order``.
     """
     cfg, wall, pexp = result.config, result.wall, result.pexp
-    s2, s3, z2, z3 = polar_grid(cfg.n_disc, 2 * cfg.n_disc)
+    _, _, z2, z3 = polar_grid(cfg.n_disc, 2 * cfg.n_disc)
+    polar, cartesian = _grid_text(cfg.n_disc)
     for target in cfg.stations:
         idx = int(np.argmin(np.abs(wall.s1 - target)))
         tag = f"station{idx:04d}"
@@ -397,7 +427,7 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
             header = (["z2", "z3", name] if rows.shape[1] == 3
                       else ["z2", "z3", f"{name}_2", f"{name}_3"])
             write_csv(outdir / f"field_{name}_{tag}.csv", header,
-                      rows.tolist())
+                      rows[:, 2:].tolist(), lead=cartesian)
         for name in cfg.out_fields:
             term = getattr(f, name)
             title = f"{name} at s1 index {idx}"
@@ -411,9 +441,10 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
             f, pexp.p0[idx], pexp.p1[idx], cfg.eps, order, z2, z3)
         # one (n, 3) product rotates every row as its own u @ basis would
         world = np.column_stack([z2.broadcast(c) for c in u]) @ basis
-        rows = np.column_stack([s2, s3, world, z2.broadcast(p)])
+        rows = np.column_stack([world, z2.broadcast(p)])
         write_csv(outdir / f"solution_{tag}.csv",
-                  ["s2", "s3", "ux", "uy", "uz", "p"], rows.tolist())
+                  ["s2", "s3", "ux", "uy", "uz", "p"], rows.tolist(),
+                  lead=polar)
 
 
 def _export_reports(result: PipelineResult, outdir: Path):
@@ -434,8 +465,8 @@ def _export_reports(result: PipelineResult, outdir: Path):
     write_csv(outdir / "residuals.csv",
               ["s1", "mass_q0", "mass_q1", "compat_u1_lhs", "compat_u1_rhs",
                "g_integral"],
-              zip(result.wall.s1, res0, res1, comp.u1_lhs, comp.u1_rhs,
-                  comp.g_integral))
+              np.column_stack([result.wall.s1, res0, res1, comp.u1_lhs,
+                               comp.u1_rhs, comp.g_integral]).tolist())
 
 
 def _export_meta(result: PipelineResult, outdir: Path):
@@ -445,7 +476,7 @@ def _export_meta(result: PipelineResult, outdir: Path):
     if result.history:
         write_csv(outdir / "history.csv",
                   ["t", "max_R", "min_R", "p0_inlet", "p0_outlet"],
-                  result.history)
+                  np.array(result.history, dtype=float).tolist())
 
 
 def export_bundle(result: PipelineResult, outdir, order: int = 2,

@@ -21,6 +21,7 @@ new WallState.  The pressure hierarchy is read off the final wall by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,14 +88,20 @@ class ElasticWall:
     def rest_radius(self, n):
         return np.full(n, self.R0, dtype=float)
 
+    @cached_property
+    def constants(self):
+        """(R0, R0^2 / (E h0)) as floats, one per node for a per-node R0;
+        R0^2 is R0 * R0, the bits of numpy's array square."""
+        r0 = np.asarray(self.R0, dtype=float)
+        return r0, r0 * r0 / (self.E * self.h0)
+
 
 def apply_wall_law(law: ElasticWall, p0):
     """Radius from the elastic law: R = R0 + (R0^2 / E h0)(p0 - p_e)."""
     if not isinstance(law, ElasticWall):
         raise TubeflowError("apply_wall_law needs the elastic variant")
-    p0 = np.asarray(p0, dtype=float)
-    r0 = law.rest_radius(p0.size)
-    r = r0 + r0**2 / (law.E * law.h0) * (p0 - law.p_e)
+    r0, compliance = law.constants
+    r = r0 + compliance * (np.asarray(p0, dtype=float) - law.p_e)
     if (r <= 0).any():
         raise WallCollapseError(
             f"elastic law collapsed the wall (min R = {r.min():.3g})"
@@ -146,15 +153,15 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
     history = []
     for _ in range(max_iter):
         p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out)[0]
-        r_target = apply_wall_law(law, p0)
-        resid = float(np.abs(r_target - r_cur).max())
+        change = apply_wall_law(law, p0) - r_cur
+        resid = float(np.abs(change).max())
         history.append(resid)
         if resid <= tol * float(r_cur.max()):
-            r_new = r_cur + omega * (r_target - r_cur)
+            r_new = r_cur + omega * change
             return WallState.from_radius(state.s1, r_new, rate(r_new), t)
         if len(history) > 3 and history[-1] > history[-2]:
             omega *= 0.5
-        r_cur = r_cur + omega * (r_target - r_cur)
+        r_cur = r_cur + omega * change
     raise CouplingDivergenceError(
         f"wall coupling did not converge in {max_iter} iterations "
         f"(last residual {history[-1]:.3e})", history,

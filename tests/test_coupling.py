@@ -90,6 +90,27 @@ class TestWallLaw:
         with pytest.raises(TubeflowError, match="finite"):
             ElasticWall(**{"E": 1.0, "h0": 1.0, "R0": 1.0, **bad})
 
+    @pytest.mark.parametrize("R0", [
+        0.7, 1.0, 4.89, 1 / 3,
+        tuple(np.linspace(0.4, 2.3, N).tolist()),
+        tuple(np.random.default_rng(13).uniform(0.1, 5.0, N).tolist())])
+    @pytest.mark.parametrize("E,h0,p_e", [
+        (1000.0, 0.01, 0.0), (1.5e4, 0.065, -0.25), (539.0, 0.164, 2.0),
+        (1e5, 1 / 7, 0.1)])
+    def test_law_keeps_the_bits_of_the_per_call_formula(self, R0, E, h0,
+                                                        p_e):
+        # the cached constants give the bits of the formula they replace
+        law = ElasticWall(E=E, h0=h0, R0=R0, p_e=p_e)
+        p0 = np.random.default_rng(7).uniform(-2.0, 3.0, N)
+        p0[:3] = (-0.0, p_e, 0.0)
+        r0 = (np.full(N, R0, dtype=float) if np.ndim(R0) == 0
+              else np.array(R0, dtype=float))
+        want = r0 + r0**2 / (E * h0) * (p0 - p_e)
+        got = apply_wall_law(law, p0)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert law.constants is law.constants
+
     def test_residual_measure(self):
         law = ElasticWall(E=1000.0, h0=0.01, R0=1.0)
         p0 = np.ones(N)

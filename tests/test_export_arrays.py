@@ -4,15 +4,18 @@ The export evaluates each polynomial once on all disc points of a grid,
 through :class:`~tubeflow.polydisc.NodeArray`.  These tests compare it,
 by ``tobytes()``, against evaluating the same points one at a time, and
 pin the heatmap colours and the CSV row format against the per-value
-rules they replace.
+rules they replace.  The CSV export formats each disc-grid coordinate
+once per process and writes each file in at most two calls.
 """
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tubeflow.cli import RunConfig, run_pipeline, write_csv
+from tubeflow import cli
+from tubeflow.cli import RunConfig, _grid_text, run_pipeline, write_csv
 from tubeflow.expansion import truncated_solution
 from tubeflow.plotting import _HEATMAP_GRID, _QUIVER_GRID, _diverging_colors
 from tubeflow.polydisc import DiscPoly, NodeArray, polar_grid
@@ -165,3 +168,73 @@ def test_write_csv_rows_match_per_value_format(tmp_path):
     assert path.read_bytes() == want.encode()
     assert path.read_text().splitlines()[1] == "0,-0,nan,inf,"\
         "0.33333333333333331,0.10000000000000001"
+
+
+EDGE_ROWS = [
+    (0, -0.0, float("nan"), float("inf"), np.float64(1 / 3), 0.1),
+    [np.float64(-0.0), -1e-310, float("-inf"), 12345678901234567890.0,
+     np.int64(7), 2.5],
+    np.array([1e300, -5e-324, 0.0, 1.0, -2.0, np.pi]),
+]
+
+
+@pytest.mark.parametrize("n_lead", [1, 2, 5])
+def test_write_csv_with_lead_text_matches_per_value_format(tmp_path, n_lead):
+    header = ["a", "b", "c", "d", "e", "f"]
+    lead = ["".join("%.17g," % v for v in row[:n_lead]) for row in EDGE_ROWS]
+    path = tmp_path / "rows.csv"
+    write_csv(path, header, iter([row[n_lead:] for row in EDGE_ROWS]),
+              lead=lead)
+    want = "a,b,c,d,e,f\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in EDGE_ROWS)
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("lead", [None, ["1,"] * 2])
+def test_write_csv_rejects_a_ragged_row(tmp_path, lead):
+    with pytest.raises(TypeError, match="arguments for format string"):
+        write_csv(tmp_path / "rows.csv", ["a", "b", "c"],
+                  [(1.0, 2.0), (3.0,)], lead=lead)
+
+
+@pytest.mark.parametrize("n_disc", [8, 13, 16])
+def test_grid_text_is_the_format_of_each_grid_point(n_disc):
+    s2, s3, z2, z3 = polar_grid(n_disc, 2 * n_disc)
+    polar, cartesian = _grid_text(n_disc)
+    assert polar == tuple("%.17g,%.17g," % (a, b) for a, b in zip(s2, s3))
+    assert cartesian == tuple("%.17g,%.17g," % (a, b)
+                              for a, b in zip(z2, z3))
+    assert _grid_text(n_disc) is _grid_text(n_disc)
+
+
+def test_every_bundle_csv_takes_at_most_two_writes(tmp_path, monkeypatch):
+    res = run_pipeline(RunConfig.from_mapping({
+        "geometry.kind": "helix", "grid.n_s1": "17", "grid.n_disc": "8",
+        "time.steady": "false", "time.t_end": "0.2", "time.dt": "0.1",
+        "wall.law": "elastic", "output.fields": "all",
+        "output.stations": "0.25,0.75"}))
+    writes = {}
+
+    class Counted:
+        def __init__(self, fh, name):
+            self.fh, self.name = fh, name
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            writes[self.name] = writes.get(self.name, 0) + 1
+            return self.fh.write(text)
+
+    def counted_open(path, *args, **kwargs):
+        return Counted(open(path, *args, **kwargs), Path(path).name)
+
+    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    cli.export_bundle(res, tmp_path)
+    csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert "history.csv" in csvs and "solution_station0004.csv" in csvs
+    assert sorted(writes) == csvs
+    assert max(writes.values()) <= 2
