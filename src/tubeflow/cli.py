@@ -7,7 +7,8 @@ and no timestamps, so identical configs produce byte-identical outputs.
 Subcommands: ``solve`` (full pipeline), ``fields`` (sample/export only),
 ``verify`` (verification suites only), ``tables`` (secondary-flow
 coefficient-table check), ``sweep`` (kappa/tau/eps parameter grid).
-Exit codes: 0 success, 2 verification failure, 1 error.
+Exit codes: 0 success, 2 verification failure (its report keys on stderr),
+1 error.
 """
 
 from __future__ import annotations
@@ -256,14 +257,32 @@ class PipelineResult:
     shape_checks: dict
     history: list = dc_field(default_factory=list)
 
+    def report(self) -> dict:
+        """``verify_report.txt`` by section, less the verdict."""
+        con, comp = self.conservation, self.compatibility
+        return {
+            "bvp_residuals": {k: float(v)
+                              for k, v in self.pexp.residuals.items()},
+            "compatibility": {"max_g_integral": comp.max_g_integral,
+                              "max_u1_residual": comp.max_u1_residual},
+            "conservation": {"max_q0_residual": con.max_q0,
+                             "max_q1_residual": con.max_q1},
+            "figure_shape": dict(self.shape_checks),
+        }
+
+    def failed_checks(self) -> list:
+        """Report keys, in report order, of each value not within its
+        bound in :func:`verify.bounds` (NaN is not) and each False
+        figure-shape check; a bound that the report lacks raises."""
+        values = {f"{section}.{name}": value
+                  for section, part in self.report().items()
+                  for name, value in sorted(part.items())}
+        return [key for key, bound in verify.bounds(self.wall.h).items()
+                if not values[key] <= bound] + [
+            key for key, value in values.items() if value is False]
+
     def verification_passed(self) -> bool:
-        return (
-            max(self.pexp.residuals.values()) <= 1e-8
-            and self.conservation.passed()
-            and self.compatibility.passed()
-            and all(v for k, v in self.shape_checks.items()
-                    if isinstance(v, (bool, np.bool_)))
-        )
+        return not self.failed_checks()
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
@@ -314,7 +333,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     # the wall-rate trace sits at the same O(h^2) error as the u1 identity
     shape_checks = verify.figure_shape_checks(
         stations.fields(mid), stations[mid],
-        wall_rate_tol=compatibility.tol_u1)
+        wall_rate_tol=verify.bounds(wall.h)["compatibility.max_u1_residual"])
     return PipelineResult(
         config=cfg, curve=curve, wall=wall, pexp=pexp, stations=stations,
         flow=flow, conservation=conservation,
@@ -448,18 +467,11 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
 
 
 def _export_reports(result: PipelineResult, outdir: Path):
-    con, comp = result.conservation, result.compatibility
     lines = verify.report_key_values(
-        bvp_residuals={k: float(v) for k, v in result.pexp.residuals.items()},
-        conservation={"max_q0_residual": con.max_q0,
-                      "max_q1_residual": con.max_q1},
-        compatibility={"max_u1_residual": comp.max_u1_residual,
-                       "max_g_integral": comp.max_g_integral},
-        figure_shape={k: v for k, v in result.shape_checks.items()},
-        verdict={"passed": result.verification_passed()},
-    )
+        **result.report(), verdict={"passed": result.verification_passed()})
     (outdir / "verify_report.txt").write_text("\n".join(lines) + "\n")
 
+    con, comp = result.conservation, result.compatibility
     res0 = np.concatenate([[np.nan], con.residual_q0, [np.nan]])
     res1 = np.concatenate([[np.nan], con.residual_q1, [np.nan]])
     write_csv(outdir / "residuals.csv",
@@ -572,7 +584,10 @@ def main(argv=None) -> int:
                       reports=args.command in ("solve", "verify"))
         if args.command == "fields":
             return 0
-        return 0 if result.verification_passed() else 2
+        failed = result.failed_checks()
+        if failed:
+            print("verification failed: " + ", ".join(failed), file=sys.stderr)
+        return 2 if failed else 0
     except (TubeflowError, OSError) as exc:
         where = f" (config {args.config})" if getattr(args, "config", None) \
             else ""

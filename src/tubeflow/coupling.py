@@ -85,9 +85,6 @@ class ElasticWall:
             raise TubeflowError("elastic wall needs finite positive E, h0, "
                                 "R0 and a finite p_e")
 
-    def rest_radius(self, n):
-        return np.full(n, self.R0, dtype=float)
-
     @cached_property
     def constants(self):
         """(R0, R0^2 / (E h0)) as floats, one per node for a per-node R0;
@@ -111,7 +108,7 @@ def apply_wall_law(law: ElasticWall, p0):
 
 def wall_law_residual(law: ElasticWall, p0, R):
     """Pointwise residual of the elastic law, relative to its stiffness scale."""
-    r0 = law.rest_radius(np.asarray(p0).size)
+    r0 = law.constants[0]
     stiff = law.E * law.h0 / r0**2
     scale = np.maximum(np.abs(np.asarray(p0) - law.p_e), stiff * r0)
     return np.abs((np.asarray(p0) - law.p_e) - stiff * (np.asarray(R) - r0)) \

@@ -168,6 +168,15 @@ class CenterCurve:
         flips = np.flatnonzero(np.sum(binormal[1:] * binormal[:-1], axis=1) < 0)
         if flips.size:
             raise vanishing(dense[flips[0] + 1])
+        # c'' is linear between samples, so a dip of the curvature too
+        # narrow for the dense grid is deepest at a sample: look there too
+        at = np.concatenate([dense, s])
+        order = np.argsort(at, kind="stable")
+        turned = np.concatenate(
+            [binormal, [kappa_tau_binormal(si)[2] for si in s]])[order]
+        flips = np.flatnonzero(np.sum(turned[1:] * turned[:-1], axis=1) < 0)
+        if flips.size:
+            raise vanishing(at[order][flips[0] + 1])
         kappa_spl = CubicSpline(dense, kappa)
         tau_spl = CubicSpline(dense, tau)
         dkappa_spl = kappa_spl.derivative()

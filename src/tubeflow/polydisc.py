@@ -148,8 +148,6 @@ class DiscPoly:
     def __eq__(self, other):
         if isinstance(other, DiscPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, float, Fraction)):
-            return self.coeffs == DiscPoly.constant(other).coeffs
         return NotImplemented
 
     # -- queries --------------------------------------------------------
@@ -355,11 +353,9 @@ def disc_integral_over_pi(p: DiscPoly):
 
 def disc_integral(p: DiscPoly):
     """Integral of p over the unit disc, as a float (an array of them for
-    node-array coefficients)."""
-    total = disc_integral_over_pi(p)
-    if isinstance(total, np.ndarray):
-        return np.asarray(total) * pi
-    return float(total) * pi
+    node-array coefficients): a Fraction times a float is the float of the
+    Fraction times it."""
+    return disc_integral_over_pi(p) * pi
 
 
 # -- trigonometric series on the boundary circle --------------------------

@@ -99,17 +99,6 @@ def _non_finite(res):
     return bad
 
 
-def _failed_checks(res):
-    """Names of the checks a run that fails its verification fails."""
-    checks = {"mass conservation": res.conservation.passed(),
-              "compatibility": res.compatibility.passed()}
-    checks.update((k, v) for k, v in res.shape_checks.items()
-                  if isinstance(v, (bool, np.bool_)))
-    # the one check of verification_passed() without a name of its own
-    return [name for name, ok in checks.items() if not ok] \
-        or ["pressure residual"]
-
-
 def _law_collapses(cfg):
     """Whether the elastic law itself gives R <= 0 at the lowest p0
     boundary value."""
@@ -125,7 +114,7 @@ def _law_collapses(cfg):
 def classify(kv):
     """The outcome of one config's run, as a short text.
 
-    "passes"; "fails: <checks>"; "warns: eps*max(kappa R) > 0.5"; a
+    "passes"; "fails: <report keys>"; "warns: eps*max(kappa R) > 0.5"; a
     TubeflowError's class, with the head of its message for a model
     inconsistency and the law's verdict for a wall collapse; "non-finite:
     <arrays>" for a run that returns NaN or inf; "unexpected <class>: ..."
@@ -152,9 +141,8 @@ def classify(kv):
         return "non-finite: " + ", ".join(bad)
     if any(issubclass(w.category, UserWarning) for w in caught):
         return "warns: eps*max(kappa R) > 0.5"
-    if res.verification_passed():
-        return "passes"
-    return "fails: " + ", ".join(_failed_checks(res))
+    failed = res.failed_checks()
+    return "fails: " + ", ".join(failed) if failed else "passes"
 
 
 def census(count=100, max_n=257, seed=0):

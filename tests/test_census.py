@@ -16,3 +16,5 @@ def test_census_passes_or_names_its_cause():
            if o.startswith(("unexpected", "non-finite"))]
     assert not odd, odd
     assert outcomes.count("passes") >= PASSES_AT_LEAST, Counter(outcomes)
+    # a failure names the report keys of what it fails
+    assert outcomes[7] == "fails: conservation.max_q0_residual"

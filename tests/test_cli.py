@@ -24,6 +24,7 @@ from tubeflow.geometry import CenterCurve
 from tubeflow.errors import ConfigurationError
 from tubeflow.polydisc import DiscPoly
 from tubeflow.pressure import solve_pressures
+from tubeflow.verify import bounds
 
 STRAIGHT = {
     "geometry.kind": "straight",
@@ -395,6 +396,9 @@ class TestCommandLine:
             assert (out / name).exists(), name
         text = (out / "verify_report.txt").read_text()
         assert "verdict.passed = True" in text
+        # each bound is one report line, in the order the report lists them
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        assert [k for k in keys if k in bounds(1.0)] == list(bounds(1.0))
 
     def test_all_fields_exports_every_field(self, tmp_path):
         cfg = write_cfg(tmp_path, {**STRAIGHT, "output.fields": "all"})
@@ -450,7 +454,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("command", ["verify", "solve"])
     def test_failed_verdict_exits_2_and_writes_the_bundle(self, tmp_path,
-                                                          command):
+                                                          capsys, command):
         """A soft wall (E = 20) fails the u1 compatibility check: its
         steep outlet layer in R is not resolved on 33 uniform nodes.  This
         is the soft-wall u1 error of ROADMAP items 5 and 7, not an artefact
@@ -460,6 +464,8 @@ class TestCommandLine:
             "wall.h0": "0.1", "bc.p0.inlet": "8"})
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err \
+            == "verification failed: compatibility.max_u1_residual\n"
         report = dict(line.split(" = ") for line in
                       (out / "verify_report.txt").read_text().splitlines())
         assert report["verdict.passed"] == "False"

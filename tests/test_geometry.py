@@ -219,6 +219,18 @@ class TestSampledCurves:
         with pytest.raises(GeometryError, match=self.INFLECTION):
             run_pipeline(cfg)
 
+    def test_curvature_zero_at_a_sample_raises(self):
+        # y = |x|^3 is flat at the sample x = 0; the spline's normal turns
+        # over in a dip narrower than the dense spacing there, which the
+        # frame there used to show as a flipped N
+        x = np.linspace(-1.0, 1.0, 41)
+        pts = np.column_stack([x, np.abs(x) ** 3, np.zeros_like(x)])
+        s = np.append(0.0, np.cumsum(np.linalg.norm(np.diff(pts, axis=0),
+                                                    axis=1)))
+        with pytest.raises(GeometryError,
+                           match="curvature vanishes near s1 = 1.5476"):
+            CenterCurve.from_samples(s, pts)
+
     def test_from_file_roundtrip(self, tmp_path):
         s, pts = self.make_helix_samples()
         path = tmp_path / "curve.csv"

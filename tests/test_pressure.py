@@ -179,7 +179,7 @@ class TestP1:
         cfg = RunConfig.from_mapping({"wall.R0": "4.47", "grid.n_s1": "513",
                                       "bc.p1.inlet": "0.94"})
         res = run_pipeline(cfg)
-        assert res.compatibility.passed() and res.verification_passed()
+        assert res.failed_checks() == []
 
 
 class TestP02:

@@ -21,6 +21,7 @@ from tubeflow.polydisc import DiscPoly, NodeArray, restrict_to_boundary
 from tubeflow.pressure import PressureBC, p02_bracket, solve_pressures
 from tubeflow.verify import (
     azimuthal_polynomial,
+    bounds,
     check_compatibility,
     check_mass_conservation,
     cos_mode_content,
@@ -106,7 +107,9 @@ class TestMassConservation:
         dq0 = -np.pi / 8 * np.diff(pexp.flux_p0) / h
         assert np.abs(dq0 + 2 * np.pi).max() < 1e-8
         assert np.abs(report.residual_q0).max() <= 1e-8
-        assert report.passed()
+        limit = bounds(wall.h)
+        assert report.max_q0 <= limit["conservation.max_q0_residual"]
+        assert report.max_q1 <= limit["conservation.max_q1_residual"]
 
     def test_q0_closed_form_equivalence(self):
         # Q0 = -(pi R^4 / 8 rho0 nu) p0' identically
@@ -320,3 +323,44 @@ class TestFigureShape:
         assert cos_mode_content(p) == 2.0
         swirl = azimuthal_polynomial(DiscPoly.z2(), DiscPoly.z3())
         assert swirl.is_zero()
+
+
+class TestVerdict:
+    def test_bounds_are_the_acceptance_literals(self):
+        # test_acceptance.py states its own literals, so a loosened table
+        # fails there as here
+        assert bounds(0.5) == {
+            "bvp_residuals.p0": 1e-8, "bvp_residuals.p02": 1e-8,
+            "bvp_residuals.p1": 1e-8,
+            "compatibility.max_g_integral": 1e-10,
+            "compatibility.max_u1_residual": 25.0,
+            "conservation.max_q0_residual": 1e-8,
+            "conservation.max_q1_residual": 1e-10,
+        }
+        # the u1 bound is 100 h^2, and never below 1e-9
+        assert bounds(1 / 32)["compatibility.max_u1_residual"] == 100 / 1024
+        assert bounds(1e-6)["compatibility.max_u1_residual"] == 1e-9
+
+    def test_failed_checks_name_each_value_past_its_bound(self):
+        result = helix_preset_run()
+        assert result.failed_checks() == [] and result.verification_passed()
+        # every shape check is a bool (a verdict) or a float (a measure)
+        assert {type(v) for v in result.shape_checks.values()} \
+            == {bool, float}
+        # NaN is past any bound, whatever the order of the residuals
+        result.pexp = dataclasses.replace(
+            result.pexp, residuals={**result.pexp.residuals, "p1": np.nan})
+        result.conservation.max_q1 = 1.0
+        result.shape_checks["U1_purely_radial"] = False
+        assert result.failed_checks() == [
+            "bvp_residuals.p1", "conservation.max_q1_residual",
+            "figure_shape.U1_purely_radial"]
+        assert not result.verification_passed()
+
+    def test_a_bound_missing_from_the_report_raises(self, monkeypatch):
+        result = helix_preset_run()
+        table = bounds(result.wall.h)
+        monkeypatch.setattr("tubeflow.verify.bounds", lambda h: {
+            **table, "conservation.max_q2_residual": 1.0})
+        with pytest.raises(KeyError, match="max_q2_residual"):
+            result.failed_checks()
