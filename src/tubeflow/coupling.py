@@ -8,7 +8,8 @@ algebraic elastic law
 in which case the leading-order pressure and the law are solved together
 by one under-relaxed fixed point.  Each step reads the p0 boundary values
 of :class:`~tubeflow.pressure.PressureBC` once, at its end time, and
-hands them to every :func:`~tubeflow.pressure.solve_p0` sweep.
+hands them to every sweep: one :func:`~tubeflow.pressure.solve_p0`, which
+returns the p0 grid alone, and one :func:`apply_wall_law`.
 
 The model is quasi-static: the wall radius R(t, s1) is the only state
 carried from one time step to the next.  :func:`advance_time_step` takes
@@ -26,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CouplingDivergenceError, TubeflowError, WallCollapseError
-from .pressure import PressureBC, fd_derivative, fd_second_derivative, solve_p0
+from .pressure import (PressureBC, any_nonpositive, fd_derivative,
+                       fd_second_derivative, solve_p0)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def apply_wall_law(law: ElasticWall, p0):
         raise TubeflowError("apply_wall_law needs the elastic variant")
     r0, compliance = law.constants
     r = r0 + compliance * (np.asarray(p0, dtype=float) - law.p_e)
-    if (r <= 0).any():
+    if r.size and any_nonpositive(r):
         raise WallCollapseError(
             f"elastic law collapsed the wall (min R = {r.min():.3g})"
         )
@@ -132,6 +134,8 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
     """
     if dt is not None and dt <= 0:
         raise TubeflowError("time step must be positive")
+    if max_iter < 1:
+        raise TubeflowError(f"max_iter must be at least 1, got {max_iter!r}")
     t = state.t if dt is None else state.t + dt
     if isinstance(law, RigidWall):
         return WallState.from_radius(state.s1, state.R, t=t)
@@ -149,7 +153,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
     omega = 0.5
     history = []
     for _ in range(max_iter):
-        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out)[0]
+        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out)
         change = apply_wall_law(law, p0) - r_cur
         resid = float(np.abs(change).max())
         history.append(resid)

@@ -99,8 +99,9 @@ class DiscPoly:
     def __add__(self, other):
         other = _as_poly(other)
         out = dict(self.coeffs)
+        # a new key takes c itself: 0 + c costs a Fraction its reflected add
         for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
+            out[key] = out[key] + c if key in out else c
         return DiscPoly._canonical(out.items())
 
     __radd__ = __add__
@@ -123,7 +124,8 @@ class DiscPoly:
             for (m1, n1), c1 in self.coeffs.items():
                 for (m2, n2), c2 in other.coeffs.items():
                     key = (m1 + m2, n1 + n2)
-                    out[key] = out.get(key, 0) + c1 * c2
+                    c = c1 * c2
+                    out[key] = out[key] + c if key in out else c
             return DiscPoly._canonical(out.items())
         return DiscPoly._canonical((k, c * other)
                                    for k, c in self.coeffs.items())
@@ -276,13 +278,13 @@ def _is_float(c):
 def diff_z2(p: DiscPoly) -> DiscPoly:
     """Exact partial derivative with respect to z2."""
     return DiscPoly._canonical(
-        ((m - 1, n), m * c) for (m, n), c in p.coeffs.items() if m)
+        ((m - 1, n), c * m) for (m, n), c in p.coeffs.items() if m)
 
 
 def diff_z3(p: DiscPoly) -> DiscPoly:
     """Exact partial derivative with respect to z3."""
     return DiscPoly._canonical(
-        ((m, n - 1), n * c) for (m, n), c in p.coeffs.items() if n)
+        ((m, n - 1), c * n) for (m, n), c in p.coeffs.items() if n)
 
 
 def laplacian(p: DiscPoly) -> DiscPoly:
@@ -478,10 +480,10 @@ def polar_fourier(p: DiscPoly):
         for k, a, b in _trig_tables(m, n)[_is_float(c)]:
             if a:
                 rad = out.setdefault(("cos", k), {})
-                rad[j] = rad.get(j, 0) + c * a
+                rad[j] = rad[j] + c * a if j in rad else c * a
             if b:
                 rad = out.setdefault(("sin", k), {})
-                rad[j] = rad.get(j, 0) + c * b
+                rad[j] = rad[j] + c * b if j in rad else c * b
     for key in list(out):
         out[key] = {j: c for j, c in out[key].items() if c}
         if not out[key]:

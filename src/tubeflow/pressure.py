@@ -19,11 +19,11 @@ conservative too.  The interior system is symmetric tridiagonal;
 :func:`solve_flux_bvp` hands it straight to LAPACK ``dgtsv`` after
 checking that it is finite.
 
-:func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid and
-its midpoint flux.  :func:`solve_p0` takes bare radius and rate arrays,
-not a WallState, and the two boundary values, not the
-:class:`PressureBC`: the wall fixed point reads the boundary data once
-per time step and calls it once per sweep without building a WallState.
+:func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid alone;
+:func:`midpoint_flux` forms its flux.  :func:`solve_p0` takes bare radius
+and rate arrays, not a WallState, and the two boundary values, not the
+:class:`PressureBC`: the wall fixed point reads the boundary data once per
+time step and calls it once per sweep without building a WallState.
 :func:`solve_pressures` is the one way in to the hierarchy: it states
 each right side once, solves the three on one wall and keeps each
 solve's flux-form residual against that right side.  It is also the one
@@ -171,22 +171,28 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out):
     """Solve (coef u')' = rhs with Dirichlet data, conservative flux form.
 
     coef and rhs are nodal; midpoint coefficients are arithmetic averages
-    and the right side is read at the interior nodes.
+    and the right side is read at the interior nodes.  Returns the grid.
     """
     coef = np.asarray(coef, dtype=float)
     n = coef.size
     if n < 8:
         raise SolverError("grid too coarse: need at least 8 nodes")
-    a_mid = 0.5 * (coef[:-1] + coef[1:])
-    if (a_mid <= 0).any():
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.size != n:
+        raise SolverError(f"right side has {rhs.size} nodes, "
+                          f"coefficient has {n}")
+    a_mid = coef[:-1] + coef[1:]
+    a_mid *= 0.5
+    if any_nonpositive(a_mid):
         raise SolverError("singular flux coefficient (R -> 0?)")
-    b = np.asarray(rhs, dtype=float)[1:-1].copy()
+    b = rhs[1:-1].copy()
 
     # Dirichlet unknowns eliminated up front: solve the interior system so
     # the boundary data is held exactly.  Symmetric tridiagonal: LAPACK gtsv.
     inv_h2 = 1.0 / h**2
     off = a_mid[1:-1] * inv_h2
-    diag = -(a_mid[:-1] + a_mid[1:]) * inv_h2
+    diag = a_mid[:-1] + a_mid[1:]
+    diag *= -inv_h2
     b[0] -= a_mid[0] * p_in * inv_h2
     b[-1] -= a_mid[-1] * p_out * inv_h2
     if not (np.isfinite(diag).all() and np.isfinite(b).all()):
@@ -200,15 +206,23 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out):
         raise SolverError("tridiagonal solve produced non-finite values")
     p = np.empty(n)
     p[0], p[1:-1], p[-1] = p_in, interior, p_out
-    flux = a_mid * (p[1:] - p[:-1]) / h
-    return p, flux
+    return p
+
+
+def any_nonpositive(x):
+    """(x <= 0).any() of a non-empty array; fmin skips NaN as the mask does."""
+    return np.fmin.reduce(x, axis=None) <= 0
+
+
+def midpoint_flux(coef, h, p):
+    """Discrete flux a_{i+1/2} (p_{i+1} - p_i) / h of a solved grid."""
+    coef = np.asarray(coef, dtype=float)
+    return 0.5 * (coef[:-1] + coef[1:]) * np.diff(p) / h
 
 
 def flux_residual(coef, h, p, rhs):
     """Relative flux-form residual of a candidate solution (interior max)."""
-    coef = np.asarray(coef, dtype=float)
-    a_mid = 0.5 * (coef[:-1] + coef[1:])
-    flux = a_mid * np.diff(p) / h
+    flux = midpoint_flux(coef, h, p)
     lhs = (flux[1:] - flux[:-1]) / h
     f = np.asarray(rhs)[1:-1]
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(f)), np.max(np.abs(flux)) / h, 1e-300)
@@ -228,9 +242,9 @@ def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out):
     Takes the bare nodal radius and its rate on a grid of spacing h, and
     the boundary values ``PressureBC.p0_at`` gives at the solve's time, so
     the wall fixed point can call it without building a WallState or
-    reading the boundary data again.  Returns (p0, flux).
+    reading the boundary data again.  Returns the solved p0.
     """
-    if (R <= 0).any():
+    if R.size and any_nonpositive(R):   # empty: solve_flux_bvp's error
         raise SolverError("wall radius must stay positive")
     return solve_flux_bvp(R**4, h, _p0_source(R, dR_dt, fluid), p_in, p_out)
 
@@ -271,30 +285,30 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
     without ``prev``, on the first step, and in steady mode).
     """
     h = wall.h
-    p0, flux0 = solve_p0(wall.R, wall.dR_dt, h, fluid, *bc.p0_at(wall.t))
+    p0 = solve_p0(wall.R, wall.dR_dt, h, fluid, *bc.p0_at(wall.t))
     dp0 = fd_derivative(p0, h)
     d2p0 = fd_second_derivative(p0, h)
     d3p0 = fd_third_derivative(p0, h)
     if prev is not None and dt:
-        prev_p0 = solve_p0(prev.R, prev.dR_dt, h, fluid,
-                           *bc.p0_at(prev.t))[0]
+        prev_p0 = solve_p0(prev.R, prev.dR_dt, h, fluid, *bc.p0_at(prev.t))
         dt_dp0 = (dp0 - fd_derivative(prev_p0, h)) / dt
     else:
         dt_dp0 = np.zeros_like(p0)
     r4 = wall.R**4
     rhs1 = np.zeros_like(wall.R)
-    p1, flux1 = solve_flux_bvp(r4, h, rhs1, bc.p1_inlet, bc.p1_outlet)
+    p1 = solve_flux_bvp(r4, h, rhs1, bc.p1_inlet, bc.p1_outlet)
     dp1 = fd_derivative(p1, h)
     d2p1 = -4.0 * wall.dR_ds1 * dp1 / wall.R + 0.0   # +0.0 where p1' = 0
     bracket = p02_bracket(wall, fluid, kappa, (dp0, d2p0, d3p0, dt_dp0), body)
     rhs02 = bracket_derivative(bracket, h)
-    p02, flux2 = solve_flux_bvp(r4, h, rhs02, bc.p02_inlet, bc.p02_outlet)
+    p02 = solve_flux_bvp(r4, h, rhs02, bc.p02_inlet, bc.p02_outlet)
     rhs0 = _p0_source(wall.R, wall.dR_dt, fluid)
     return PressureExpansion(
         p0=p0, dp0=dp0, d2p0=d2p0, d3p0=d3p0, dt_dp0=dt_dp0,
         p1=p1, dp1=dp1, d2p1=d2p1,
         p02=p02, dp02=fd_derivative(p02, h),
-        flux_p0=flux0, flux_p1=flux1, flux_p02=flux2,
+        flux_p0=midpoint_flux(r4, h, p0), flux_p1=midpoint_flux(r4, h, p1),
+        flux_p02=midpoint_flux(r4, h, p02),
         residuals={"p0": flux_residual(r4, h, p0, rhs0),
                    "p1": flux_residual(r4, h, p1, rhs1),
                    "p02": flux_residual(r4, h, p02, rhs02)},

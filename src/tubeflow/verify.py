@@ -208,7 +208,7 @@ def run_convergence_study(R_func, rhs_func, p_in, p_out, grid_sizes
         rvals = np.array([R_func(x) for x in s])
         fvals = np.array([rhs_func(x) for x in s]) if rhs_func \
             else np.zeros(n)
-        p, _ = solve_flux_bvp(rvals**4, h, fvals, p_in, p_out)
+        p = solve_flux_bvp(rvals**4, h, fvals, p_in, p_out)
         exact = quadrature_reference(R_func, rhs_func, p_in, p_out, s)
         errors.append(float(np.max(np.abs(p - exact))))
 

@@ -238,8 +238,7 @@ def test_criterion_7_elastic_coupling():
     checks.append(np.abs(state.R - 1.0).max() <= 1e-12)
 
     def p0_on(wall, bc):  # leading-order pressure on a stepped wall
-        return solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
-                        *bc.p0_at(wall.t))[0]
+        return solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, *bc.p0_at(wall.t))
 
     # stiff limit vs rigid
     bc = PressureBC(5.0, 0.0)

@@ -38,8 +38,7 @@ def grid():
 
 def p0_on(wall, bc):
     """Leading-order pressure solved on a stepped wall at its time."""
-    return solve_p0(wall.R, wall.dR_dt, wall.h, FLUID,
-                    *bc.p0_at(wall.t))[0]
+    return solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, *bc.p0_at(wall.t))
 
 
 class TestWallState:
@@ -230,6 +229,15 @@ class TestTimeStepping:
             advance_time_step(state, RigidWall(), FLUID,
                               PressureBC(1.0, 0.0), dt=0.0)
 
+    @pytest.mark.parametrize("law", [RigidWall(),
+                                     ElasticWall(E=1e3, h0=0.1, R0=1.0)])
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, law, max_iter):
+        state = WallState.from_radius(grid(), 1.0)
+        with pytest.raises(TubeflowError, match="max_iter"):
+            advance_time_step(state, law, FLUID, PressureBC(5.0, 0.0),
+                              dt=0.05, max_iter=max_iter)
+
     def test_unknown_law_rejected(self):
         state = WallState.from_radius(grid(), 1.0)
         with pytest.raises(TubeflowError):
@@ -259,6 +267,31 @@ class TestTimeStepping:
                   for i in range(len(history) - 1)]
         assert all(r2 <= r1 * (1 + 1e-12)
                    for r1, r2 in zip(resids[2:], resids[3:]))
+
+    def test_elastic_pulse_p0_solves_per_step(self, monkeypatch):
+        # a step's bits depend on its iteration path, so the number of
+        # sweeps each step of the elastic pulse preset takes is pinned
+        import tubeflow.coupling as coupling_mod
+        root = Path(__file__).resolve().parent.parent
+        cfg = RunConfig.from_file(root / "presets" / "elastic_pulse.cfg")
+        law, fluid = cfg.build_wall_law(), cfg.build_fluid()
+        bc = cfg.build_bc()
+        calls = []
+        original = coupling_mod.solve_p0
+
+        def spy(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(coupling_mod, "solve_p0", spy)
+        state = WallState.from_radius(np.linspace(0.0, cfg.length, 33),
+                                      cfg.wall_R0)
+        counts = []
+        for _ in range(round(cfg.t_end / cfg.dt)):
+            calls.clear()
+            state = advance_time_step(state, law, fluid, bc, cfg.dt)
+            counts.append(len(calls))
+        assert counts == [28] * 8 + [21, 18, 16, 13, 11, 9, 6, 4, 2, 1, 1, 1]
 
     def test_implicit_euler_is_first_order_in_time(self):
         # the elastic pulse preset to t = 0.4 at halving dt: max |dR|

@@ -3,10 +3,21 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from tubeflow.cli import RunConfig, run_pipeline
-from tubeflow.coupling import ElasticWall, WallState, advance_time_step
-from tubeflow.errors import ConfigurationError, SolverError
+from tubeflow.coupling import (
+    ElasticWall,
+    WallState,
+    advance_time_step,
+    apply_wall_law,
+)
+from tubeflow.errors import (
+    ConfigurationError,
+    SolverError,
+    TubeflowError,
+    WallCollapseError,
+)
 from tubeflow.expansion import BodyForce, FluidParams
 from tubeflow.pressure import (
     PressureBC,
@@ -16,6 +27,7 @@ from tubeflow.pressure import (
     fd_second_derivative,
     fd_third_derivative,
     flux_residual,
+    midpoint_flux,
     p02_bracket,
     solve_flux_bvp,
     solve_p0,
@@ -48,7 +60,7 @@ def steady_p0_data(wall, bc):
 class TestP0:
     def test_constant_coefficient_linear(self):
         wall, s = make_wall()
-        p0, _ = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 1.0, 0.0)
+        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 1.0, 0.0)
         dp0 = steady_p0_data(wall, PressureBC(1.0, 0.0))[0]
         assert np.abs(p0 - (1 - s)).max() < 1e-13
         assert np.abs(dp0 + 1.0).max() < 1e-12
@@ -56,7 +68,7 @@ class TestP0:
     def test_nonuniform_radius_vs_quadrature(self):
         # frozen: p0(0.5) = (2/3)(0.5 + 0.125) = 0.41666...
         wall, s = make_wall(n=201, radius=lambda x: (1 + x) ** -0.25)
-        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 0.0, 1.0)[0]
+        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 0.0, 1.0)
         assert p0[100] == pytest.approx(0.4166666666666667, abs=1e-6)
         oracle = quadrature_bvp(lambda x: (1 + x) ** -0.25, None, 0.0, 1.0, s)
         assert np.abs(p0 - oracle).max() < 1e-6
@@ -64,7 +76,7 @@ class TestP0:
     def test_moving_wall_parabola(self):
         # R = 1, dR/dt = 1, nu = rho0 = 1: p'' = 16 -> 8 s^2 - 8 s exactly
         wall, s = make_wall(rate=lambda x: np.ones_like(x))
-        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 0.0, 0.0)[0]
+        p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 0.0, 0.0)
         assert np.abs(p0 - (8 * s**2 - 8 * s)).max() < 1e-11
         assert p0[50] == pytest.approx(-2.0, abs=1e-8)
 
@@ -96,6 +108,11 @@ class TestP0:
         with pytest.raises(SolverError):
             solve_flux_bvp(np.ones(5), 0.25, np.zeros(5), 0.0, 1.0)
 
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(SolverError,
+                           match="right side has 9 nodes, coefficient has 10"):
+            solve_flux_bvp(np.ones(10), 0.1, np.ones(9), 0.0, 1.0)
+
 
 class TestFluxSolver:
     @pytest.mark.parametrize("n", [8, 65, 257, 1025])
@@ -106,7 +123,7 @@ class TestFluxSolver:
         coef = rng.uniform(0.05, 20.0, n)
         rhs = rng.normal(size=n)
         p_in, p_out = (float(v) for v in rng.normal(size=2))
-        p, flux = solve_flux_bvp(
+        p = solve_flux_bvp(
             coef, h, bracket_derivative(rhs, h) if bracket else rhs,
             p_in, p_out)
         # the same interior system in scipy's banded layout
@@ -125,7 +142,8 @@ class TestFluxSolver:
         b[-1] -= a_mid[-1] * p_out * inv_h2
         ref = np.concatenate([[p_in], solve_banded((1, 1), ab, b), [p_out]])
         assert np.array_equal(p, ref)
-        assert np.array_equal(flux, a_mid * np.diff(ref) / h)
+        assert np.array_equal(midpoint_flux(coef, h, p),
+                              a_mid * np.diff(ref) / h)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["coef", "rhs", "p_in"])
@@ -257,7 +275,7 @@ class TestInvariantsAndHelpers:
         errs = []
         for n in (51, 101, 201, 401):
             wall, s = make_wall(n, radius=lambda x: (1 + x) ** -0.25)
-            p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 0.0, 1.0)[0]
+            p0 = solve_p0(wall.R, wall.dR_dt, wall.h, FLUID, 0.0, 1.0)
             exact = (2.0 / 3.0) * (s + s**2 / 2)
             errs.append(np.abs(p0 - exact).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
@@ -348,3 +366,104 @@ class TestBoundaryData:
     def test_non_finite_bc_rejected(self):
         with pytest.raises(ConfigurationError):
             PressureBC(p0_inlet=np.inf).p0_at(0.0)
+
+
+# -- the guards in mask form, (x <= 0).any(): the reference for the
+# fmin-form guards of solve_flux_bvp, solve_p0 and apply_wall_law
+
+def mask_solve_flux_bvp(coef, h, rhs, p_in, p_out):
+    coef = np.asarray(coef, dtype=float)
+    n = coef.size
+    if n < 8:
+        raise SolverError("grid too coarse: need at least 8 nodes")
+    a_mid = 0.5 * (coef[:-1] + coef[1:])
+    if (a_mid <= 0).any():
+        raise SolverError("singular flux coefficient (R -> 0?)")
+    b = np.asarray(rhs, dtype=float)[1:-1].copy()
+    inv_h2 = 1.0 / h**2
+    off = a_mid[1:-1] * inv_h2
+    diag = -(a_mid[:-1] + a_mid[1:]) * inv_h2
+    b[0] -= a_mid[0] * p_in * inv_h2
+    b[-1] -= a_mid[-1] * p_out * inv_h2
+    if not (np.isfinite(diag).all() and np.isfinite(b).all()):
+        raise SolverError("tridiagonal system contains infs or NaNs")
+    *_, interior, info = dgtsv(off, diag, off, b)
+    if info:
+        raise SolverError("singular matrix" if info > 0 else
+                          f"illegal value in argument {-info} of gtsv")
+    if not np.isfinite(interior).all():
+        raise SolverError("tridiagonal solve produced non-finite values")
+    return np.concatenate([[p_in], interior, [p_out]])
+
+
+def mask_solve_p0(R, dR_dt, h, fluid, p_in, p_out):
+    if (R <= 0).any():
+        raise SolverError("wall radius must stay positive")
+    return mask_solve_flux_bvp(R**4, h, 16.0 * fluid.nu * fluid.rho0 * R
+                               * dR_dt, p_in, p_out)
+
+
+def mask_apply_wall_law(law, p0):
+    r0, compliance = law.constants
+    r = r0 + compliance * (np.asarray(p0, dtype=float) - law.p_e)
+    if (r <= 0).any():
+        raise WallCollapseError(
+            f"elastic law collapsed the wall (min R = {r.min():.3g})")
+    return r
+
+
+def outcome(f, *args):
+    """The array f returns, or the class and message of what it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return f(*args)
+        except TubeflowError as err:
+            return type(err), str(err)
+
+
+def spoiled(values, bad):
+    """A copy of values with bad at node 16, or at nodes 16 and 20 for a
+    pair (a NaN hides the negative from min(), not from the mask)."""
+    out = np.array(values, dtype=float)
+    out[[16, 20][:np.size(bad)]] = bad
+    return out
+
+
+SPOILERS = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "+0.0": 0.0,
+            "-0.0": -0.0, "negative": -0.5, "nan_and_negative": (np.nan, -0.5)}
+CASES = [*((name, lambda x, b=bad: spoiled(x, b))
+           for name, bad in SPOILERS.items()),
+         ("tiny", lambda x: x * 1e-200), ("empty", lambda x: x[:0])]
+
+
+class TestGuards:
+    @pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
+    def test_solve_p0_and_flux_bvp_raise_as_the_mask_form(self, name, make):
+        wall, _ = make_wall(33, radius=lambda x: 1 + 0.2 * x,
+                            rate=lambda x: 0.1 * x)
+        R = make(wall.R)
+        rate, h = wall.dR_dt[:R.size], wall.h
+        got = outcome(solve_p0, R, rate, h, FLUID, 1.0, 0.0)
+        assert isinstance(got, tuple), name
+        assert got == outcome(mask_solve_p0, R, rate, h, FLUID, 1.0, 0.0)
+        rhs = np.linspace(0.0, 1.0, R.size)
+        got = outcome(solve_flux_bvp, R, h, rhs, 1.0, 0.0)
+        want = outcome(mask_solve_flux_bvp, R, h, rhs, 1.0, 0.0)
+        if isinstance(want, tuple):
+            assert got == want, name
+        else:   # 1e-200 is a fine coefficient: both solve, to the bit
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
+    def test_wall_law_raises_as_the_mask_form(self, name, make):
+        # r = 1 + p0, so p0 = r - 1 puts each spoiled value into r (-0.0
+        # becomes +0.0: r0 + x is never -0.0 for r0 > 0)
+        law = ElasticWall(E=1.0, h0=1.0, R0=1.0)
+        p0 = make(np.full(33, 0.5)) - 1.0
+        got = outcome(apply_wall_law, law, p0)
+        want = outcome(mask_apply_wall_law, law, p0)
+        if isinstance(want, tuple):
+            assert got == want, name
+        else:
+            assert np.array_equal(got, want, equal_nan=True), name
+
