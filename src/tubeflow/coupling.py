@@ -15,8 +15,9 @@ The model is quasi-static: the wall radius R(t, s1) is the only state
 carried from one time step to the next.  :func:`advance_time_step` takes
 one implicit step of the wall with the wall velocity (R - R_old)/dt, or,
 with ``dt`` None, the steady equilibrium with dR/dt = 0, and returns the
-new WallState.  The pressure hierarchy is read off the final wall by
-:func:`tubeflow.pressure.solve_pressures`.
+new WallState.  A step makes at most :data:`MAX_SWEEPS` sweeps, a module
+constant, not an option.  The pressure hierarchy is read off the final
+wall by :func:`tubeflow.pressure.solve_pressures`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ import numpy as np
 from .errors import CouplingDivergenceError, TubeflowError, WallCollapseError
 from .pressure import (PressureBC, any_nonpositive, fd_derivative,
                        fd_second_derivative, solve_p0)
+
+# sweeps of the wall fixed point before a step is reported as divergent
+MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,11 @@ def apply_wall_law(law: ElasticWall, p0):
     if not isinstance(law, ElasticWall):
         raise TubeflowError("apply_wall_law needs the elastic variant")
     r0, compliance = law.constants
-    r = r0 + compliance * (np.asarray(p0, dtype=float) - law.p_e)
+    p0 = np.asarray(p0, dtype=float)
+    if r0.ndim and p0.size != r0.size:
+        raise TubeflowError(f"p0 has {p0.size} nodes, elastic law has "
+                            f"{r0.size} rest radii")
+    r = r0 + compliance * (p0 - law.p_e)
     if r.size and any_nonpositive(r):
         raise WallCollapseError(
             f"elastic law collapsed the wall (min R = {r.min():.3g})"
@@ -117,8 +125,8 @@ def wall_law_residual(law: ElasticWall, p0, R):
         / np.maximum(scale, 1e-300)
 
 
-def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
-                      max_iter: int = 100) -> WallState:
+def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
+                      dt=None) -> WallState:
     """Advance the wall by one implicit step and return the new WallState.
 
     With ``dt`` None the step is the steady equilibrium at ``state.t``
@@ -130,12 +138,10 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
     halving the factor whenever the residual stops decreasing after the
     first three sweeps.  tol is 1e-12 for the steady equilibrium and 1e-10
     per time step.  Raises CouplingDivergenceError, with the residual
-    history, after ``max_iter`` sweeps.
+    history, after :data:`MAX_SWEEPS` sweeps.
     """
     if dt is not None and dt <= 0:
         raise TubeflowError("time step must be positive")
-    if max_iter < 1:
-        raise TubeflowError(f"max_iter must be at least 1, got {max_iter!r}")
     t = state.t if dt is None else state.t + dt
     if isinstance(law, RigidWall):
         return WallState.from_radius(state.s1, state.R, t=t)
@@ -152,7 +158,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
     r_cur = r_old.copy()
     omega = 0.5
     history = []
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out)
         change = apply_wall_law(law, p0) - r_cur
         resid = float(np.abs(change).max())
@@ -164,6 +170,6 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC, dt=None,
             omega *= 0.5
         r_cur = r_cur + omega * change
     raise CouplingDivergenceError(
-        f"wall coupling did not converge in {max_iter} iterations "
+        f"wall coupling did not converge in {MAX_SWEEPS} iterations "
         f"(last residual {history[-1]:.3e})", history,
     )

@@ -46,8 +46,9 @@ class FluidParams:
     nu: object
 
     def __post_init__(self):
-        if self.rho0 <= 0 or self.nu <= 0:
-            raise ValueError("fluid parameters must be positive")
+        # chained, so NaN and inf fail too; a Fraction compares exactly
+        if not (0 < self.rho0 < np.inf and 0 < self.nu < np.inf):
+            raise ValueError("fluid parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -446,11 +447,17 @@ def stokes_disc_solve(f2_poly: DiscPoly, f3_poly: DiscPoly):
     return build(w2_plan) * _WALL, build(w3_plan) * _WALL, build(q_plan)
 
 
+# relative tolerance of the float U^2 compatibility check, and the bound
+# of the verdict's compatibility.max_g_integral
+U2_COMPATIBILITY_TOL = 1e-10
+
+
 def check_U2_compatibility(g: DiscPoly, s1=None) -> None:
     """Require the divergence data g of (U^2, p^3) to be compatible.
 
     Its disc integral must vanish: exactly when it is exact (a Fraction,
-    or the int 0 of a zero g), and within 1e-10 of max|g| (at least 1)
+    or the int 0 of a zero g), and within :data:`U2_COMPATIBILITY_TOL`
+    of max|g| (at least 1)
     for floats, at every node for node-array data.  A violation raises
     :class:`ModelInconsistencyError` that reports the integral; for node
     arrays it names the worst failing node (and its ``s1``, the axis
@@ -465,12 +472,13 @@ def check_U2_compatibility(g: DiscPoly, s1=None) -> None:
     else:
         scale = np.maximum(1.0, g.max_abs())
         value = integral * _PI
-        bad = abs(value) > 1e-10 * scale
+        bad = abs(value) > U2_COMPATIBILITY_TOL * scale
         if np.ndim(bad) == 0:
             if bad:
                 raise ModelInconsistencyError(
                     "U^2 compatibility violated: disc integral of g = "
-                    f"{float(value):.3e} (tol 1e-10, scale {scale:g})"
+                    f"{float(value):.3e} (tol {U2_COMPATIBILITY_TOL:g}, "
+                    f"scale {scale:g})"
                 )
         elif bad.any():
             k = int(np.argmax(np.where(bad, abs(value) / scale, -1.0)))
@@ -478,7 +486,8 @@ def check_U2_compatibility(g: DiscPoly, s1=None) -> None:
             raise ModelInconsistencyError(
                 f"U^2 compatibility violated at {int(bad.sum())} of "
                 f"{bad.size} nodes, worst at {where}: disc integral of g = "
-                f"{value[k]:.3e} (tol 1e-10, scale {scale[k]:g})"
+                f"{value[k]:.3e} (tol {U2_COMPATIBILITY_TOL:g}, "
+                f"scale {scale[k]:g})"
             )
 
 

@@ -10,7 +10,8 @@ solves on the reference domain, where the curve enters only through
 kappa, kappa' and tau along the axis; this module provides those as
 arrays over arc lengths, the frame at one arc length (to map a cross
 section back to the world), and the bound eps * max(kappa R) < 1 under
-which the map is invertible.
+which the map is invertible.  Nothing reads the position c(s1) itself,
+so a :class:`CenterCurve` does not offer it.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ def _constant_curvature(kappa, tau):
 class CenterCurve:
     """Pipe axis with analytic or sampled parametrization by arc length.
 
-    ``basis_fn`` gives (T, N, B) at one arc length; ``curvature_fn`` gives
-    kappa, kappa' and tau at each arc length of a float array.
+    It offers its length, max kappa, :meth:`curvature` and :meth:`frame`,
+    built from ``curvature_fn`` (kappa, kappa', tau at each arc length of
+    a float array) and ``basis_fn`` ((T, N, B) at one arc length).
     """
 
-    def __init__(self, length, point_fn, basis_fn, curvature_fn,
-                 max_curvature):
+    def __init__(self, length, basis_fn, curvature_fn, max_curvature):
         self.length = float(length)
-        self._point = point_fn
         self._basis = basis_fn
         self._curvature = curvature_fn
         self.max_curvature = float(max_curvature)
@@ -66,13 +66,13 @@ class CenterCurve:
     # -- constructors ---------------------------------------------------
     @classmethod
     def straight(cls, length, direction=(0.0, 0.0, 1.0)):
-        """Straight axis through the origin; kappa = 0, so N, B are a fixed
-        frame perpendicular to the direction."""
+        """Straight axis along ``direction``; kappa = 0, so N, B are a fixed
+        frame perpendicular to it."""
         d = _unit(np.asarray(direction, dtype=float))
         n = _any_perpendicular(d)
         basis = (d, n, np.cross(d, n))
-        return cls(length, lambda s: s * d, lambda s: basis,
-                   _constant_curvature(0.0, 0.0), 0.0)
+        return cls(length, lambda s: basis, _constant_curvature(0.0, 0.0),
+                   0.0)
 
     @classmethod
     def circular_arc(cls, radius, length):
@@ -81,18 +81,13 @@ class CenterCurve:
         if a <= 0:
             raise GeometryError("arc radius must be positive")
 
-        def point(s):
-            th = s / a
-            return np.array([a * np.cos(th), a * np.sin(th), 0.0])
-
         def basis(s):
             th = s / a
             return (np.array([-np.sin(th), np.cos(th), 0.0]),
                     np.array([-np.cos(th), -np.sin(th), 0.0]),
                     np.array([0.0, 0.0, 1.0]))
 
-        return cls(length, point, basis, _constant_curvature(1.0 / a, 0.0),
-                   1.0 / a)
+        return cls(length, basis, _constant_curvature(1.0 / a, 0.0), 1.0 / a)
 
     @classmethod
     def helix(cls, a, b, length):
@@ -104,18 +99,13 @@ class CenterCurve:
         kappa = a / c**2
         tau = b / c**2
 
-        def point(s):
-            th = s / c
-            return np.array([a * np.cos(th), a * np.sin(th), b * th])
-
         def basis(s):
             th = s / c
             return (np.array([-a * np.sin(th), a * np.cos(th), b]) / c,
                     np.array([-np.cos(th), -np.sin(th), 0.0]),
                     np.array([b * np.sin(th), -b * np.cos(th), a]) / c)
 
-        return cls(length, point, basis, _constant_curvature(kappa, tau),
-                   kappa)
+        return cls(length, basis, _constant_curvature(kappa, tau), kappa)
 
     @classmethod
     def from_samples(cls, s, points):
@@ -198,8 +188,7 @@ class CenterCurve:
             n = _unit(c2 - np.dot(c2, t) * t)
             return t, n, np.cross(t, n)
 
-        return cls(s[-1], lambda si: np.asarray(spline(si)), basis, curvature,
-                   float(kappa.max()))
+        return cls(s[-1], basis, curvature, float(kappa.max()))
 
     @classmethod
     def from_file(cls, path):
@@ -219,9 +208,6 @@ class CenterCurve:
         return cls.from_samples(data[:, 0], data[:, 1:4])
 
     # -- evaluation -------------------------------------------------------
-    def point(self, s1):
-        return self._point(float(s1))
-
     def _on_curve(self, s1):
         """``s1`` as a float array, every arc length checked to lie on the
         curve."""

@@ -112,7 +112,6 @@ class PressureExpansion:
     dp02: np.ndarray
     flux_p0: np.ndarray = field(repr=False)
     flux_p1: np.ndarray = field(repr=False)
-    flux_p02: np.ndarray = field(repr=False)
     residuals: dict
 
 
@@ -244,6 +243,9 @@ def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out):
     the wall fixed point can call it without building a WallState or
     reading the boundary data again.  Returns the solved p0.
     """
+    if dR_dt.size != R.size:
+        raise SolverError(f"rate has {dR_dt.size} nodes, radius has "
+                          f"{R.size}")
     if R.size and any_nonpositive(R):   # empty: solve_flux_bvp's error
         raise SolverError("wall radius must stay positive")
     return solve_flux_bvp(R**4, h, _p0_source(R, dR_dt, fluid), p_in, p_out)
@@ -308,7 +310,6 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
         p1=p1, dp1=dp1, d2p1=d2p1,
         p02=p02, dp02=fd_derivative(p02, h),
         flux_p0=midpoint_flux(r4, h, p0), flux_p1=midpoint_flux(r4, h, p1),
-        flux_p02=midpoint_flux(r4, h, p02),
         residuals={"p0": flux_residual(r4, h, p0, rhs0),
                    "p1": flux_residual(r4, h, p1, rhs1),
                    "p02": flux_residual(r4, h, p02, rhs02)},

@@ -9,6 +9,9 @@ that would blind those metrics fails here, in a second rather than in the
 full smoke run.  Nothing under ``bench/`` is modified.
 """
 
+import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -64,3 +67,34 @@ def test_soft_wall_divergence_is_counted(smoke_config, tmp_path):
     assert CouplingDivergenceError.__name__ in result.problems[0]
     assert m["coupling.divergences"] == 1
     assert m["coupling.steps"] >= 1
+
+
+# Counted names whose function is gone: ``expansion.point_evals`` reads 0
+# on every workload until the next benchmark change (ROADMAP item 2), as
+# CHANGES.md records under FOUND.
+GONE = {"expansion.PhysicalSolution.velocity",
+        "expansion.PhysicalSolution.pressure"}
+
+
+def test_every_counted_name_is_in_the_package():
+    # the "layer.Qualname" literals the tracer counts or hooks, less the
+    # metric names it reports: a rename in src/ would zero a metric
+    source = Path(tracing.__file__).read_text()
+    literals = {node.value for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)}
+    names = {s for s in literals
+             if s.split(".", 1)[0] in tracing.LAYERS
+             and re.fullmatch(r"\w+(\.\w+)+", s)} - set(tracing.PER_LAYER_UNITS)
+    assert "coupling.advance_time_step" in names
+    assert GONE <= names
+    missing = []
+    for name in sorted(names - GONE):
+        layer, *qualname = name.split(".")
+        obj = importlib.import_module(f"tubeflow.{layer}")
+        try:
+            for part in qualname:
+                obj = getattr(obj, part)
+        except AttributeError:
+            missing.append(name)
+    assert not missing

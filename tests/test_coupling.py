@@ -7,6 +7,7 @@ import pytest
 
 from tubeflow.cli import RunConfig
 from tubeflow.coupling import (
+    MAX_SWEEPS,
     ElasticWall,
     RigidWall,
     WallState,
@@ -72,6 +73,12 @@ class TestWallLaw:
         law = ElasticWall(E=1.0, h0=1.0, R0=1.0)
         with pytest.raises(WallCollapseError):
             apply_wall_law(law, np.full(N, -2.0))
+
+    def test_mismatched_lengths_rejected(self):
+        law = ElasticWall(1.0, 1.0, np.ones(10))
+        with pytest.raises(TubeflowError,
+                           match="p0 has 9 nodes, elastic law has 10 rest"):
+            apply_wall_law(law, np.ones(9))
 
     def test_rigid_variant_rejected(self):
         with pytest.raises(TubeflowError):
@@ -176,22 +183,25 @@ class TestTimeStepping:
             <= 1e-9 * np.abs(rigid_p0).max()
 
     def test_divergence_raises_with_history(self):
-        # absurdly soft wall: the fixed point blows up and is reported
-        law = ElasticWall(E=1e-6, h0=1e-3, R0=1.0)
+        # soft wall, short step: the relaxed fixed point contracts so slowly
+        # that its residual is still 1.5e-3 after the last sweep
+        law = ElasticWall(E=100.0, h0=0.1, R0=1.0)
         state = WallState.from_radius(grid(), 1.0)
-        with pytest.raises(CouplingDivergenceError) as err:
-            advance_time_step(state, law, FLUID, PressureBC(10.0, 0.0),
-                              dt=0.1, max_iter=20)
-        assert len(err.value.history) == 20
+        with pytest.raises(CouplingDivergenceError,
+                           match=f"in {MAX_SWEEPS} iterations") as err:
+            advance_time_step(state, law, FLUID, PressureBC(1.0, 0.0),
+                              dt=0.05)
+        assert len(err.value.history) == MAX_SWEEPS
 
     def test_steady_divergence_raises_with_history(self):
-        # dt = None (steady) runs the same loop and reports the same way
-        law = ElasticWall(E=1e3, h0=0.1, R0=1.0)
-        state = WallState.from_radius(grid(), 1.0)
+        # dt = None (steady) runs the same loop and reports the same way:
+        # with a very soft wall on 1025 nodes the residual is still 5e-3
+        # after the last sweep, against a tolerance of about 5e-8
+        law = ElasticWall(E=1e-3, h0=0.1, R0=1.0)
+        state = WallState.from_radius(np.linspace(0.0, 1.0, 1025), 1.0)
         with pytest.raises(CouplingDivergenceError) as err:
-            advance_time_step(state, law, FLUID, PressureBC(5.0, 0.0),
-                              max_iter=3)
-        assert len(err.value.history) == 3
+            advance_time_step(state, law, FLUID, PressureBC(5.0, 0.0))
+        assert len(err.value.history) == MAX_SWEEPS
 
     def test_steady_rigid_step_is_one_pressure_solve(self):
         # dt = None: the rigid step keeps the wall, so the pressures on it
@@ -208,8 +218,7 @@ class TestTimeStepping:
             assert np.array_equal(getattr(new_state, name),
                                   getattr(state, name))
         for name in ("p0", "dp0", "d2p0", "d3p0", "dt_dp0", "p1", "dp1",
-                     "d2p1", "p02", "dp02", "flux_p0", "flux_p1",
-                     "flux_p02"):
+                     "d2p1", "p02", "dp02", "flux_p0", "flux_p1"):
             assert np.array_equal(getattr(pexp, name), getattr(direct, name))
 
     def test_steady_elastic_step_reaches_law(self):
@@ -228,15 +237,6 @@ class TestTimeStepping:
         with pytest.raises(TubeflowError):
             advance_time_step(state, RigidWall(), FLUID,
                               PressureBC(1.0, 0.0), dt=0.0)
-
-    @pytest.mark.parametrize("law", [RigidWall(),
-                                     ElasticWall(E=1e3, h0=0.1, R0=1.0)])
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_below_one_rejected(self, law, max_iter):
-        state = WallState.from_radius(grid(), 1.0)
-        with pytest.raises(TubeflowError, match="max_iter"):
-            advance_time_step(state, law, FLUID, PressureBC(5.0, 0.0),
-                              dt=0.05, max_iter=max_iter)
 
     def test_unknown_law_rejected(self):
         state = WallState.from_radius(grid(), 1.0)

@@ -504,6 +504,12 @@ def test_fluid_params_validated():
         FluidParams(0.0, 1.0)
     with pytest.raises(ValueError):
         FluidParams(1.0, -2.0)
+    # `nan <= 0` is False: NaN must be caught here, not by the p0 solver
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FluidParams(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            FluidParams(1.0, bad)
 
 
 _small_fraction = st.fractions(min_value=F(-4), max_value=F(4),

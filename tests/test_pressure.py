@@ -112,6 +112,9 @@ class TestP0:
         with pytest.raises(SolverError,
                            match="right side has 9 nodes, coefficient has 10"):
             solve_flux_bvp(np.ones(10), 0.1, np.ones(9), 0.0, 1.0)
+        with pytest.raises(SolverError,
+                           match="rate has 9 nodes, radius has 10"):
+            solve_p0(np.ones(10), np.ones(9), 0.1, FLUID, 0.0, 1.0)
 
 
 class TestFluxSolver:
