@@ -74,11 +74,12 @@ class TestWallLaw:
         with pytest.raises(WallCollapseError):
             apply_wall_law(law, np.full(N, -2.0))
 
-    def test_mismatched_lengths_rejected(self):
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_mismatched_lengths_rejected(self, n):
         law = ElasticWall(1.0, 1.0, np.ones(10))
         with pytest.raises(TubeflowError,
-                           match="p0 has 9 nodes, elastic law has 10 rest"):
-            apply_wall_law(law, np.ones(9))
+                           match=f"p0 has {n} nodes, elastic law has 10 rest"):
+            apply_wall_law(law, np.ones(n))
 
     def test_rigid_variant_rejected(self):
         with pytest.raises(TubeflowError):
@@ -237,6 +238,16 @@ class TestTimeStepping:
         with pytest.raises(TubeflowError):
             advance_time_step(state, RigidWall(), FLUID,
                               PressureBC(1.0, 0.0), dt=0.0)
+
+    @pytest.mark.parametrize("dt", [None, 0.1])
+    def test_law_of_another_length_rejected(self, dt):
+        # the length check of the law is reached through a step, steady
+        # or not, before any sweep relaxes the wall
+        law = ElasticWall(E=1e3, h0=0.1, R0=np.ones(10))
+        state = WallState.from_radius(grid(), 1.0)
+        with pytest.raises(TubeflowError,
+                           match=f"p0 has {N} nodes, elastic law has 10 rest"):
+            advance_time_step(state, law, FLUID, PressureBC(1.0, 0.0), dt=dt)
 
     def test_unknown_law_rejected(self):
         state = WallState.from_radius(grid(), 1.0)
