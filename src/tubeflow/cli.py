@@ -1,12 +1,15 @@
 """Config ingestion, pipeline orchestration, field export, plot emission.
 
 Configs are flat ``key = value`` text with dotted sections; ``_KEYS`` lists
-the recognized keys.  All data files are written with 17 significant digits
-and no timestamps, so identical configs produce byte-identical outputs.
+the recognized keys with their defaults and the check of each value alone
+(``RunConfig.validate`` adds the rules that join keys).  All data files are
+written with 17 significant digits and no timestamps, so identical configs
+produce byte-identical outputs.
 
 Subcommands: ``solve`` (full pipeline), ``fields`` (sample/export only),
 ``verify`` (verification suites only), ``tables`` (secondary-flow
-coefficient-table check), ``sweep`` (kappa/tau/eps parameter grid).
+coefficient-table check), ``sweep`` (kappa/tau/eps parameter grid); the
+run subcommands take ``--config``, ``--out`` and ``--order`` only.
 Exit codes: 0 success, 2 verification failure (its report keys on stderr),
 1 error.
 """
@@ -74,19 +77,41 @@ _FLAGS = {"1": True, "true": True, "yes": True,
 _POSITIVE = ("finite and positive", lambda v: np.isfinite(v) and v > 0)
 _FINITE = ("finite", lambda v: callable(v) or np.isfinite(v))
 _NON_NEGATIVE = ("finite and non-negative", lambda v: np.isfinite(v) and v >= 0)
+_AT_LEAST_8 = ("at least 8", lambda v: v >= 8)
+
+
+def _one_of(names):
+    return ("one of " + ", ".join(map(repr, names)), lambda v: v in names)
+
+
+# each geometry.kind and wall.law, and what it builds from a RunConfig
+_CURVES = {
+    "straight": lambda c: geometry.CenterCurve.straight(c.length, c.direction),
+    "circular-arc": lambda c: geometry.CenterCurve.circular_arc(c.arc_radius,
+                                                                c.length),
+    "helix": lambda c: geometry.CenterCurve.helix(c.helix_a, c.helix_b,
+                                                  c.length),
+    "sampled": lambda c: geometry.CenterCurve.from_file(c.curve_file),
+}
+_WALL_LAWS = {
+    "rigid": lambda c: coupling.RigidWall(),
+    "elastic": lambda c: coupling.ElasticWall(E=c.wall_E, h0=c.wall_h0,
+                                              R0=c.wall_R0, p_e=c.wall_pe),
+}
 
 
 class _Key(NamedTuple):
     attr: str            # the RunConfig field the key sets
     default: object      # the field's default
     parse: object        # text -> value
-    check: tuple = None  # on each value, or each of a tuple; None: see validate
+    check: tuple = None  # on each value, or each of a tuple (see _check)
     slot: int = None     # body.b1-b3 each set one slot of the body tuple
 
 
-# Every config key, in the order of the RunConfig fields and of the checks.
+# Every config key, in the order of the RunConfig fields and of the checks,
+# with each rule that reads the key alone; RunConfig.validate adds the rest.
 _KEYS = {
-    "geometry.kind": _Key("geometry_kind", "straight", str),
+    "geometry.kind": _Key("geometry_kind", "straight", str, _one_of(_CURVES)),
     "geometry.length": _Key("length", 1.0, float, _POSITIVE),
     "geometry.radius": _Key("arc_radius", 2.0, float, _POSITIVE),
     "geometry.a": _Key("helix_a", 3.0, float, _POSITIVE),
@@ -96,7 +121,7 @@ _KEYS = {
     "eps": _Key("eps", 0.1, float, _POSITIVE),
     "fluid.rho0": _Key("rho0", 1.0, float, _POSITIVE),
     "fluid.nu": _Key("nu", 1.0, float, _POSITIVE),
-    "wall.law": _Key("wall_law", "rigid", str),
+    "wall.law": _Key("wall_law", "rigid", str, _one_of(_WALL_LAWS)),
     "wall.R0": _Key("wall_R0", 1.0, float, _POSITIVE),
     "wall.E": _Key("wall_E", 1e5, float, _POSITIVE),
     "wall.h0": _Key("wall_h0", 0.01, float, _POSITIVE),
@@ -110,20 +135,29 @@ _KEYS = {
     "body.b1": _Key("body", (0.0, 0.0, 0.0), float, _FINITE, 0),
     "body.b2": _Key("body", (0.0, 0.0, 0.0), float, _FINITE, 1),
     "body.b3": _Key("body", (0.0, 0.0, 0.0), float, _FINITE, 2),
-    "grid.n_s1": _Key("n_s1", 64, int),
-    "grid.n_disc": _Key("n_disc", 16, int),
+    "grid.n_s1": _Key("n_s1", 64, int, _AT_LEAST_8),
+    "grid.n_disc": _Key("n_disc", 16, int, _AT_LEAST_8),
     "time.steady": _Key("steady", True, lambda v: _FLAGS[v.lower()]),
     "time.t_end": _Key("t_end", 1.0, float),
     "time.dt": _Key("dt", 0.1, float),
     "output.fields": _Key(
         "out_fields", ("u1_0", "u1_1", "u1_2", "U1", "U2", "p2", "p3"),
         lambda v: _FIELD_NAMES if v == "all"
-        else tuple(x.strip() for x in v.split(","))),
+        else tuple(x.strip() for x in v.split(",")), _one_of(_FIELD_NAMES)),
     "output.stations": _Key("stations", (0.5,), _floats),
     "sweep.kappa": _Key("sweep_kappa", (), _floats, _NON_NEGATIVE),
     "sweep.tau": _Key("sweep_tau", (), _floats, _FINITE),
     "sweep.eps": _Key("sweep_eps", (), _floats, _POSITIVE),
 }
+
+
+def _check(key, value):
+    """Raise a ConfigurationError naming ``key`` and the value unless the
+    value, or each value of a tuple, passes the key's check in _KEYS."""
+    must_be, ok = _KEYS[key].check
+    for v in value if isinstance(value, tuple) else (value,):
+        if not ok(v):
+            raise ConfigurationError(f"{key} = {v!r} must be {must_be}")
 
 
 # one dataclass field per attribute; the body slots share one
@@ -162,26 +196,15 @@ class RunConfig(make_dataclass("_ConfigFields", [
         return cfg
 
     def validate(self):
+        """Each key's own check in _KEYS, then the rules no single value
+        decides: the whole direction tuple and the rules that join keys."""
         for key, (attr, _, _, check, slot) in _KEYS.items():
-            if check is None:
-                continue
-            value = getattr(self, attr)
-            if slot is not None:
-                value = value[slot]
-            must_be, ok = check
-            for v in value if isinstance(value, tuple) else (value,):
-                if not ok(v):
-                    raise ConfigurationError(f"{key} = {v!r} must be {must_be}")
-        if self.n_s1 < 8 or self.n_disc < 8:
-            raise ConfigurationError("grids need at least 8 nodes")
-        if self.geometry_kind not in ("straight", "circular-arc", "helix",
-                                      "sampled"):
-            raise ConfigurationError(f"unknown geometry {self.geometry_kind!r}")
+            if check is not None:
+                value = getattr(self, attr)
+                _check(key, value if slot is None else value[slot])
         if self.geometry_kind == "sampled" and not self.curve_file:
             raise ConfigurationError(
                 "geometry.kind = 'sampled' needs geometry.file")
-        if self.wall_law not in ("rigid", "elastic"):
-            raise ConfigurationError(f"unknown wall law {self.wall_law!r}")
         if len(self.direction) != 3 or not np.all(np.isfinite(self.direction)):
             raise ConfigurationError(f"geometry.direction {self.direction!r}"
                                      " needs 3 finite components")
@@ -205,22 +228,12 @@ class RunConfig(make_dataclass("_ConfigFields", [
         for s1 in self.stations:
             if not 0.0 <= s1 <= self.length:
                 raise ConfigurationError(
-                    f"output station {s1!r} outside [0, geometry.length ="
+                    f"output.stations = {s1!r} outside [0, geometry.length ="
                     f" {self.length!r}]")
-        for name in self.out_fields:
-            if name not in _FIELD_NAMES:
-                raise ConfigurationError(f"unknown output field {name!r}")
 
     # -- constructors for the model objects --------------------------------
     def build_curve(self) -> geometry.CenterCurve:
-        if self.geometry_kind == "straight":
-            return geometry.CenterCurve.straight(self.length, self.direction)
-        if self.geometry_kind == "circular-arc":
-            return geometry.CenterCurve.circular_arc(self.arc_radius, self.length)
-        if self.geometry_kind == "helix":
-            return geometry.CenterCurve.helix(self.helix_a, self.helix_b,
-                                              self.length)
-        return geometry.CenterCurve.from_file(self.curve_file)
+        return _CURVES[self.geometry_kind](self)
 
     def build_fluid(self) -> expansion.FluidParams:
         return expansion.FluidParams(self.rho0, self.nu)
@@ -236,10 +249,7 @@ class RunConfig(make_dataclass("_ConfigFields", [
         )
 
     def build_wall_law(self):
-        if self.wall_law == "rigid":
-            return coupling.RigidWall()
-        return coupling.ElasticWall(E=self.wall_E, h0=self.wall_h0,
-                                    R0=self.wall_R0, p_e=self.wall_pe)
+        return _WALL_LAWS[self.wall_law](self)
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -258,25 +268,24 @@ class PipelineResult:
     history: list = dc_field(default_factory=list)
 
     def report(self) -> dict:
-        """``verify_report.txt`` by section, less the verdict."""
+        """``verify_report.txt`` less the verdict: ``{"section.name":
+        value}`` in the file's order, which sorts the keys."""
         con, comp = self.conservation, self.compatibility
-        return {
-            "bvp_residuals": {k: float(v)
-                              for k, v in self.pexp.residuals.items()},
-            "compatibility": {"max_g_integral": comp.max_g_integral,
-                              "max_u1_residual": comp.max_u1_residual},
-            "conservation": {"max_q0_residual": con.max_q0,
-                             "max_q1_residual": con.max_q1},
-            "figure_shape": dict(self.shape_checks),
-        }
+        return dict(sorted({
+            **{f"bvp_residuals.{k}": float(v)
+               for k, v in self.pexp.residuals.items()},
+            "compatibility.max_g_integral": comp.max_g_integral,
+            "compatibility.max_u1_residual": comp.max_u1_residual,
+            "conservation.max_q0_residual": con.max_q0,
+            "conservation.max_q1_residual": con.max_q1,
+            **{f"figure_shape.{k}": v for k, v in self.shape_checks.items()},
+        }.items()))
 
     def failed_checks(self) -> list:
         """Report keys, in report order, of each value not within its
         bound in :func:`verify.bounds` (NaN is not) and each False
         figure-shape check; a bound that the report lacks raises."""
-        values = {f"{section}.{name}": value
-                  for section, part in self.report().items()
-                  for name, value in sorted(part.items())}
+        values = self.report()
         return [key for key, bound in verify.bounds(self.wall.h).items()
                 if not values[key] <= bound] + [
             key for key, value in values.items() if value is False]
@@ -354,13 +363,11 @@ def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
     evaluated as given: a pipeline run's fields already hold float
     coefficients.
     """
-    if n_disc < 8:
-        raise ConfigurationError("n_disc must be at least 8")
+    _check("grid.n_disc", n_disc)
+    _check("output.fields", tuple(names))
     _, _, z2, z3 = polar_grid(n_disc, 2 * n_disc)
     out = {}
     for name in names:
-        if name not in _FIELD_NAMES:
-            raise ConfigurationError(f"unknown field {name!r}")
         term = getattr(fields, name)
         polys = term if isinstance(term, tuple) else (term,)
         out[name] = np.column_stack(
@@ -467,9 +474,11 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
 
 
 def _export_reports(result: PipelineResult, outdir: Path):
-    lines = verify.report_key_values(
-        **result.report(), verdict={"passed": result.verification_passed()})
-    (outdir / "verify_report.txt").write_text("\n".join(lines) + "\n")
+    report = {**result.report(),
+              "verdict.passed": result.verification_passed()}
+    (outdir / "verify_report.txt").write_text("".join(
+        f"{key} = {value:.17g}\n" if isinstance(value, float)
+        else f"{key} = {value}\n" for key, value in report.items()))
 
     con, comp = result.conservation, result.compatibility
     res0 = np.concatenate([[np.nan], con.residual_q0, [np.nan]])
@@ -564,8 +573,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
         p.add_argument("--order", type=int, choices=(0, 1, 2), default=2)
-        p.add_argument("--steady", action="store_true",
-                       help="force steady mode regardless of the config")
     p = sub.add_parser("tables")
     p.add_argument("--out", default=None)
 
@@ -574,8 +581,6 @@ def main(argv=None) -> int:
         if args.command == "tables":
             return _tables_report(args.out)
         cfg = RunConfig.from_file(args.config)
-        if args.steady:
-            cfg.steady = True
         if args.command == "sweep":
             return run_sweep(cfg, args.out)
         result = run_pipeline(cfg)

@@ -47,13 +47,19 @@ class WallState:
     t: float = 0.0
 
     def __post_init__(self):
-        if np.any(self.R <= 0):
-            raise TubeflowError("wall radius must be positive everywhere")
+        # min and max propagate NaN, which fails both comparisons
+        if not (np.min(self.R) > 0 and np.max(self.R) < np.inf):
+            raise TubeflowError(
+                "wall radius must be finite and positive everywhere")
 
     @classmethod
     def from_radius(cls, s1, R, dR_dt=None, t=0.0):
-        """Build a state from a radius profile; s1-derivatives by centered FD."""
+        """Build a state from a radius profile; s1-derivatives by centered FD,
+        whose one-sided second derivative needs at least 4 nodes."""
         s1 = np.asarray(s1, dtype=float)
+        if s1.size < 4:
+            raise TubeflowError(
+                f"a wall needs at least 4 axis nodes, got {s1.size}")
         R = np.broadcast_to(np.asarray(R, dtype=float), s1.shape).copy()
         h = s1[1] - s1[0]
         rate = np.zeros_like(R) if dR_dt is None else \

@@ -78,8 +78,9 @@ class CenterCurve:
     def circular_arc(cls, radius, length):
         """Planar arc of radius a: c(s) = a (cos s/a, sin s/a, 0)."""
         a = float(radius)
-        if a <= 0:
-            raise GeometryError("arc radius must be positive")
+        if not 0 < a < np.inf:  # chained, so NaN fails too
+            raise GeometryError(
+                f"arc radius must be finite and positive, got {a!r}")
 
         def basis(s):
             th = s / a
@@ -93,8 +94,11 @@ class CenterCurve:
     def helix(cls, a, b, length):
         """Helix (a cos th, a sin th, b th), th = s / sqrt(a^2 + b^2)."""
         a, b = float(a), float(b)
-        if a <= 0:
-            raise GeometryError("helix radius a must be positive")
+        if not 0 < a < np.inf:  # chained, so NaN fails too
+            raise GeometryError(
+                f"helix radius a must be finite and positive, got {a!r}")
+        if not np.isfinite(b):
+            raise GeometryError(f"helix rise b must be finite, got {b!r}")
         c = np.hypot(a, b)
         kappa = a / c**2
         tau = b / c**2
@@ -235,14 +239,14 @@ def check_invertibility(eps: float, curve: CenterCurve, wall) -> float:
     ``wall`` needs the grid ``s1`` and the radius ``R`` on it.  Warns above
     0.5, where the asymptotic regime becomes questionable.
     """
-    if eps <= 0:
-        raise MapError("eps must be positive")
+    if not 0 < eps < np.inf:  # chained, so NaN fails too
+        raise MapError(f"eps must be finite and positive, got {eps!r}")
     bound = eps * curve.max_curvature * float(np.max(wall.R))
-    if bound >= 1.0:
+    if not bound < 1.0:  # a NaN bound fails too
         worst = float(wall.s1[int(np.argmax(wall.R))])
         raise MapError(
             f"tube map not invertible: eps*max(kappa R) = {bound:.3g} "
-            f">= 1 (widest station s1 = {worst:.6g})"
+            f"is not below 1 (widest station s1 = {worst:.6g})"
         )
     if bound > 0.5:
         warnings.warn(

@@ -302,18 +302,3 @@ def figure_shape_checks(fields_mid, sd_mid, wall_rate_tol: float) -> dict:
         abs(circ - expected) <= 1e-12 * scale)
     return checks
 
-
-# -- report serialization ------------------------------------------------------
-
-def report_key_values(**sections):
-    """Flatten nested report dicts into deterministic key = value lines."""
-    lines = []
-    for section in sorted(sections):
-        data = sections[section]
-        for key in sorted(data):
-            value = data[key]
-            if isinstance(value, float):
-                lines.append(f"{section}.{key} = {value:.17g}")
-            else:
-                lines.append(f"{section}.{key} = {value}")
-    return lines

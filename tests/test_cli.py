@@ -1,6 +1,7 @@
 """Config parsing, pipeline presets, exports, and the command-line surface."""
 
 import filecmp
+import hashlib
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from tubeflow.cli import (
     _FIELD_NAMES,
     RunConfig,
+    export_bundle,
     main,
     parse_config_text,
     read_field_csv,
@@ -82,12 +84,20 @@ class TestConfigParsing:
             RunConfig.from_mapping({"geometry.radius_typo": "1"})
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RunConfig.from_mapping({"grid.n_s1": "4"})
-        with pytest.raises(ConfigurationError):
-            RunConfig.from_mapping({"eps": "-0.1"})
-        with pytest.raises(ConfigurationError):
-            RunConfig.from_mapping({"wall.law": "viscoelastic"})
+        # the grid, kind and law errors named neither key nor value
+        for key, text, message in [
+                ("grid.n_s1", "4", "grid.n_s1 = 4 must be at least 8"),
+                ("grid.n_disc", "4", "grid.n_disc = 4 must be at least 8"),
+                ("eps", "-0.1", "eps = -0.1 must be finite and positive"),
+                ("geometry.kind", "moebius",
+                 "geometry.kind = 'moebius' must be one of 'straight', "
+                 "'circular-arc', 'helix', 'sampled'"),
+                ("wall.law", "viscoelastic",
+                 "wall.law = 'viscoelastic' must be one of 'rigid', "
+                 "'elastic'")]:
+            with pytest.raises(ConfigurationError,
+                               match=f"^{re.escape(message)}$"):
+                RunConfig.from_mapping({key: text})
 
     def test_time_series_bc(self):
         cfg = RunConfig.from_mapping({"bc.p0.inlet": "0:0, 1:10"})
@@ -107,7 +117,9 @@ class TestConfigParsing:
             RunConfig.from_mapping({"output.stations": f"0.5, {station}"})
 
     def test_unknown_output_field_rejected(self):
-        with pytest.raises(ConfigurationError, match="vorticity"):
+        with pytest.raises(ConfigurationError,
+                           match="^output.fields = 'vorticity' must be one "
+                                 "of 'u1_0', 'u1_1', "):
             RunConfig.from_mapping({"output.fields": "u1_0, vorticity"})
 
     def test_all_fields_is_every_exportable_name(self):
@@ -254,6 +266,15 @@ class TestPresets:
         with pytest.raises(ConfigurationError, match="time.dt = inf"):
             run_pipeline(cfg)
 
+    def test_report_is_the_report_file_less_the_verdict(self, tmp_path):
+        res = run_pipeline(RunConfig.from_mapping(CURVED))
+        export_bundle(res, tmp_path, fields=False)
+        lines = (tmp_path / "verify_report.txt").read_text().splitlines()
+        assert lines[-1] == "verdict.passed = True"
+        report = res.report()
+        assert [line.split(" = ")[0] for line in lines[:-1]] == list(report)
+        assert not any(isinstance(v, dict) for v in report.values())
+
     def test_straight_rigid_zero_corrections(self):
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))
         mid = 16
@@ -374,14 +395,18 @@ class TestSampling:
         assert all(v2 == 0.0 and v3 == 0.0 for _, _, v2, v3 in vec)
 
     def test_min_resolution(self):
+        # sample_fields applies the config's own check of grid.n_disc
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match="^grid.n_disc = 4 must be at least 8$"):
             sample_fields(res.stations.fields(0), 4, ["u1_0"])
 
     def test_unknown_field(self):
         res = run_pipeline(RunConfig.from_mapping(STRAIGHT))
-        with pytest.raises(ConfigurationError):
-            sample_fields(res.stations.fields(0), 8, ["vorticity"])
+        with pytest.raises(ConfigurationError,
+                           match="^output.fields = 'vorticity' must be one "
+                                 "of "):
+            sample_fields(res.stations.fields(0), 8, ["u1_0", "vorticity"])
 
 
 class TestCommandLine:
@@ -466,11 +491,15 @@ class TestCommandLine:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err \
             == "verification failed: compatibility.max_u1_residual\n"
+        text = (out / "verify_report.txt").read_bytes()
         report = dict(line.split(" = ") for line in
-                      (out / "verify_report.txt").read_text().splitlines())
+                      text.decode().splitlines())
         assert report["verdict.passed"] == "False"
         assert float(report["compatibility.max_u1_residual"]) \
             == pytest.approx(0.558, abs=1e-3)
+        # line order and the 17-digit format of a failing report
+        assert hashlib.sha256(text).hexdigest() == (
+            "0366a8e48953b55654d818bc78627243a0dd6843b924e378394d9b7280e84db5")
         assert (out / "residuals.csv").exists()
         if command == "solve":
             for name in ("grids.csv", "run_meta.txt",
@@ -614,13 +643,6 @@ class TestCommandLine:
         assert main(["solve", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1
         assert "error" in capsys.readouterr().err
-
-    def test_steady_flag_overrides(self, tmp_path):
-        cfg = write_cfg(tmp_path, MOVING)
-        out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out),
-                     "--steady"]) == 0
-        assert not (out / "history.csv").exists()
 
     def test_order_flag_truncates_solution(self, tmp_path):
         cfg = write_cfg(tmp_path, CURVED)

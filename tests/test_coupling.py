@@ -53,6 +53,27 @@ class TestWallState:
         with pytest.raises(TubeflowError):
             WallState.from_radius(grid(), -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_radius_rejected(self, bad):
+        # a NaN radius passed, as NaN <= 0 is False
+        R = np.ones(N)
+        R[N // 2] = bad
+        with pytest.raises(TubeflowError, match="finite and positive"):
+            WallState.from_radius(grid(), R)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_than_four_nodes_rejected(self, n):
+        # these raised numpy's IndexError from the derivative stencils
+        with pytest.raises(TubeflowError,
+                           match=f"at least 4 axis nodes, got {n}$"):
+            WallState.from_radius(np.linspace(0.0, 1.0, n), 1.0)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_four_nodes_suffice(self, n):
+        s = np.linspace(0.0, 1.0, n)
+        state = WallState.from_radius(s, 1.0 + s**2)
+        assert np.allclose(state.d2R_ds12, 2.0)
+
 
 class TestWallLaw:
     def test_rest_state(self):

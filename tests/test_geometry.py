@@ -136,6 +136,30 @@ class TestFrames:
             assert np.linalg.norm(dmat[2] + t * normal) < 1e-5
 
 
+class TestAnalyticCurveInputs:
+    """Non-finite inputs built curves with NaN curvature or frames."""
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0])
+    def test_arc_radius_finite_and_positive(self, radius):
+        with pytest.raises(GeometryError,
+                           match=f"arc radius must be finite and positive, "
+                                 f"got {radius!r}"):
+            CenterCurve.circular_arc(radius, 1.0)
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), -1.0])
+    def test_helix_radius_finite_and_positive(self, a):
+        with pytest.raises(GeometryError,
+                           match=f"helix radius a must be finite and "
+                                 f"positive, got {a!r}"):
+            CenterCurve.helix(a, 1.0, 1.0)
+
+    @pytest.mark.parametrize("b", [float("nan"), float("inf"), -float("inf")])
+    def test_helix_rise_finite(self, b):
+        with pytest.raises(GeometryError,
+                           match=f"helix rise b must be finite, got {b!r}"):
+            CenterCurve.helix(1.0, b, 1.0)
+
+
 class TestSampledCurves:
     def make_helix_samples(self, n=120):
         c = np.hypot(3.0, 4.0)
@@ -266,6 +290,22 @@ class TestTubeMap:
             check_invertibility(0.6, curve, unit_wall())
         with pytest.raises(MapError):
             check_invertibility(0.0, curve, unit_wall())
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        # a NaN bound, or inf * 0 = NaN on a straight pipe, passed
+        # because NaN >= 1 is False
+        for curve in (CenterCurve.straight(1.0),
+                      CenterCurve.circular_arc(1.0, 1.0)):
+            with pytest.raises(MapError,
+                               match=f"eps must be finite and positive, "
+                                     f"got {eps!r}"):
+                check_invertibility(eps, curve, unit_wall())
+
+    def test_bound_that_is_not_a_number_rejected(self):
+        curve = CenterCurve(1.0, None, None, max_curvature=float("nan"))
+        with pytest.raises(MapError, match="= nan is not below 1"):
+            check_invertibility(0.1, curve, unit_wall())
 
     def test_regime_warning(self):
         curve = CenterCurve.circular_arc(1.0, 1.0)

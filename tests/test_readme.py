@@ -1,5 +1,6 @@
-"""The README's library sketch runs as printed and prints what it says, and
-its key table lists every config key with its default."""
+"""The README's library sketch runs as printed and prints what it says,
+its key table lists every config key with its default, and its Flags
+sentence names every option of the run subcommands."""
 
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tubeflow.cli import _KEYS
+from tubeflow.cli import _KEYS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +40,13 @@ def test_key_table_lists_every_config_key_with_its_default():
         default = (spec.default if spec.slot is None
                    else spec.default[spec.slot])
         assert spec.parse(text) == default, key
+
+
+def test_flags_sentence_names_every_solve_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    options = set(re.findall(r"(?<![\w-])--[a-z][\w-]*",
+                             capsys.readouterr().out)) - {"--help"}
+    sentence = README.read_text().split("Flags:", 1)[1].split("Exit codes")[0]
+    assert set(re.findall(r"`(--[a-z][\w-]*)", sentence)) == options
+    assert "--config" in options  # the help text was read
