@@ -11,7 +11,7 @@ Subcommands: ``solve`` (full pipeline), ``fields`` (sample/export only),
 coefficient-table check), ``sweep`` (kappa/tau/eps parameter grid); the
 run subcommands take ``--config``, ``--out`` and ``--order`` only.
 Exit codes: 0 success, 2 verification failure (its report keys on stderr),
-1 error.
+1 error, a usage error included.
 """
 
 from __future__ import annotations
@@ -438,14 +438,16 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
     """Disc samples, plots and the assembled solution per requested station.
 
     Each requested s1 resolves to the nearest grid node; every file of the
-    station is evaluated there.  The solution rows hold the world-frame
+    station is evaluated there.  Each node is written once, in the order
+    it is first requested.  The solution rows hold the world-frame
     velocity and the pressure of the expansion truncated at ``order``.
     """
     cfg, wall, pexp = result.config, result.wall, result.pexp
     _, _, z2, z3 = polar_grid(cfg.n_disc, 2 * cfg.n_disc)
     polar, cartesian = _grid_text(cfg.n_disc)
-    for target in cfg.stations:
-        idx = int(np.argmin(np.abs(wall.s1 - target)))
+    nodes = dict.fromkeys(int(np.argmin(np.abs(wall.s1 - target)))
+                          for target in cfg.stations)
+    for idx in nodes:
         tag = f"station{idx:04d}"
         f = result.stations.fields(idx)
         tables = sample_fields(f, cfg.n_disc, cfg.out_fields)
@@ -562,8 +564,16 @@ def _tables_report(outdir=None) -> int:
     return 0 if report.all_match else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1: exit 2 is a failed verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tubeflow",
         description="Reduced-order curved-pipe flow solver and verifier",
     )

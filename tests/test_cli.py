@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tubeflow import cli
 from tubeflow.cli import (
     _FIELD_NAMES,
     RunConfig,
@@ -654,6 +655,71 @@ class TestCommandLine:
         _, d0 = read_field_csv(out0 / "solution_station0016.csv")
         _, d2 = read_field_csv(out2 / "solution_station0016.csv")
         assert not np.allclose(d0[:, 2:5], d2[:, 2:5])
+
+    # a usage error exited 2, the code of a failed verdict
+    @pytest.mark.parametrize("argv, message", [
+        (["solve"], "the following arguments are required: --config"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["solve", "--config", "run.cfg", "--order", "5"],
+         "argument --order: invalid choice: 5"),
+    ], ids=["no_config", "unknown_command", "order_5"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tubeflow") and message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tubeflow")
+
+    def test_station_node_exported_once(self, tmp_path, monkeypatch):
+        # 0.5, 0.5 and 0.501 all resolve to node 32 of 65; the node's
+        # files were written once per request
+        preset = (Path(__file__).resolve().parent.parent / "presets"
+                  / "straight_rigid.cfg").read_text()
+        assert "output.stations = 0.5\n" in preset
+        (tmp_path / "one.cfg").write_text(preset)
+        (tmp_path / "three.cfg").write_text(preset.replace(
+            "output.stations = 0.5\n", "output.stations = 0.5, 0.5, 0.501\n"))
+        written = []
+        write_csv = cli.write_csv
+        write_text = Path.write_text
+
+        def record_csv(path, *args, **kwargs):
+            written.append(Path(path).name)
+            return write_csv(path, *args, **kwargs)
+
+        def record_text(self, *args, **kwargs):
+            written.append(self.name)
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_csv", record_csv)
+        monkeypatch.setattr(Path, "write_text", record_text)
+        assert main(["solve", "--config", str(tmp_path / "three.cfg"),
+                     "--out", str(tmp_path / "three")]) == 0
+        assert len(written) == len(set(written))
+        assert sorted(written) == sorted(p.name for p in
+                                         (tmp_path / "three").iterdir())
+        assert "solution_station0032.csv" in written
+        monkeypatch.undo()
+
+        assert main(["solve", "--config", str(tmp_path / "one.cfg"),
+                     "--out", str(tmp_path / "one")]) == 0
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert names == sorted(written)
+        # run_meta.txt records the requested stations; all else is the same
+        same = [n for n in names if n != "run_meta.txt"]
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "one", tmp_path / "three", same, shallow=False)
+        assert match == same and not mismatch and not errors
+        meta = [(tmp_path / d / "run_meta.txt").read_text().splitlines()
+                for d in ("one", "three")]
+        assert [a for a, b in zip(*meta, strict=True) if a != b] \
+            == ["stations = (0.5,)"]
 
 
 class TestSvgEmission:
