@@ -15,9 +15,12 @@ continuous across interior nodes and the mass-conservation residuals of the
 verify module cancel to round-off against the same stencils.  The p02
 right side f is :func:`bracket_derivative` of the nodal bracket, the
 difference of its midpoint averages, so the p02 flux is exactly
-conservative too.  The interior system is symmetric tridiagonal;
-:func:`solve_flux_bvp` hands it straight to LAPACK ``dgtsv`` after
-checking that it is finite.
+conservative too.  The interior system is symmetric tridiagonal.
+:func:`solve_flux_bvp` lays it out in one buffer: the grid (p_in, the
+interior right side, p_out) followed by the diagonal.  It tests the whole
+buffer for finiteness once, lets LAPACK ``dgtsv`` overwrite the interior
+in place and returns the head of the buffer, so a solve copies neither
+its right side nor the solved interior, and never writes into its inputs.
 
 :func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid alone;
 :func:`midpoint_flux` forms its flux.  :func:`solve_p0` takes bare radius
@@ -171,6 +174,11 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out):
 
     coef and rhs are nodal; midpoint coefficients are arithmetic averages
     and the right side is read at the interior nodes.  Returns the grid.
+
+    One buffer holds the grid (p_in, the interior right side, p_out)
+    followed by the diagonal; it is tested for finiteness once, ``dgtsv``
+    overwrites the interior in place, and the head of the buffer is the
+    returned grid.  coef and rhs are only read.
     """
     coef = np.asarray(coef, dtype=float)
     n = coef.size
@@ -184,27 +192,28 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out):
     a_mid *= 0.5
     if any_nonpositive(a_mid):
         raise SolverError("singular flux coefficient (R -> 0?)")
-    b = rhs[1:-1].copy()
+    buf = np.empty(2 * n - 2)
+    p, diag = buf[:n], buf[n:]
+    b = p[1:-1]
+    p[0], b[:], p[-1] = p_in, rhs[1:-1], p_out
 
     # Dirichlet unknowns eliminated up front: solve the interior system so
     # the boundary data is held exactly.  Symmetric tridiagonal: LAPACK gtsv.
     inv_h2 = 1.0 / h**2
     off = a_mid[1:-1] * inv_h2
-    diag = a_mid[:-1] + a_mid[1:]
+    np.add(a_mid[:-1], a_mid[1:], out=diag)
     diag *= -inv_h2
     b[0] -= a_mid[0] * p_in * inv_h2
     b[-1] -= a_mid[-1] * p_out * inv_h2
-    if not (np.isfinite(diag).all() and np.isfinite(b).all()):
+    # counting finite entries costs less than an all() reduction
+    if np.count_nonzero(np.isfinite(buf)) < buf.size:
         raise SolverError("tridiagonal system contains infs or NaNs")
-    *_, interior, info = dgtsv(off, diag, off, b, overwrite_d=True,
-                               overwrite_b=True)
+    *_, info = dgtsv(off, diag, off, b, overwrite_d=True, overwrite_b=True)
     if info:
         raise SolverError("singular matrix" if info > 0 else
                           f"illegal value in argument {-info} of gtsv")
-    if not np.isfinite(interior).all():
+    if np.count_nonzero(np.isfinite(b)) < b.size:
         raise SolverError("tridiagonal solve produced non-finite values")
-    p = np.empty(n)
-    p[0], p[1:-1], p[-1] = p_in, interior, p_out
     return p
 
 
@@ -232,7 +241,9 @@ def flux_residual(coef, h, p, rhs):
 
 def _p0_source(R, dR_dt, fluid: "FluidParams"):
     """Right side of the leading-order problem: 16 nu rho0 R dR/dt."""
-    return 16.0 * fluid.nu * fluid.rho0 * R * dR_dt
+    src = 16.0 * fluid.nu * fluid.rho0 * R
+    src *= dR_dt
+    return src
 
 
 def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out):

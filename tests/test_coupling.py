@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from tubeflow.cli import RunConfig
 from tubeflow.coupling import (
@@ -260,6 +261,18 @@ class TestTimeStepping:
             advance_time_step(state, RigidWall(), FLUID,
                               PressureBC(1.0, 0.0), dt=0.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    @pytest.mark.parametrize("law", [RigidWall(),
+                                     ElasticWall(E=1e3, h0=0.1, R0=1.0)],
+                             ids=["rigid", "elastic"])
+    def test_non_finite_dt_rejected(self, law, dt):
+        # both passed dt <= 0: a rigid step (and an elastic one at inf)
+        # returned a wall at t = nan or inf
+        state = WallState.from_radius(grid(), 1.0)
+        with pytest.raises(TubeflowError,
+                           match=f"finite and positive, got {dt}$"):
+            advance_time_step(state, law, FLUID, PressureBC(1.0, 0.0), dt=dt)
+
     @pytest.mark.parametrize("dt", [None, 0.1])
     def test_law_of_another_length_rejected(self, dt):
         # the length check of the law is reached through a step, steady
@@ -342,3 +355,85 @@ class TestTimeStepping:
         diffs = [np.abs(a - b).max() for a, b in zip(finals, finals[1:])]
         orders = np.log2(np.divide(diffs[:-1], diffs[1:]))
         assert np.all((orders >= 0.8) & (orders <= 1.2)), orders
+
+
+# -- the wall fixed point as a plain loop: the reference for the one-buffer
+# solve and the in-place relaxation of advance_time_step
+
+def plain_step(state, law, fluid, bc, dt=None):
+    """(R, dR_dt, t, sweeps) of one step, with new arrays for every
+    intermediate and the p0 system solved from copies, as a concatenation."""
+    r_old, h = state.R, state.h
+    t = state.t if dt is None else state.t + dt
+    tol = 1e-12 if dt is None else 1e-10
+    p_in, p_out = bc.p0_at(t)
+    r0, compliance = law.constants
+    inv_h2 = 1.0 / h**2
+
+    def rate(r):
+        return np.zeros_like(r) if dt is None else (r - r_old) / dt
+
+    r_cur, omega, history = r_old.copy(), 0.5, []
+    for _ in range(MAX_SWEEPS):
+        coef = r_cur**4
+        a_mid = 0.5 * (coef[:-1] + coef[1:])
+        b = (16.0 * fluid.nu * fluid.rho0 * r_cur * rate(r_cur))[1:-1].copy()
+        b[0] -= a_mid[0] * p_in * inv_h2
+        b[-1] -= a_mid[-1] * p_out * inv_h2
+        off = a_mid[1:-1] * inv_h2
+        diag = -(a_mid[:-1] + a_mid[1:]) * inv_h2
+        p0 = np.concatenate([[p_in], dgtsv(off, diag, off, b)[3], [p_out]])
+        change = r0 + compliance * (p0 - law.p_e) - r_cur
+        history.append(np.abs(change).max())
+        if history[-1] <= tol * r_cur.max():
+            r_new = r_cur + omega * change
+            return r_new, rate(r_new), t, len(history)
+        if len(history) > 3 and history[-1] > history[-2]:
+            omega *= 0.5
+        r_cur = r_cur + omega * change
+    raise AssertionError("the plain loop did not converge")
+
+
+@pytest.fixture
+def p0_calls(monkeypatch):
+    """A list that gains one entry per solve_p0 call of the wall step."""
+    import tubeflow.coupling as coupling_mod
+    calls = []
+    original = coupling_mod.solve_p0
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(coupling_mod, "solve_p0", spy)
+    return calls
+
+
+def assert_same_step(p0_calls, state, law, fluid, bc, dt):
+    p0_calls.clear()
+    new = advance_time_step(state, law, fluid, bc, dt)
+    R, rate, t, sweeps = plain_step(state, law, fluid, bc, dt)
+    assert new.R.tobytes() == R.tobytes()
+    assert new.dR_dt.tobytes() == rate.tobytes()
+    assert new.t == t
+    assert len(p0_calls) == sweeps
+    return new
+
+
+class TestPlainReference:
+    def test_elastic_pulse_steps_bitwise_equal(self, p0_calls):
+        root = Path(__file__).resolve().parent.parent
+        cfg = RunConfig.from_file(root / "presets" / "elastic_pulse.cfg")
+        law, fluid = cfg.build_wall_law(), cfg.build_fluid()
+        bc = cfg.build_bc()
+        state = WallState.from_radius(np.linspace(0.0, cfg.length, 257),
+                                      cfg.wall_R0)
+        for _ in range(4):
+            state = assert_same_step(p0_calls, state, law, fluid, bc, 0.0025)
+        assert state.R.max() > cfg.wall_R0
+
+    def test_steady_step_bitwise_equal(self, p0_calls):
+        law = ElasticWall(E=1e3, h0=0.1, R0=1.0, p_e=0.5)
+        state = WallState.from_radius(np.linspace(0.0, 1.0, 257), 1.0)
+        assert_same_step(p0_calls, state, law, FLUID, PressureBC(5.0, 0.0),
+                         None)

@@ -149,14 +149,14 @@ class TestFluxSolver:
                               a_mid * np.diff(ref) / h)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["coef", "rhs", "p_in"])
+    @pytest.mark.parametrize("where", ["coef", "rhs", "p_in", "p_out"])
     @pytest.mark.parametrize("bracket", [False, True])
     def test_non_finite_input_rejected(self, bad, where, bracket):
         n = 33
         args = {"coef": np.ones(n), "rhs": np.linspace(0.0, 1.0, n),
-                "p_in": 1.0}
-        if where == "p_in":
-            args["p_in"] = bad
+                "p_in": 1.0, "p_out": 0.0}
+        if where in ("p_in", "p_out"):
+            args[where] = bad
         else:
             args[where][n // 2] = bad
         # forming the system may warn (inf - inf); it must still be refused
@@ -165,7 +165,29 @@ class TestFluxSolver:
             h = 1.0 / (n - 1)
             rhs = bracket_derivative(args["rhs"], h) if bracket \
                 else args["rhs"]
-            solve_flux_bvp(args["coef"], h, rhs, args["p_in"], 0.0)
+            solve_flux_bvp(args["coef"], h, rhs, args["p_in"],
+                           args["p_out"])
+
+    def test_inputs_are_only_read(self):
+        # the solve writes into its own buffer: read-only views of the
+        # inputs solve as the arrays do, and neither is written to
+        n = 65
+        rng = np.random.default_rng(5)
+        h = 1.0 / (n - 1)
+        coef, rhs, R = rng.uniform(0.5, 2.0, (3, n))
+        rate = rng.normal(size=n)
+        inputs = (coef, rhs, R, rate)
+        kept = [a.copy() for a in inputs]
+        ro = [np.broadcast_to(a, a.shape) for a in inputs]
+        assert not any(a.flags.writeable for a in ro)
+        p = solve_flux_bvp(ro[0], h, ro[1], 1.0, -0.5)
+        assert np.array_equal(p, solve_flux_bvp(coef, h, rhs, 1.0, -0.5))
+        assert not np.shares_memory(p, coef)
+        assert not np.shares_memory(p, rhs)
+        p0 = solve_p0(ro[2], ro[3], h, FLUID, 1.0, -0.5)
+        assert np.array_equal(p0, solve_p0(R, rate, h, FLUID, 1.0, -0.5))
+        for a, b in zip(inputs, kept):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestP1:
