@@ -8,9 +8,10 @@ exact polynomial verification layer on the unit disc.
 ``import tubeflow`` loads no submodule.  Each one loads the first time one
 of its names is read: ``from tubeflow import DiscPoly`` loads ``polydisc``
 and numpy only.  The exact layer (``expansion``, ``polydisc``) never loads
-scipy.  ``pressure`` loads scipy's LAPACK at import, for the axial solves,
-and so do ``coupling``, ``verify`` and ``cli``, which import it; every
-``tubeflow`` subcommand therefore loads it at start-up.
+scipy, nor does ``verify``, which rests on it alone.  ``pressure`` loads
+scipy's LAPACK at import, for the axial solves, and so do ``coupling`` and
+``cli``, which import it; every ``tubeflow`` subcommand therefore loads it
+at start-up.
 """
 
 import importlib

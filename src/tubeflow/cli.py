@@ -365,7 +365,7 @@ def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
     """
     _check("grid.n_disc", n_disc)
     _check("output.fields", tuple(names))
-    _, _, z2, z3 = polar_grid(n_disc, 2 * n_disc)
+    _, _, z2, z3 = polar_grid(n_disc)
     out = {}
     for name in names:
         term = getattr(fields, name)
@@ -377,11 +377,11 @@ def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
 
 @lru_cache(maxsize=None)
 def _grid_text(n_disc):
-    """The coordinate columns of ``polar_grid(n_disc, 2 n_disc)`` as CSV
+    """The coordinate columns of ``polar_grid(n_disc)`` as CSV
     text: for each point, ``"%.17g,%.17g,"`` of (s2, s3) in the first
     tuple and of (z2, z3) in the second.  Cached as the grid is, so a
     process formats each coordinate once."""
-    s2, s3, z2, z3 = polar_grid(n_disc, 2 * n_disc)
+    s2, s3, z2, z3 = polar_grid(n_disc)
     pair = f"{_FMT},{_FMT},"
     return (tuple(pair % p for p in zip(s2.tolist(), s3.tolist())),
             tuple(pair % p for p in zip(z2.tolist(), z3.tolist())))
@@ -443,7 +443,7 @@ def _export_stations(result: PipelineResult, outdir: Path, order: int):
     velocity and the pressure of the expansion truncated at ``order``.
     """
     cfg, wall, pexp = result.config, result.wall, result.pexp
-    _, _, z2, z3 = polar_grid(cfg.n_disc, 2 * cfg.n_disc)
+    _, _, z2, z3 = polar_grid(cfg.n_disc)
     polar, cartesian = _grid_text(cfg.n_disc)
     nodes = dict.fromkeys(int(np.argmin(np.abs(wall.s1 - target)))
                           for target in cfg.stations)
@@ -536,8 +536,7 @@ def run_sweep(cfg: RunConfig, outdir) -> int:
                 sub = replace(sub, geometry_kind="helix", helix_a=kap / denom,
                               helix_b=tau / denom)
             for eps in epss:
-                sub.eps = eps
-                result = run_pipeline(sub)
+                result = run_pipeline(replace(sub, eps=eps))
                 # the shape checks read the same mid station
                 checks = result.shape_checks
                 rows.append((kap, tau, eps,

@@ -22,6 +22,7 @@ wall by :func:`tubeflow.pressure.solve_pressures`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,6 +53,9 @@ class WallState:
                 and np.maximum.reduce(self.R, axis=None) < np.inf):
             raise TubeflowError(
                 "wall radius must be finite and positive everywhere")
+        # a scalar test: the Picard loop builds one state per step
+        if not math.isfinite(self.t):
+            raise TubeflowError(f"wall time t must be finite, got {self.t}")
 
     @classmethod
     def from_radius(cls, s1, R, dR_dt=None, t=0.0):

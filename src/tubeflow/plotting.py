@@ -65,21 +65,22 @@ def _svg_footer(caption):
     ]
 
 
-# Polar grids of the two plot kinds: (rings, sectors).
-_HEATMAP_GRID = (24, 48)
-_QUIVER_GRID = (8, 16)
+# Ring counts of the polar grids of the two plot kinds.
+_HEATMAP_RINGS = 24
+_QUIVER_RINGS = 8
 
 
 @lru_cache(maxsize=None)
-def _polygon_points(n_r, n_theta):
+def _polygon_points(n_rings):
     """SVG ``points`` text of each polar cell, in the order of the cell
     centres of :func:`~tubeflow.polydisc.polar_grid`."""
+    n_sectors = 2 * n_rings
     out = []
-    for i in range(n_r):
-        r_in, r_out = i / n_r, (i + 1) / n_r
-        for j in range(n_theta):
-            th0 = 2 * np.pi * j / n_theta
-            th1 = 2 * np.pi * (j + 1) / n_theta
+    for i in range(n_rings):
+        r_in, r_out = i / n_rings, (i + 1) / n_rings
+        for j in range(n_sectors):
+            th0 = 2 * np.pi * j / n_sectors
+            th1 = 2 * np.pi * (j + 1) / n_sectors
             corners = [
                 _to_px(r_in * np.cos(th0), r_in * np.sin(th0)),
                 _to_px(r_out * np.cos(th0), r_out * np.sin(th0)),
@@ -92,13 +93,13 @@ def _polygon_points(n_r, n_theta):
 
 def heatmap_svg(poly, title="field"):
     """Polar-cell heatmap of a scalar disc polynomial; returns SVG text."""
-    z2, z3 = polar_grid(*_HEATMAP_GRID)[2:]
+    z2, z3 = polar_grid(_HEATMAP_RINGS)[2:]
     values = z2.broadcast(poly.to_float().evaluate(z2, z3))
     vmax = float(np.abs(values).max())
     norm = vmax if vmax > 0 else 1.0
 
     cells = [f'<polygon points="{pts}" fill="{color}" stroke="none"/>'
-             for pts, color in zip(_polygon_points(*_HEATMAP_GRID),
+             for pts, color in zip(_polygon_points(_HEATMAP_RINGS),
                                    _diverging_colors(values / norm))]
 
     caption = f"{title}  min={values.min():.3g} max={values.max():.3g}"
@@ -107,15 +108,15 @@ def heatmap_svg(poly, title="field"):
 
 def quiver_svg(poly2, poly3, title="field"):
     """Arrow plot of a transversal vector field; returns SVG text."""
-    z2, z3 = polar_grid(*_QUIVER_GRID)[2:]
-    n_r = _QUIVER_GRID[0]
+    z2, z3 = polar_grid(_QUIVER_RINGS)[2:]
     v2, v3 = (z2.broadcast(p.to_float().evaluate(z2, z3))
               for p in (poly2, poly3))
     vmax = np.hypot(v2, v3).max()
-    scale = (0.5 / n_r) / vmax if vmax > 0 else 0.0
+    scale = (0.5 / _QUIVER_RINGS) / vmax if vmax > 0 else 0.0
 
     x0, y0 = _to_px(z2, z3)
-    x1, y1 = _to_px(z2 + scale * v2 * n_r, z3 + scale * v3 * n_r)
+    x1, y1 = _to_px(z2 + scale * v2 * _QUIVER_RINGS,
+                    z3 + scale * v3 * _QUIVER_RINGS)
     arrows = []
     for ends in zip(*(c.tolist() for c in (x0, y0, x1, y1))):
         a0, b0, a1, b1 = map(_fmt, ends)

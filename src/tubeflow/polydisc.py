@@ -239,20 +239,21 @@ class NodeArray(np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def polar_grid(n_r, n_theta):
+def polar_grid(n_rings):
     """(s2, s3, z2, z3) at the centre of each cell of a polar grid on the
-    unit disc with ``n_r`` rings and ``n_theta`` sectors, ring by ring.
+    unit disc with ``n_rings`` rings and 2 ``n_rings`` sectors, ring by ring.
 
-    Radii are half-offset ((i + 1/2) / n_r) so the axis point, where the
+    Radii are half-offset ((i + 1/2) / n_rings) so the axis point, where the
     angle is ambiguous, is never sampled.  s2 and s3 are read-only float
     arrays, z2 and z3 :class:`NodeArray`, so one :meth:`DiscPoly.evaluate`
     tabulates a polynomial on the whole grid.
     """
+    n_sectors = 2 * n_rings
     points = []
-    for i in range(n_r):
-        s3 = (i + 0.5) / n_r
-        for j in range(n_theta):
-            s2 = 2 * pi * j / n_theta
+    for i in range(n_rings):
+        s3 = (i + 0.5) / n_rings
+        for j in range(n_sectors):
+            s2 = 2 * pi * j / n_sectors
             points.append((s2, s3, float(s3 * np.cos(s2)),
                            float(s3 * np.sin(s2))))
     s2, s3, z2, z3 = zip(*points)

@@ -1,11 +1,13 @@
-"""Flow rates, conservation residuals, compatibility checks, convergence.
+"""Flow rates, conservation residuals, compatibility and figure-shape checks.
 
 This is the quantitative acceptance layer: everything here either
 integrates the disc fields exactly or re-evaluates a conservation law with
 the same stencils the pressure solver used, so that residuals of solved
 states sit at round-off rather than at discretization level.  The three
 pressure solves' own residuals are ``PressureExpansion.residuals``.
-:func:`bounds` is the one statement of the verdict's bounds.
+:func:`bounds` is the one statement of the verdict's bounds.  The module
+imports numpy and the exact layer (``expansion``, ``polydisc``) only, so
+it loads no scipy: the solved pressures arrive as a ``PressureExpansion``.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
 from .expansion import U2_COMPATIBILITY_TOL, r2dp0_derivative
 from .polydisc import (DiscPoly, NodeArray, disc_integral, polar_fourier,
                        restrict_to_boundary)
-from .pressure import solve_flux_bvp
 
 
 def bounds(h) -> dict:
@@ -133,99 +133,6 @@ def check_compatibility(wall, fluid, pexp, terms) -> CompatibilityReport:
         max_u1_residual=float(np.max(np.abs(lhs - rhs)[1:-1]) / scale),
         max_g_integral=float(np.max(np.abs(g_int[1:-1])) / g_scale),
     )
-
-
-# -- quadrature reference for the pressure BVPs ------------------------------
-
-def quadrature_reference(R_func, rhs_func, p_in, p_out, s_eval):
-    """Reference solution of (R^4 p')' = rhs on [0, 1] by adaptive quadrature.
-
-    Independent of the finite-difference path: R^4 p' = C + int rhs and the
-    constant is fixed by the outlet value.  rhs_func may be None for the
-    homogeneous problems.
-    """
-    from scipy.integrate import quad  # slow import, used only here
-
-    def cumulative(f, pts):
-        out = np.zeros(len(pts))
-        total = 0.0
-        prev = 0.0
-        for i, x in enumerate(pts):
-            if i:
-                inc, _ = quad(f, prev, x, limit=200)
-                total += inc
-            out[i] = total
-            prev = x
-        return out
-
-    s_eval = np.asarray(s_eval, dtype=float)
-    pts = np.union1d(s_eval, [0.0, 1.0])
-    big_f = cumulative(rhs_func, pts) if rhs_func else np.zeros(len(pts))
-    big_f_on = dict(zip(pts, big_f))
-
-    inv_r4 = lambda s: 1.0 / R_func(s) ** 4
-    base = cumulative(inv_r4, pts)
-    base_on = dict(zip(pts, base))
-
-    def f_over_r4(s):
-        inc, _ = quad(rhs_func, 0.0, s, limit=200)
-        return inc / R_func(s) ** 4
-
-    part = cumulative(f_over_r4, pts) if rhs_func else np.zeros(len(pts))
-    part_on = dict(zip(pts, part))
-
-    denom = base_on[1.0]
-    if denom == 0:
-        raise SolverError("degenerate quadrature reference")
-    c = (p_out - p_in - part_on[1.0]) / denom
-    return np.array([p_in + c * base_on[s] + part_on[s] for s in s_eval])
-
-
-@dataclass
-class ConvergenceRow:
-    n: int
-    error: float
-    observed_order: float | None
-    at_round_off: bool
-
-
-@dataclass
-class ConvergenceStudy:
-    rows: list
-
-    def orders(self):
-        return [r.observed_order for r in self.rows if r.observed_order is not None]
-
-
-def run_convergence_study(R_func, rhs_func, p_in, p_out, grid_sizes
-                          ) -> ConvergenceStudy:
-    """Observed order of accuracy of the flux-form solver vs the quadrature
-    reference on nested grids of [0, 1]; flags saturation at the round-off
-    floor, 1e-13 of the boundary data."""
-    errors = []
-    for n in grid_sizes:
-        s = np.linspace(0.0, 1.0, n)
-        h = s[1] - s[0]
-        rvals = np.array([R_func(x) for x in s])
-        fvals = np.array([rhs_func(x) for x in s]) if rhs_func \
-            else np.zeros(n)
-        p = solve_flux_bvp(rvals**4, h, fvals, p_in, p_out)
-        exact = quadrature_reference(R_func, rhs_func, p_in, p_out, s)
-        errors.append(float(np.max(np.abs(p - exact))))
-
-    scale = max(abs(p_in), abs(p_out), 1.0)
-    rows = []
-    for i, (n, e) in enumerate(zip(grid_sizes, errors)):
-        order = None
-        floor = e <= 1e-13 * scale
-        if i:
-            ratio = np.log(grid_sizes[i] / grid_sizes[i - 1])
-            prev_floor = rows[-1].at_round_off
-            if not floor and not prev_floor and e > 0:
-                order = float(np.log(errors[i - 1] / e) / ratio)
-        rows.append(ConvergenceRow(n=n, error=e, observed_order=order,
-                                   at_round_off=floor))
-    return ConvergenceStudy(rows)
 
 
 # -- figure-shape structure of the disc fields --------------------------------

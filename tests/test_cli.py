@@ -523,6 +523,23 @@ class TestCommandLine:
         curved_tau = data[(data[:, 0] == 0.5) & (data[:, 1] == 0.25)]
         assert curved_tau[0, 5] > 0  # circulation switched on by torsion
 
+    def test_each_sweep_case_keeps_its_own_eps(self, tmp_path, monkeypatch):
+        # one config object served every eps, so afterwards each earlier
+        # result's config read the last eps
+        seen = []
+
+        def spy(cfg):
+            result = run_pipeline(cfg)
+            seen.append((cfg.eps, result))
+            return result
+
+        monkeypatch.setattr(cli, "run_pipeline", spy)
+        cfg = RunConfig.from_mapping({**STRAIGHT, "sweep.kappa": "0.5",
+                                      "sweep.eps": "0.01, 0.02, 0.04"})
+        assert cli.run_sweep(cfg, tmp_path) == 0
+        assert [eps for eps, _ in seen] == [0.01, 0.02, 0.04]
+        assert [r.config.eps for _, r in seen] == [0.01, 0.02, 0.04]
+
     @pytest.mark.parametrize("scale", ["1e200", "1e-160", "1e-200"])
     def test_direction_scale_gives_the_unit_direction_run(self, tmp_path,
                                                           scale):
@@ -735,8 +752,8 @@ class TestSvgEmission:
 
 
 def test_import_leaves_slow_scipy_modules_out():
-    # scipy.interpolate and scipy.integrate cost about 0.3 s to import and
-    # serve only sampled curves and the quadrature reference
+    # scipy.interpolate and scipy.integrate cost about 0.3 s to import; the
+    # first serves only sampled curves, and only the tests use the second
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

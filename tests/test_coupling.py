@@ -62,6 +62,17 @@ class TestWallState:
         with pytest.raises(TubeflowError, match="finite and positive"):
             WallState.from_radius(grid(), R)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, bad):
+        # a rigid step from t = nan returned a wall at t = nan
+        s = grid()
+        with pytest.raises(TubeflowError, match=f"finite, got {bad}$"):
+            WallState.from_radius(s, 1.0, t=bad)
+        ok = WallState.from_radius(s, 1.0)
+        with pytest.raises(TubeflowError, match=f"finite, got {bad}$"):
+            WallState(s1=s, R=ok.R, dR_ds1=ok.dR_ds1, d2R_ds12=ok.d2R_ds12,
+                      dR_dt=ok.dR_dt, t=bad)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fewer_than_four_nodes_rejected(self, n):
         # these raised numpy's IndexError from the derivative stencils

@@ -17,13 +17,13 @@ import pytest
 from tubeflow import cli
 from tubeflow.cli import RunConfig, _grid_text, run_pipeline, write_csv
 from tubeflow.expansion import truncated_solution
-from tubeflow.plotting import _HEATMAP_GRID, _QUIVER_GRID, _diverging_colors
+from tubeflow.plotting import _HEATMAP_RINGS, _QUIVER_RINGS, _diverging_colors
 from tubeflow.polydisc import DiscPoly, NodeArray, polar_grid
 
 GRIDS = {
-    "disc16": polar_grid(16, 32)[2:],
-    "heatmap": polar_grid(*_HEATMAP_GRID)[2:],
-    "quiver": polar_grid(*_QUIVER_GRID)[2:],
+    "disc16": polar_grid(16)[2:],
+    "heatmap": polar_grid(_HEATMAP_RINGS)[2:],
+    "quiver": polar_grid(_QUIVER_RINGS)[2:],
 }
 
 
@@ -52,7 +52,7 @@ def old_plot_centres(n_r, n_theta):
 
 @pytest.mark.parametrize("n_disc", [8, 13, 16, 32])
 def test_polar_grid_matches_export_construction(n_disc):
-    new = polar_grid(n_disc, 2 * n_disc)
+    new = polar_grid(n_disc)
     assert [type(c) for c in new] == [np.ndarray, np.ndarray,
                                       NodeArray, NodeArray]
     for got, want in zip(new, old_export_grid(n_disc)):
@@ -60,9 +60,10 @@ def test_polar_grid_matches_export_construction(n_disc):
         assert not got.flags.writeable
 
 
-@pytest.mark.parametrize("grid", [_HEATMAP_GRID, _QUIVER_GRID])
-def test_polar_grid_matches_plot_centres(grid):
-    for got, want in zip(polar_grid(*grid)[2:], old_plot_centres(*grid)):
+@pytest.mark.parametrize("n_rings", [_HEATMAP_RINGS, _QUIVER_RINGS])
+def test_polar_grid_matches_plot_centres(n_rings):
+    for got, want in zip(polar_grid(n_rings)[2:],
+                         old_plot_centres(n_rings, 2 * n_rings)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -122,7 +123,7 @@ def test_truncated_solution_on_grid_matches_pointwise(order):
         "eps": "0.05", "grid.n_s1": "17", "grid.n_disc": "8"}))
     i = 8
     f, p0, p1 = res.stations.fields(i), res.pexp.p0[i], res.pexp.p1[i]
-    _, _, z2, z3 = polar_grid(8, 16)
+    _, _, z2, z3 = polar_grid(8)
     u, p = truncated_solution(f, p0, p1, 0.05, order, z2, z3)
     rows = [truncated_solution(f, p0, p1, 0.05, order, a, b)
             for a, b in zip(z2.tolist(), z3.tolist())]
@@ -199,7 +200,7 @@ def test_write_csv_rejects_a_ragged_row(tmp_path, lead):
 
 @pytest.mark.parametrize("n_disc", [8, 13, 16])
 def test_grid_text_is_the_format_of_each_grid_point(n_disc):
-    s2, s3, z2, z3 = polar_grid(n_disc, 2 * n_disc)
+    s2, s3, z2, z3 = polar_grid(n_disc)
     polar, cartesian = _grid_text(n_disc)
     assert polar == tuple("%.17g,%.17g," % (a, b) for a, b in zip(s2, s3))
     assert cartesian == tuple("%.17g,%.17g," % (a, b)

@@ -73,6 +73,18 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
     assert _fresh(code) == "[]"
 
 
+def test_verdict_layer_loads_no_axial_solver():
+    # the verdict checks read solved arrays only, so they rest on the exact
+    # layer and need neither the axial solves nor scipy's LAPACK
+    code = """
+import sys
+from tubeflow import check_compatibility, check_mass_conservation, flow_rates
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'
+             or m in ('tubeflow.pressure', 'tubeflow.coupling')))
+"""
+    assert _fresh(code) == "[]"
+
+
 def test_cli_still_loads_lapack_at_import():
     # the float workloads pay for scipy.linalg in set-up, not in a first solve
     code = "import sys, tubeflow.cli; print('scipy.linalg' in sys.modules)"
