@@ -2,9 +2,9 @@
 
 Configs are flat ``key = value`` text with dotted sections; ``_KEYS`` lists
 the recognized keys with their defaults and the check of each value alone
-(``RunConfig.validate`` adds the rules that join keys).  All data files are
-written with 17 significant digits and no timestamps, so identical configs
-produce byte-identical outputs.
+(``RunConfig.validate``, run on each frozen RunConfig built, adds the rules
+that join keys).  All data files are written with 17 significant digits
+and no timestamps, so identical configs produce byte-identical outputs.
 
 Subcommands: ``solve`` (full pipeline), ``fields`` (sample/export only),
 ``verify`` (verification suites only), ``tables`` (secondary-flow
@@ -160,12 +160,14 @@ def _check(key, value):
             raise ConfigurationError(f"{key} = {v!r} must be {must_be}")
 
 
-# one dataclass field per attribute; the body slots share one
+# one frozen field per attribute, the body slots share one; the generated
+# __init__ calls __post_init__ only if make_dataclass's namespace holds it
 class RunConfig(make_dataclass("_ConfigFields", [
         (key.attr, object, dc_field(default=key.default))
-        for key in {key.attr: key for key in _KEYS.values()}.values()])):
-    """Validated run description: one field per ``_KEYS`` attribute, with
-    its default (see the shipped presets for examples)."""
+        for key in {key.attr: key for key in _KEYS.values()}.values()],
+        frozen=True, namespace={"__post_init__": lambda cfg: cfg.validate()})):
+    """Run description, valid by construction: one field per ``_KEYS``
+    attribute, with its default (see the shipped presets for examples)."""
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -177,11 +179,11 @@ class RunConfig(make_dataclass("_ConfigFields", [
 
     @classmethod
     def from_mapping(cls, kv: dict) -> "RunConfig":
-        cfg = cls()
+        values = {}
         for key, text in kv.items():
             if key not in _KEYS:
                 raise ConfigurationError(f"unknown config key {key!r}")
-            attr, _, parse, _, slot = _KEYS[key]
+            attr, default, parse, _, slot = _KEYS[key]
             try:
                 value = parse(text)
             except (TypeError, ValueError, KeyError) as exc:
@@ -189,11 +191,10 @@ class RunConfig(make_dataclass("_ConfigFields", [
             except ConfigurationError as exc:  # e.g. a bad time series
                 raise ConfigurationError(f"{key}: {exc}") from exc
             if slot is not None:
-                value = (*getattr(cfg, attr)[:slot], value,
-                         *getattr(cfg, attr)[slot + 1:])
-            setattr(cfg, attr, value)
-        cfg.validate()
-        return cfg
+                body = values.get(attr, default)
+                value = (*body[:slot], value, *body[slot + 1:])
+            values[attr] = value
+        return cls(**values)
 
     def validate(self):
         """Each key's own check in _KEYS, then the rules no single value
@@ -296,7 +297,6 @@ class PipelineResult:
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Geometry -> pressures -> expansion -> verification, in memory."""
-    cfg.validate()  # the step count below needs a valid time grid
     curve = cfg.build_curve()
     # a sampled curve brings its own length; the axis grid must span it
     if abs(curve.length - cfg.length) > 1e-12:
@@ -421,7 +421,7 @@ def read_field_csv(path):
 def _export_grids(result: PipelineResult, outdir: Path):
     pexp, wall, flow = result.pexp, result.wall, result.flow
     cols = [
-        ("s1", wall.s1), ("R", wall.R), ("dR_ds1", wall.dR_ds1),
+        ("s1", wall.s1), ("R", wall.R), ("dR_ds1", pexp.dR_ds1),
         ("dR_dt", wall.dR_dt), ("p0", pexp.p0), ("dp0", pexp.dp0),
         ("d2p0", pexp.d2p0), ("d3p0", pexp.d3p0), ("dt_dp0", pexp.dt_dp0),
         ("p1", pexp.p1), ("dp1", pexp.dp1), ("d2p1", pexp.d2p1),
@@ -529,18 +529,18 @@ def run_sweep(cfg: RunConfig, outdir) -> int:
         for tau in taus:
             if kap == 0.0 and tau != 0.0:
                 continue  # a straight axis cannot carry torsion
-            sub = replace(cfg, steady=True, wall_law="rigid",
-                          geometry_kind="straight")
+            case = dict(steady=True, wall_law="rigid",
+                        geometry_kind="straight")
             if kap != 0.0:
                 denom = kap**2 + tau**2
-                sub = replace(sub, geometry_kind="helix", helix_a=kap / denom,
-                              helix_b=tau / denom)
+                case.update(geometry_kind="helix", helix_a=kap / denom,
+                            helix_b=tau / denom)
             for eps in epss:
-                result = run_pipeline(replace(sub, eps=eps))
+                result = run_pipeline(replace(cfg, **case, eps=eps))
                 # the shape checks read the same mid station
                 checks = result.shape_checks
                 rows.append((kap, tau, eps,
-                             result.flow.q0[sub.n_s1 // 2],
+                             result.flow.q0[cfg.n_s1 // 2],
                              checks["u1_1_skew_group"],
                              checks["U2_circulation_content"]))
     write_csv(outdir / "sweep.csv",

@@ -15,9 +15,9 @@ The model is quasi-static: the wall radius R(t, s1) is the only state
 carried from one time step to the next.  :func:`advance_time_step` takes
 one implicit step of the wall with the wall velocity (R - R_old)/dt, or,
 with ``dt`` None, the steady equilibrium with dR/dt = 0, and returns the
-new WallState.  A step makes at most :data:`MAX_SWEEPS` sweeps, a module
-constant, not an option.  The pressure hierarchy is read off the final
-wall by :func:`tubeflow.pressure.solve_pressures`.
+new WallState of R and dR/dt, nothing derived.  A step makes at most
+:data:`MAX_SWEEPS` sweeps, a module constant.  R', R'' and the pressures
+are read off the final wall by :func:`tubeflow.pressure.solve_pressures`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CouplingDivergenceError, TubeflowError, WallCollapseError
-from .pressure import (PressureBC, any_nonpositive, fd_derivative,
-                       fd_second_derivative, solve_p0)
+from .pressure import PressureBC, any_nonpositive, solve_p0
 
 # sweeps of the wall fixed point before a step is reported as divergent
 MAX_SWEEPS = 100
@@ -38,12 +37,10 @@ MAX_SWEEPS = 100
 
 @dataclass(frozen=True)
 class WallState:
-    """Radius profile R(t, s1) on the axis grid plus its derivatives."""
+    """Radius profile R(t, s1) and its rate dR/dt on the axis grid, at t."""
 
     s1: np.ndarray
     R: np.ndarray
-    dR_ds1: np.ndarray
-    d2R_ds12: np.ndarray
     dR_dt: np.ndarray
     t: float = 0.0
 
@@ -56,21 +53,39 @@ class WallState:
         # a scalar test: the Picard loop builds one state per step
         if not math.isfinite(self.t):
             raise TubeflowError(f"wall time t must be finite, got {self.t}")
+        # counting finite entries costs less than an all() reduction
+        if np.count_nonzero(np.isfinite(self.dR_dt)) < self.dR_dt.size:
+            raise TubeflowError("wall rate dR/dt must be finite everywhere")
 
     @classmethod
     def from_radius(cls, s1, R, dR_dt=None, t=0.0):
-        """Build a state from a radius profile; s1-derivatives by centered FD,
-        whose one-sided second derivative needs at least 4 nodes."""
+        """Build a state from a radius profile and its rate (zero if None),
+        each a scalar or one value per node, on a 1-D axis grid of equal
+        steps; the one-sided R'' of solve_pressures needs 4 nodes."""
         s1 = np.asarray(s1, dtype=float)
+        if s1.ndim != 1:
+            raise TubeflowError(
+                f"the axis grid must be 1-D, got shape {s1.shape}")
         if s1.size < 4:
             raise TubeflowError(
                 f"a wall needs at least 4 axis nodes, got {s1.size}")
-        R = np.broadcast_to(np.asarray(R, dtype=float), s1.shape).copy()
-        h = s1[1] - s1[0]
-        rate = np.zeros_like(R) if dR_dt is None else \
-            np.broadcast_to(np.asarray(dR_dt, dtype=float), s1.shape).copy()
-        return cls(s1=s1, R=R, dR_ds1=fd_derivative(R, h),
-                   d2R_ds12=fd_second_derivative(R, h), dR_dt=rate, t=t)
+        # every stencil reads h = s1[1] - s1[0]; NaN fails the test too
+        step = np.diff(s1)
+        h = step[0]
+        if not (h > 0 and np.abs(step - h).max() <= 1e-8 * h):
+            raise TubeflowError("the axis grid must increase in equal steps")
+
+        def on_grid(name, v):
+            v = np.asarray(v, dtype=float)
+            try:
+                return np.broadcast_to(v, s1.shape).copy()
+            except ValueError:
+                raise TubeflowError(f"{name} has {v.size} nodes, the axis "
+                                    f"grid has {s1.size}") from None
+
+        R = on_grid("R", R)
+        rate = np.zeros_like(R) if dR_dt is None else on_grid("dR_dt", dR_dt)
+        return cls(s1=s1, R=R, dR_dt=rate, t=t)
 
     @property
     def h(self):
@@ -158,7 +173,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
                             f"got {dt}")
     t = state.t if dt is None else state.t + dt
     if isinstance(law, RigidWall):
-        return WallState.from_radius(state.s1, state.R, t=t)
+        return WallState(state.s1, state.R, np.zeros_like(state.R), t)
     if not isinstance(law, ElasticWall):
         raise TubeflowError(f"unknown wall law {law!r}")
 
@@ -188,7 +203,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
         if resid <= tol * float(r_cur[r_cur.argmax()]):
             change *= omega
             r_cur += change
-            return WallState.from_radius(state.s1, r_cur, rate(r_cur), t)
+            return WallState(state.s1, r_cur, rate(r_cur), t)
         if len(history) > 3 and history[-1] > history[-2]:
             omega *= 0.5
         change *= omega

@@ -740,8 +740,8 @@ def stations_from_grids(wall, pexp, curvature, fluid: FluidParams,
     kappa, dkappa, tau = curvature
     return StationData(
         rho0=fluid.rho0, nu=fluid.nu,
-        R=NodeArray(wall.R), dR=NodeArray(wall.dR_ds1),
-        d2R=NodeArray(wall.d2R_ds12), Rdot=NodeArray(wall.dR_dt),
+        R=NodeArray(wall.R), dR=NodeArray(pexp.dR_ds1),
+        d2R=NodeArray(pexp.d2R_ds12), Rdot=NodeArray(wall.dR_dt),
         kappa=NodeArray(kappa), dkappa=NodeArray(dkappa), tau=NodeArray(tau),
         dp0=NodeArray(pexp.dp0), d2p0=NodeArray(pexp.d2p0),
         d3p0=NodeArray(pexp.d3p0), dt_dp0=NodeArray(pexp.dt_dp0),

@@ -30,7 +30,7 @@ time step and calls it once per sweep without building a WallState.
 :func:`solve_pressures` is the one way in to the hierarchy: it states
 each right side once, solves the three on one wall and keeps each
 solve's flux-form residual against that right side.  It is also the one
-place where derivatives of the solved grids are taken: p0 up to the
+place where derivatives are taken: the wall's R' and R'', p0 up to the
 third, p1' (p1'' = -4 R' p1' / R from the p1 equation, not differenced),
 p02', and the mixed time derivative of p0', for which it also solves p0
 on the previous step's wall.  A run calls it once, on its final wall.
@@ -100,9 +100,11 @@ class PressureBC:
 
 @dataclass
 class PressureExpansion:
-    """Solved grids, every derivative the velocity formulas use, and the
-    relative flux-form residual of each solve ("p0", "p1", "p02")."""
+    """Solved grids, every derivative the velocity formulas use (R' and R''
+    too), and each solve's relative flux-form residual ("p0", "p1", "p02")."""
 
+    dR_ds1: np.ndarray
+    d2R_ds12: np.ndarray
     p0: np.ndarray
     dp0: np.ndarray
     d2p0: np.ndarray
@@ -262,15 +264,16 @@ def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out):
     return solve_flux_bvp(R**4, h, _p0_source(R, dR_dt, fluid), p_in, p_out)
 
 
-def p02_bracket(wall: "WallState", fluid: "FluidParams", kappa, p0_data,
-                body: "BodyForce"):
+def p02_bracket(wall: "WallState", r_data, fluid: "FluidParams", kappa,
+                p0_data, body: "BodyForce"):
     """Nodal bracket whose s1-derivative drives the p02 problem.
 
     Assembled term by term; every term is (Pa * m^4)-valued so the bracket
     is dimensionally a flux R^4 p'.
     """
+    dr, d2r = r_data
     dp0, d2p0, d3p0, dt_dp0 = p0_data
-    r, dr, d2r, rdot = wall.R, wall.dR_ds1, wall.d2R_ds12, wall.dR_dt
+    r, rdot = wall.R, wall.dR_dt
     rho0, nu = fluid.rho0, fluid.nu
     kappa = np.asarray(kappa, dtype=float)
     return (
@@ -292,12 +295,13 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
                     dt: float | None = None) -> PressureExpansion:
     """Solve the full pressure hierarchy on the wall's grid at ``wall.t``.
 
-    The only place the derivatives of the solved grids are taken.  The
+    The only place derivatives are taken, the wall's R' and R'' too.  The
     mixed time derivative dt_dp0 is the backward difference of dp0 against
     dp0 of the previous step's wall ``prev``, solved at ``prev.t`` (zero
     without ``prev``, on the first step, and in steady mode).
     """
     h = wall.h
+    dR, d2R = fd_derivative(wall.R, h), fd_second_derivative(wall.R, h)
     p0 = solve_p0(wall.R, wall.dR_dt, h, fluid, *bc.p0_at(wall.t))
     dp0 = fd_derivative(p0, h)
     d2p0 = fd_second_derivative(p0, h)
@@ -311,14 +315,15 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
     rhs1 = np.zeros_like(wall.R)
     p1 = solve_flux_bvp(r4, h, rhs1, bc.p1_inlet, bc.p1_outlet)
     dp1 = fd_derivative(p1, h)
-    d2p1 = -4.0 * wall.dR_ds1 * dp1 / wall.R + 0.0   # +0.0 where p1' = 0
-    bracket = p02_bracket(wall, fluid, kappa, (dp0, d2p0, d3p0, dt_dp0), body)
+    d2p1 = -4.0 * dR * dp1 / wall.R + 0.0   # +0.0 where p1' = 0
+    bracket = p02_bracket(wall, (dR, d2R), fluid, kappa,
+                          (dp0, d2p0, d3p0, dt_dp0), body)
     rhs02 = bracket_derivative(bracket, h)
     p02 = solve_flux_bvp(r4, h, rhs02, bc.p02_inlet, bc.p02_outlet)
     rhs0 = _p0_source(wall.R, wall.dR_dt, fluid)
     return PressureExpansion(
         p0=p0, dp0=dp0, d2p0=d2p0, d3p0=d3p0, dt_dp0=dt_dp0,
-        p1=p1, dp1=dp1, d2p1=d2p1,
+        dR_ds1=dR, d2R_ds12=d2R, p1=p1, dp1=dp1, d2p1=d2p1,
         p02=p02, dp02=fd_derivative(p02, h),
         flux_p0=midpoint_flux(r4, h, p0), flux_p1=midpoint_flux(r4, h, p1),
         residuals={"p0": flux_residual(r4, h, p0, rhs0),

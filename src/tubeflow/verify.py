@@ -119,7 +119,7 @@ def check_compatibility(wall, fluid, pexp, terms) -> CompatibilityReport:
     one-sided end stencils carry several-times-larger truncation constants
     (full arrays are reported for inspection).
     """
-    r, dr = wall.R, wall.dR_ds1
+    r, dr = wall.R, pexp.dR_ds1
     d_r2dp0 = r2dp0_derivative(r, dr, pexp.dp0, pexp.d2p0)
     lhs = 2.0 * np.pi * r / (16.0 * fluid.rho0 * fluid.nu) \
         * (2.0 * d_r2dp0 - r**2 * pexp.d2p0)

@@ -8,7 +8,7 @@ flow rates and compatibility integrals with the per-node reductions.  The
 full fields of :func:`evaluate_station` are compared the same way.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ def run(request):
     preset, n_s1 = CASES[request.param]
     cfg = RunConfig.from_file(PRESETS / f"{preset}.cfg")
     if n_s1 is not None:
-        cfg.n_s1 = n_s1
+        cfg = replace(cfg, n_s1=n_s1)
     res = run_pipeline(cfg)
     batched = verification_terms(res.stations.data, res.wall.s1)
     per_node = [verification_terms(sd) for sd in res.stations]

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -253,19 +254,24 @@ class TestConfigParsing:
 
 
 class TestPresets:
-    def test_pipeline_revalidates_config(self):
+    def test_edited_config_is_revalidated(self):
         # a config edited after parsing used to run one step to t = dt
         cfg = RunConfig.from_mapping(STRAIGHT)
-        cfg.steady, cfg.t_end = False, 0.0
         with pytest.raises(ConfigurationError, match="t_end"):
-            run_pipeline(cfg)
+            replace(cfg, steady=False, t_end=0.0)
 
-    def test_pipeline_rejects_an_infinite_step(self):
+    def test_an_infinite_step_is_rejected(self):
         # zero steps of dt = inf ended in an UnboundLocalError
         cfg = RunConfig.from_mapping(MOVING)
-        cfg.dt = float("inf")
         with pytest.raises(ConfigurationError, match="time.dt = inf"):
-            run_pipeline(cfg)
+            replace(cfg, dt=float("inf"))
+
+    def test_config_is_frozen(self):
+        # a sweep once ran every case on one shared, edited config
+        cfg = RunConfig.from_mapping(STRAIGHT)
+        with pytest.raises(FrozenInstanceError):
+            cfg.eps = 0.2
+        assert cfg.eps == 0.1
 
     def test_report_is_the_report_file_less_the_verdict(self, tmp_path):
         res = run_pipeline(RunConfig.from_mapping(CURVED))
@@ -539,6 +545,28 @@ class TestCommandLine:
         assert cli.run_sweep(cfg, tmp_path) == 0
         assert [eps for eps, _ in seen] == [0.01, 0.02, 0.04]
         assert [r.config.eps for _, r in seen] == [0.01, 0.02, 0.04]
+
+    def test_each_sweep_run_is_validated_once(self, tmp_path, monkeypatch):
+        # each case is one replace of the parsed config, and a run does not
+        # check its config again
+        checks, runs = [], []
+        validate = RunConfig.__post_init__
+
+        def count_checks(cfg):
+            checks.append(cfg)
+            validate(cfg)
+
+        def count_runs(cfg):
+            runs.append(cfg)
+            return run_pipeline(cfg)
+
+        cfg = RunConfig.from_mapping({**STRAIGHT, "sweep.kappa": "0, 0.5",
+                                      "sweep.tau": "0, 0.25",
+                                      "sweep.eps": "0.05, 0.1"})
+        monkeypatch.setattr(RunConfig, "__post_init__", count_checks)
+        monkeypatch.setattr(cli, "run_pipeline", count_runs)
+        assert cli.run_sweep(cfg, tmp_path) == 0
+        assert len(runs) == 6 and checks == runs
 
     @pytest.mark.parametrize("scale", ["1e200", "1e-160", "1e-200"])
     def test_direction_scale_gives_the_unit_direction_run(self, tmp_path,

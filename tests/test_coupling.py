@@ -1,12 +1,14 @@
 """Wall laws and the quasi-static pressure/radius fixed point."""
 
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
-from tubeflow.cli import RunConfig
+from tubeflow.cli import RunConfig, run_pipeline
 from tubeflow.coupling import (
     MAX_SWEEPS,
     ElasticWall,
@@ -25,6 +27,7 @@ from tubeflow.expansion import BodyForce, FluidParams
 from tubeflow.pressure import (
     PressureBC,
     TimeSeries,
+    fd_second_derivative,
     flux_residual,
     solve_p0,
     solve_pressures,
@@ -44,11 +47,13 @@ def p0_on(wall, bc):
 
 
 class TestWallState:
-    def test_from_radius_derivatives(self):
+    def test_wall_derivatives_taken_by_solve_pressures(self):
         s = grid()
         state = WallState.from_radius(s, 1.0 + 0.5 * s**2)
-        assert np.abs(state.dR_ds1 - s).max() < 1e-12
-        assert np.abs(state.d2R_ds12 - 1.0).max() < 1e-9
+        pexp = solve_pressures(state, FLUID, PressureBC(), np.zeros(N),
+                               BodyForce())
+        assert np.abs(pexp.dR_ds1 - s).max() < 1e-12
+        assert np.abs(pexp.d2R_ds12 - 1.0).max() < 1e-9
 
     def test_positive_radius_enforced(self):
         with pytest.raises(TubeflowError):
@@ -70,8 +75,7 @@ class TestWallState:
             WallState.from_radius(s, 1.0, t=bad)
         ok = WallState.from_radius(s, 1.0)
         with pytest.raises(TubeflowError, match=f"finite, got {bad}$"):
-            WallState(s1=s, R=ok.R, dR_ds1=ok.dR_ds1, d2R_ds12=ok.d2R_ds12,
-                      dR_dt=ok.dR_dt, t=bad)
+            WallState(s1=s, R=ok.R, dR_dt=ok.dR_dt, t=bad)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fewer_than_four_nodes_rejected(self, n):
@@ -80,11 +84,57 @@ class TestWallState:
                            match=f"at least 4 axis nodes, got {n}$"):
             WallState.from_radius(np.linspace(0.0, 1.0, n), 1.0)
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("R", {"R": np.ones(5)}),
+        ("dR_dt", {"R": 1.0, "dR_dt": np.zeros(12)})])
+    def test_profile_of_the_wrong_length_rejected(self, name, kwargs):
+        # numpy's broadcast ValueError named neither length
+        n = kwargs[name].size
+        with pytest.raises(TubeflowError,
+                           match=f"^{name} has {n} nodes, the axis grid "
+                                 f"has 9$"):
+            WallState.from_radius(np.linspace(0.0, 1.0, 9), **kwargs)
+
+    def test_unequal_steps_rejected(self):
+        # every solve uses h = s1[1] - s1[0]: on this grid a straight
+        # pipe's p0 came out linear in the node index, 0.625 at s1 = 0.2
+        # against 1 - s1 = 0.8
+        s = np.array([0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.85, 1.0])
+        with pytest.raises(TubeflowError, match="equal steps"):
+            WallState.from_radius(s, 1.0)
+        for bad in (s[::-1], np.zeros(9), np.linspace(0.0, np.nan, 9)):
+            with pytest.raises(TubeflowError, match="equal steps"):
+                WallState.from_radius(bad, 1.0)
+
+    @pytest.mark.parametrize("n", [4, 65, 1025, 65537])
+    @pytest.mark.parametrize("length", [1e-3, 0.7, 1e3])
+    def test_linspace_grids_accepted(self, n, length):
+        s = np.linspace(0.0, length, n)
+        assert WallState.from_radius(s, 1.0).h == s[1] - s[0]
+
+    def test_two_dimensional_grid_rejected(self):
+        # this ended in an IndexError after RuntimeWarnings
+        s = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        with pytest.raises(TubeflowError, match=r"1-D, got shape \(4, 4\)"):
+            WallState.from_radius(s, 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, bad):
+        # this reached the solver as "tridiagonal system contains infs or
+        # NaNs", which named neither the wall nor the rate
+        s = grid()
+        with pytest.raises(TubeflowError, match="rate dR/dt must be finite"):
+            WallState.from_radius(s, 1.0, dR_dt=bad)
+        rate = np.zeros(N)
+        rate[3] = bad
+        with pytest.raises(TubeflowError, match="rate dR/dt must be finite"):
+            WallState(s, np.ones(N), rate)
+
     @pytest.mark.parametrize("n", [4, 7])
     def test_four_nodes_suffice(self, n):
         s = np.linspace(0.0, 1.0, n)
         state = WallState.from_radius(s, 1.0 + s**2)
-        assert np.allclose(state.d2R_ds12, 2.0)
+        assert np.allclose(fd_second_derivative(state.R, state.h), 2.0)
 
 
 class TestWallLaw:
@@ -248,10 +298,10 @@ class TestTimeStepping:
         pexp = solve_pressures(new_state, FLUID, bc, kappa, BodyForce())
         direct = solve_pressures(state, FLUID, bc, kappa, BodyForce())
         assert new_state.t == 0.7
-        for name in ("R", "dR_ds1", "d2R_ds12", "dR_dt"):
+        for name in ("R", "dR_dt"):
             assert np.array_equal(getattr(new_state, name),
                                   getattr(state, name))
-        for name in ("p0", "dp0", "d2p0", "d3p0", "dt_dp0", "p1", "dp1",
+        for name in ("dR_ds1", "d2R_ds12", "p0", "dp0", "d2p0", "d3p0", "dt_dp0", "p1", "dp1",
                      "d2p1", "p02", "dp02", "flux_p0", "flux_p1"):
             assert np.array_equal(getattr(pexp, name), getattr(direct, name))
 
@@ -448,3 +498,37 @@ class TestPlainReference:
         state = WallState.from_radius(np.linspace(0.0, 1.0, 257), 1.0)
         assert_same_step(p0_calls, state, law, FLUID, PressureBC(5.0, 0.0),
                          None)
+
+
+def stencil_calls(run):
+    """Calls of the four s1-stencils made while ``run()`` runs, counted by
+    code object so that a name bound by ``from .pressure import`` counts
+    too."""
+    import tubeflow.pressure as pressure_mod
+    codes = {fn.__code__ for fn in (
+        pressure_mod.fd_derivative, pressure_mod.fd_second_derivative,
+        pressure_mod.fd_third_derivative, pressure_mod.bracket_derivative)}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+class TestStencilsTakenOnce:
+    def test_stencil_count_does_not_grow_with_the_steps(self):
+        # the steps carry R and dR/dt only; R', R'' and the pressure
+        # derivatives are taken once, on the final wall (a state built per
+        # step used to difference R twice: 13, 17 and 25 calls here)
+        root = Path(__file__).resolve().parent.parent
+        cfg = RunConfig.from_file(root / "presets" / "elastic_pulse.cfg")
+        counts = [stencil_calls(lambda: run_pipeline(
+            replace(cfg, t_end=steps * cfg.dt))) for steps in (2, 4, 8)]
+        assert counts == [9, 9, 9]

@@ -211,7 +211,7 @@ class TestP1:
         wall, _ = make_wall(radius=lambda x: 1 + 0.3 * x)
         pexp = steady(wall, PressureBC(p1_inlet=0.7, p1_outlet=-0.2))
         assert np.array_equal(pexp.d2p1,
-                              -4.0 * wall.dR_ds1 * pexp.dp1 / wall.R)
+                              -4.0 * pexp.dR_ds1 * pexp.dp1 / wall.R)
         # zero data gives +0.0, as the differenced p1 did
         zero = steady(wall, PressureBC()).d2p1
         assert not np.signbit(zero).any() and not zero.any()
@@ -245,7 +245,7 @@ class TestP02:
         dR = 0.2 * np.pi * np.cos(np.pi * s)
         d2R = -0.2 * np.pi**2 * np.sin(np.pi * s)
         rate = 0.1 * np.ones(n)
-        wall = WallState(s1=s, R=R, dR_ds1=dR, d2R_ds12=d2R, dR_dt=rate)
+        wall = WallState(s1=s, R=R, dR_dt=rate)
         dp0 = np.cos(s)
         d2p0 = -np.sin(s)
         d3p0 = -np.cos(s)
@@ -253,7 +253,8 @@ class TestP02:
         kappa = 0.3 * np.ones(n)
         fluid = FluidParams(1.2, 0.7)
         body = BodyForce(b1=0.25)
-        got = p02_bracket(wall, fluid, kappa, (dp0, d2p0, d3p0, dt_dp0), body)
+        got = p02_bracket(wall, (dR, d2R), fluid, kappa,
+                          (dp0, d2p0, d3p0, dt_dp0), body)
 
         rho0, nu, b1 = 1.2, 0.7, 0.25
         expected = (
@@ -280,7 +281,8 @@ class TestP02:
             wall, s = make_wall(n, radius=radius)
             pexp = steady(wall, PressureBC(1.0, 0.0))
             # residual in flux form is the authoritative check here
-            bracket = p02_bracket(wall, FLUID, np.zeros(n),
+            bracket = p02_bracket(wall, (pexp.dR_ds1, pexp.d2R_ds12),
+                                  FLUID, np.zeros(n),
                                   steady_p0_data(wall, PressureBC(1.0, 0.0)),
                                   BodyForce())
             errs.append(flux_residual(wall.R**4, wall.h, pexp.p02,
@@ -349,7 +351,7 @@ class TestInvariantsAndHelpers:
         r4, h = wall.R**4, wall.h
         rhs0 = 16.0 * 0.7 * 1.2 * wall.R * wall.dR_dt
         bracket = p02_bracket(
-            wall, fluid, kappa,
+            wall, (pexp.dR_ds1, pexp.d2R_ds12), fluid, kappa,
             (pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0), body)
         expected = {
             "p0": flux_residual(r4, h, pexp.p0, rhs0),

@@ -134,9 +134,10 @@ def test_only_read_stations_are_evaluated(monkeypatch, tmp_path):
     # the figure-shape checks read the mid station, and only that one
     assert [args[0] for args in calls] == [res.stations[mid]]
 
-    cfg.stations = (0.25, 0.5, 0.75, 0.25)
+    res.config = dataclasses.replace(cfg, stations=(0.25, 0.5, 0.75, 0.25))
     export_bundle(res, tmp_path / "out")
-    exported = {int(np.argmin(np.abs(res.wall.s1 - s))) for s in cfg.stations}
+    exported = {int(np.argmin(np.abs(res.wall.s1 - s)))
+                for s in res.config.stations}
     assert len(calls) == len(exported | {mid}) == 3
     export_bundle(res, tmp_path / "again")
     assert len(calls) == 3
@@ -173,7 +174,7 @@ def test_one_compatibility_check_per_node(monkeypatch, tmp_path):
     assert g.coeffs and all(c.shape == (65,) for c in g.coeffs.values())
     assert s1_mid is None
     assert bits(g_mid) == bits(build_U2_rhs(res.stations[mid])[1])
-    cfg.stations = (0.25, 0.5, 0.75)
+    res.config = dataclasses.replace(cfg, stations=(0.25, 0.5, 0.75))
     export_bundle(res, tmp_path / "out")
     assert len(checked) == 4   # the mid station was read already
     export_bundle(res, tmp_path / "again")

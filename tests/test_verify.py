@@ -193,7 +193,8 @@ class TestP02BracketIsOrderTwoFlow:
         data = stations_from_grids(wall, pexp, curvature, fluid, body)
         data = dataclasses.replace(data, dp02=NodeArray(np.zeros(wall.R.size)))
         q2 = flow_rates(verification_terms(data), wall.R).q2
-        bracket = p02_bracket(wall, fluid, curvature[0],
+        bracket = p02_bracket(wall, (pexp.dR_ds1, pexp.d2R_ds12), fluid,
+                              curvature[0],
                               (pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0),
                               body)
         flow = 8.0 * fluid.rho0 * fluid.nu / np.pi * q2
