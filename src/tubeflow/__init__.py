@@ -7,11 +7,13 @@ exact polynomial verification layer on the unit disc.
 
 ``import tubeflow`` loads no submodule.  Each one loads the first time one
 of its names is read: ``from tubeflow import DiscPoly`` loads ``polydisc``
-and numpy only.  The exact layer (``expansion``, ``polydisc``) never loads
-scipy, nor does ``verify``, which rests on it alone.  ``pressure`` loads
-scipy's LAPACK at import, for the axial solves, and so do ``coupling`` and
-``cli``, which import it; every ``tubeflow`` subcommand therefore loads it
-at start-up.
+and numpy only.  No submodule loads scipy at import.  The exact layer
+(``expansion``, ``polydisc``) never loads it, nor does ``verify``, which
+rests on it alone.  ``pressure`` solves the axial problems with a Python
+port of LAPACK's ``dgtsv``, so a rigid ``tubeflow solve`` or ``sweep``
+loads no scipy; building an ``ElasticWall`` loads scipy's LAPACK, whose
+``dgtsv`` solves the wall's fixed point, and a sampled center curve loads
+``scipy.interpolate``.
 """
 
 import importlib

@@ -410,14 +410,6 @@ def write_csv(path, header, rows, lead=None):
         fh.write(body)
 
 
-def read_field_csv(path):
-    """Re-ingest an exported field file; returns (header, rows array)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return header, data
-
-
 def _export_grids(result: PipelineResult, outdir: Path):
     pexp, wall, flow = result.pexp, result.wall, result.flow
     cols = [

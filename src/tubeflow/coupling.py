@@ -9,7 +9,11 @@ in which case the leading-order pressure and the law are solved together
 by one under-relaxed fixed point.  Each step reads the p0 boundary values
 of :class:`~tubeflow.pressure.PressureBC` once, at its end time, and
 hands them to every sweep: one :func:`~tubeflow.pressure.solve_p0`, which
-returns the p0 grid alone, and one :func:`apply_wall_law`.
+returns the p0 grid alone, and one :func:`apply_wall_law`.  The sweeps
+are the one caller that solves with LAPACK's ``dgtsv``, the same bits as
+the Python port the other solves use, at a twentieth of its time at
+257 nodes; building an :class:`ElasticWall` imports it, so the elastic
+set-up pays for the import and a rigid run never loads scipy.
 
 The model is quasi-static: the wall radius R(t, s1) is the only state
 carried from one time step to the next.  :func:`advance_time_step` takes
@@ -116,6 +120,9 @@ class ElasticWall:
                 and np.isfinite(self.p_e)):
             raise TubeflowError("elastic wall needs finite positive E, h0, "
                                 "R0 and a finite p_e")
+        # slow import (about 0.2 s), taken in set-up; advance_time_step
+        # solves every sweep with it
+        from scipy.linalg.lapack import dgtsv  # noqa: F401
 
     @cached_property
     def constants(self):
@@ -176,6 +183,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
         return WallState(state.s1, state.R, np.zeros_like(state.R), t)
     if not isinstance(law, ElasticWall):
         raise TubeflowError(f"unknown wall law {law!r}")
+    from scipy.linalg.lapack import dgtsv   # loaded when law was built
 
     r_old, h = state.R, state.h
     tol = 1e-12 if dt is None else 1e-10
@@ -192,7 +200,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
     omega = 0.5
     history = []
     for _ in range(MAX_SWEEPS):
-        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out)
+        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out, dgtsv)
         change = apply_wall_law(law, p0)
         change -= r_cur
         # x[x.argmax()] is the bits of x.max(), a NaN included, at a third

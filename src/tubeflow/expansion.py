@@ -452,7 +452,7 @@ def stokes_disc_solve(f2_poly: DiscPoly, f3_poly: DiscPoly):
 U2_COMPATIBILITY_TOL = 1e-10
 
 
-def check_U2_compatibility(g: DiscPoly, s1=None) -> None:
+def check_U2_compatibility(g: DiscPoly, s1=None):
     """Require the divergence data g of (U^2, p^3) to be compatible.
 
     Its disc integral must vanish: exactly when it is exact (a Fraction,
@@ -462,16 +462,21 @@ def check_U2_compatibility(g: DiscPoly, s1=None) -> None:
     :class:`ModelInconsistencyError` that reports the integral; for node
     arrays it names the worst failing node (and its ``s1``, the axis
     positions of the nodes, if given) and how many nodes fail.
+
+    Returns the disc integral of g as a float (0.0 for exact data, which
+    passes only at zero) and that scale max(1, max|g|), one of each per
+    node for node-array data.
     """
     integral = disc_integral_over_pi(g)
+    value = integral * _PI
     if not _is_float(integral):
         if integral:
             raise ModelInconsistencyError(
                 f"U^2 compatibility violated: disc integral of g = {integral}*pi"
             )
+        scale = max(1, g.max_abs())   # exact: no numpy object loop
     else:
         scale = np.maximum(1.0, g.max_abs())
-        value = integral * _PI
         bad = abs(value) > U2_COMPATIBILITY_TOL * scale
         if np.ndim(bad) == 0:
             if bad:
@@ -489,6 +494,7 @@ def check_U2_compatibility(g: DiscPoly, s1=None) -> None:
                 f"{value[k]:.3e} (tol {U2_COMPATIBILITY_TOL:g}, "
                 f"scale {scale[k]:g})"
             )
+    return value, scale
 
 
 # -- brute-force re-derivation of the coefficient tables ---------------------
@@ -639,13 +645,17 @@ class ExpansionFields:
 
 class VerificationTerms(NamedTuple):
     """The terms of one station that the axial verification reads: the
-    axial velocities (flow rates) and the U^2 data (compatibility)."""
+    axial velocities (flow rates) and the U^2 data (compatibility), with
+    the disc integral of g and its scale max(1, max|g|) that
+    :func:`check_U2_compatibility` returned."""
 
     u1_0: DiscPoly
     u1_1: DiscPoly
     u1_2: DiscPoly
     F: tuple
     g: DiscPoly
+    g_integral: object
+    g_scale: object
 
 
 def verification_terms(sd: StationData, s1=None) -> VerificationTerms:
@@ -658,11 +668,12 @@ def verification_terms(sd: StationData, s1=None) -> VerificationTerms:
     """
     fluid = sd.fluid
     F, g = build_U2_rhs(sd)
-    check_U2_compatibility(g, s1)
+    g_integral, g_scale = check_U2_compatibility(g, s1)
     return VerificationTerms(
         u1_0=eval_u1_0(sd.R, fluid, sd.dp0),
         u1_1=eval_u1_1(sd.R, sd.kappa, fluid, sd.dp0, sd.dp1),
-        u1_2=eval_u1_2(sd), F=F, g=g)
+        u1_2=eval_u1_2(sd), F=F, g=g, g_integral=g_integral,
+        g_scale=g_scale)
 
 
 def evaluate_station(sd: StationData) -> ExpansionFields:

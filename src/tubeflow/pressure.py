@@ -18,9 +18,16 @@ difference of its midpoint averages, so the p02 flux is exactly
 conservative too.  The interior system is symmetric tridiagonal.
 :func:`solve_flux_bvp` lays it out in one buffer: the grid (p_in, the
 interior right side, p_out) followed by the diagonal.  It tests the whole
-buffer for finiteness once, lets LAPACK ``dgtsv`` overwrite the interior
-in place and returns the head of the buffer, so a solve copies neither
-its right side nor the solved interior, and never writes into its inputs.
+buffer for finiteness once, lets a ``dgtsv`` overwrite the interior in
+place and returns the head of the buffer, so a solve copies neither its
+right side nor the solved interior, and never writes into its inputs.
+
+That ``dgtsv`` is, by default, :func:`_dgtsv`, a line-for-line Python port
+of LAPACK's for one right side that returns LAPACK's bits, so this module
+loads no scipy.  A rigid run makes three or four solves, and the port
+saves it the 0.2 s import of scipy's LAPACK; the elastic wall's fixed point makes
+thousands, where LAPACK's own ``dgtsv`` is 20 times faster at 257 nodes,
+so :func:`tubeflow.coupling.advance_time_step` passes that one instead.
 
 :func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid alone;
 :func:`midpoint_flux` forms its flux.  :func:`solve_p0` takes bare radius
@@ -42,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError, SolverError
 
@@ -159,6 +165,94 @@ def fd_third_derivative(values, h):
 
 # -- core flux-form solver -------------------------------------------------
 
+def _gtsv(dl, d, du, b):
+    """LAPACK's dgtsv for one right side, on lists; returns INFO.
+
+    Gaussian elimination with partial pivoting, statement for statement
+    as in the reference dgtsv.f (indices from 0, INFO from 1): it
+    overwrites d and du with U, dl with U's second superdiagonal where a
+    row interchange made one, and b with the solution, and returns the
+    row of a zero pivot, or 0.  Each float operation is LAPACK's, in
+    LAPACK's order, so the bits are LAPACK's.
+    """
+    n = len(d)
+    for i in range(n - 2):
+        if abs(d[i]) >= abs(dl[i]):
+            # no row interchange required
+            if d[i] != 0.0:
+                fact = dl[i] / d[i]
+                d[i + 1] = d[i + 1] - fact * du[i]
+                b[i + 1] = b[i + 1] - fact * b[i]
+            else:
+                return i + 1
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            dl[i] = du[i + 1]
+            du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if n > 1:
+        i = n - 2
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] != 0.0:
+                fact = dl[i] / d[i]
+                d[i + 1] = d[i + 1] - fact * du[i]
+                b[i + 1] = b[i + 1] - fact * b[i]
+            else:
+                return i + 1
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        return n
+    # back solve with the matrix U from the factorization
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return 0
+
+
+def _dgtsv(dl, d, du, b, overwrite_d=False, overwrite_b=False):
+    """``scipy.linalg.lapack.dgtsv`` for one right side, without LAPACK.
+
+    The same call on float arrays and the same (du2, d, du, x, info), bit
+    for bit: :func:`_gtsv` works on ``tolist()`` floats, and d and b are
+    written back in place when asked to.  Only a NaN or an infinity in
+    the input can make it divide by zero, where Python raises and LAPACK
+    goes on; such a system is solved again in numpy floats, which divide
+    as LAPACK does.
+    """
+    lists = [dl.tolist(), d.tolist(), du.tolist(), b.tolist()]
+    try:
+        info = _gtsv(*lists)
+    except ZeroDivisionError:
+        lists = [list(a.astype(float)) for a in (dl, d, du, b)]
+        with np.errstate(all="ignore"):
+            info = _gtsv(*lists)
+    du2, d_new, du_new, x = lists
+    if overwrite_d:
+        d[:] = d_new
+    if overwrite_b:
+        b[:] = x
+    return (np.array(du2), d if overwrite_d else np.array(d_new),
+            np.array(du_new), b if overwrite_b else np.array(x), info)
+
+
 def bracket_derivative(bracket, h):
     """Nodal d/ds1 of a bracket: the difference of its midpoint averages.
 
@@ -171,16 +265,18 @@ def bracket_derivative(bracket, h):
     return out
 
 
-def solve_flux_bvp(coef, h, rhs, p_in, p_out):
+def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_dgtsv):
     """Solve (coef u')' = rhs with Dirichlet data, conservative flux form.
 
     coef and rhs are nodal; midpoint coefficients are arithmetic averages
     and the right side is read at the interior nodes.  Returns the grid.
 
     One buffer holds the grid (p_in, the interior right side, p_out)
-    followed by the diagonal; it is tested for finiteness once, ``dgtsv``
+    followed by the diagonal; it is tested for finiteness once, ``gtsv``
     overwrites the interior in place, and the head of the buffer is the
-    returned grid.  coef and rhs are only read.
+    returned grid.  coef and rhs are only read.  ``gtsv`` takes the call
+    of ``scipy.linalg.lapack.dgtsv`` and gives its bits: the Python port
+    :func:`_dgtsv` by default, LAPACK's own where a caller has loaded it.
     """
     coef = np.asarray(coef, dtype=float)
     n = coef.size
@@ -200,7 +296,7 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out):
     p[0], b[:], p[-1] = p_in, rhs[1:-1], p_out
 
     # Dirichlet unknowns eliminated up front: solve the interior system so
-    # the boundary data is held exactly.  Symmetric tridiagonal: LAPACK gtsv.
+    # the boundary data is held exactly.  Symmetric tridiagonal: gtsv.
     inv_h2 = 1.0 / h**2
     off = a_mid[1:-1] * inv_h2
     np.add(a_mid[:-1], a_mid[1:], out=diag)
@@ -210,7 +306,7 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out):
     # counting finite entries costs less than an all() reduction
     if np.count_nonzero(np.isfinite(buf)) < buf.size:
         raise SolverError("tridiagonal system contains infs or NaNs")
-    *_, info = dgtsv(off, diag, off, b, overwrite_d=True, overwrite_b=True)
+    *_, info = gtsv(off, diag, off, b, overwrite_d=True, overwrite_b=True)
     if info:
         raise SolverError("singular matrix" if info > 0 else
                           f"illegal value in argument {-info} of gtsv")
@@ -248,20 +344,22 @@ def _p0_source(R, dR_dt, fluid: "FluidParams"):
     return src
 
 
-def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out):
+def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, gtsv=_dgtsv):
     """Leading-order pressure: (R^4 p0')' = 16 nu rho0 R dR/dt.
 
     Takes the bare nodal radius and its rate on a grid of spacing h, and
     the boundary values ``PressureBC.p0_at`` gives at the solve's time, so
     the wall fixed point can call it without building a WallState or
-    reading the boundary data again.  Returns the solved p0.
+    reading the boundary data again.  Returns the solved p0; ``gtsv`` is
+    :func:`solve_flux_bvp`'s.
     """
     if dR_dt.size != R.size:
         raise SolverError(f"rate has {dR_dt.size} nodes, radius has "
                           f"{R.size}")
     if R.size and any_nonpositive(R):   # empty: solve_flux_bvp's error
         raise SolverError("wall radius must stay positive")
-    return solve_flux_bvp(R**4, h, _p0_source(R, dR_dt, fluid), p_in, p_out)
+    return solve_flux_bvp(R**4, h, _p0_source(R, dR_dt, fluid), p_in, p_out,
+                          gtsv)
 
 
 def p02_bracket(wall: "WallState", r_data, fluid: "FluidParams", kappa,
@@ -298,7 +396,9 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
     The only place derivatives are taken, the wall's R' and R'' too.  The
     mixed time derivative dt_dp0 is the backward difference of dp0 against
     dp0 of the previous step's wall ``prev``, solved at ``prev.t`` (zero
-    without ``prev``, on the first step, and in steady mode).
+    without ``prev``, on the first step, and in steady mode).  Its three
+    or four solves use the port :func:`_dgtsv`, so a rigid run loads no
+    LAPACK.
     """
     h = wall.h
     dR, d2R = fd_derivative(wall.R, h), fd_second_derivative(wall.R, h)

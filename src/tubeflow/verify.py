@@ -112,9 +112,11 @@ class CompatibilityReport:
 def check_compatibility(wall, fluid, pexp, terms) -> CompatibilityReport:
     """Evaluate both compatibility integrals at every station.
 
-    ``terms`` holds the divergence data ``g`` of every node at once (the
+    ``terms`` holds the disc integral of the divergence data ``g`` and its
+    scale max(1, max|g|) at every node at once (the
     :func:`~tubeflow.expansion.verification_terms` of node-array station
-    data).  The scalar maxima cover interior stations:
+    data), as its compatibility check took them.  The scalar maxima cover
+    interior stations:
     the solvability statement applies to interior cross-sections, and the
     one-sided end stencils carry several-times-larger truncation constants
     (full arrays are reported for inspection).
@@ -125,9 +127,9 @@ def check_compatibility(wall, fluid, pexp, terms) -> CompatibilityReport:
         * (2.0 * d_r2dp0 - r**2 * pexp.d2p0)
     rhs = 2.0 * np.pi * wall.dR_dt
     # one float, not one per node, when g is the zero polynomial
-    g_int = np.broadcast_to(disc_integral(terms.g), r.shape).astype(float)
+    g_int = np.broadcast_to(terms.g_integral, r.shape).astype(float)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
-    g_scale = max(float(np.max(terms.g.max_abs())), 1.0)
+    g_scale = float(np.max(terms.g_scale))
     return CompatibilityReport(
         u1_lhs=lhs, u1_rhs=rhs, g_integral=g_int,
         max_u1_residual=float(np.max(np.abs(lhs - rhs)[1:-1]) / scale),

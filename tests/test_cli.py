@@ -19,7 +19,6 @@ from tubeflow.cli import (
     export_bundle,
     main,
     parse_config_text,
-    read_field_csv,
     run_pipeline,
     sample_fields,
 )
@@ -29,6 +28,15 @@ from tubeflow.errors import ConfigurationError
 from tubeflow.polydisc import DiscPoly
 from tubeflow.pressure import solve_pressures
 from tubeflow.verify import bounds
+
+
+def read_field_csv(path):
+    """Re-ingest an exported field file; returns (header, rows array)."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return header, data
+
 
 STRAIGHT = {
     "geometry.kind": "straight",

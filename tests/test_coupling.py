@@ -499,6 +499,23 @@ class TestPlainReference:
         assert_same_step(p0_calls, state, law, FLUID, PressureBC(5.0, 0.0),
                          None)
 
+    def test_sweeps_solve_with_lapack(self, monkeypatch):
+        # the fixed point's thousands of solves take LAPACK's dgtsv, the
+        # same bits as the Python port at a twentieth of its time
+        import tubeflow.coupling as coupling_mod
+        back_ends = []
+        original = coupling_mod.solve_p0
+
+        def spy(*args):
+            back_ends.append(args[6])
+            return original(*args)
+
+        monkeypatch.setattr(coupling_mod, "solve_p0", spy)
+        law = ElasticWall(E=1e3, h0=0.1, R0=1.0, p_e=0.5)
+        state = WallState.from_radius(np.linspace(0.0, 1.0, 33), 1.0)
+        advance_time_step(state, law, FLUID, PressureBC(5.0, 0.0), 0.01)
+        assert back_ends and all(g is dgtsv for g in back_ends)
+
 
 def stencil_calls(run):
     """Calls of the four s1-stencils made while ``run()`` runs, counted by

@@ -49,6 +49,7 @@ from tubeflow.polydisc import (
     angular_derivative,
     diff_z2,
     diff_z3,
+    disc_integral,
     disc_integral_over_pi,
     divergence,
     gradient,
@@ -184,6 +185,17 @@ class TestSecondaryFlowData:
         with pytest.raises(ModelInconsistencyError, match="at 1 of 2 nodes"):
             check_U2_compatibility(
                 DiscPoly.constant(NodeArray([1e-12, 1e-9])))
+
+    def test_compatibility_returns_the_integral_and_scale_it_checked(self):
+        # the verdict reads these two values instead of integrating again
+        zero, one = check_U2_compatibility(DiscPoly.zero())
+        assert (type(zero), zero, float(one)) == (float, 0.0, 1.0)
+        g = DiscPoly.constant(NodeArray([1e-12, -3e-11])) \
+            + DiscPoly.monomial(2, 0, NodeArray([0.5, 4.0])) \
+            - DiscPoly.monomial(0, 2, NodeArray([0.5, 4.0]))
+        value, scale = check_U2_compatibility(g)
+        assert value.tobytes() == np.asarray(disc_integral(g)).tobytes()
+        assert scale.tobytes() == np.array([1.0, 4.0]).tobytes()
 
     def test_compatibility_violation_detected(self):
         # break the p1 relation: the g integral is nonzero and rejected

@@ -21,6 +21,7 @@ from tubeflow.errors import (
 from tubeflow.expansion import BodyForce, FluidParams
 from tubeflow.pressure import (
     PressureBC,
+    _dgtsv,
     TimeSeries,
     bracket_derivative,
     fd_derivative,
@@ -188,6 +189,110 @@ class TestFluxSolver:
         assert np.array_equal(p0, solve_p0(R, rate, h, FLUID, 1.0, -0.5))
         for a, b in zip(inputs, kept):
             assert a.tobytes() == b.tobytes()
+
+
+# -- the Python dgtsv port against LAPACK's own
+
+def general_system(rng, n):
+    """(dl, d, du, b) of a random tridiagonal whose sub-diagonal outweighs
+    the diagonal in about half the rows, so that rows are interchanged."""
+    return (rng.normal(size=n - 1), rng.normal(size=n),
+            rng.normal(size=n - 1), rng.normal(size=n))
+
+
+def flux_system(rng, n):
+    """(dl, d, du, b) of the flux form's interior system: off-diagonal
+    a_{i+1/2} / h^2, diagonal -(a_{i-1/2} + a_{i+1/2}) / h^2."""
+    inv_h2 = float(n + 1) ** 2
+    a_mid = rng.uniform(0.05, 20.0, n + 1)
+    off = a_mid[1:-1] * inv_h2
+    diag = -(a_mid[:-1] + a_mid[1:]) * inv_h2
+    return off, diag, off.copy(), rng.normal(size=n)
+
+
+def assert_same_outputs(got, want):
+    *arrays, info = got
+    *ref, ref_info = want
+    assert info == ref_info
+    for name, a, r in zip(("du2", "d", "du", "x"), arrays, ref):
+        assert a.dtype == r.dtype and a.tobytes() == r.tobytes(), name
+
+
+class TestDgtsvPort:
+    @pytest.mark.parametrize("n", [6, 63, 255, 1023])
+    @pytest.mark.parametrize("make", [general_system, flux_system])
+    def test_bits_of_lapack(self, n, make):
+        # every output: the factors as well as the solution
+        rng = np.random.default_rng(n)
+        interchanges = 0
+        for _ in range(25):
+            system = make(rng, n)
+            want = dgtsv(*system)
+            assert_same_outputs(_dgtsv(*system), want)
+            # LAPACK zeroes dl where it kept the rows and writes U's second
+            # superdiagonal there on an interchange; the last row keeps dl
+            interchanges += np.count_nonzero(want[0][:-1])
+        if make is general_system:
+            assert interchanges > 25 * n // 4
+        else:
+            assert interchanges == 0
+
+    @pytest.mark.parametrize("row", [0, 3, 6, 7])
+    def test_zero_pivot_gives_lapack_info(self, row):
+        # a zero column in the eliminated part: the pivot of that row is 0
+        rng = np.random.default_rng(row)
+        dl, d, du, b = general_system(rng, 8)
+        d[row] = 0.0
+        if row < 7:
+            dl[row] = 0.0
+        if row:
+            du[row - 1] = 0.0
+            if row > 1:
+                dl[row - 1] = 0.0   # no interchange can bring a nonzero up
+        want = dgtsv(dl, d, du, b)
+        assert want[-1] == row + 1
+        assert_same_outputs(_dgtsv(dl, d, du, b), want)
+
+    def test_non_finite_input_divides_as_lapack(self):
+        # NaN on the diagonal over a zero sub-diagonal: LAPACK interchanges
+        # and divides by that zero, where Python floats would raise
+        rng = np.random.default_rng(3)
+        dl, d, du, b = general_system(rng, 9)
+        d[2], dl[2] = np.nan, 0.0
+        with np.errstate(all="ignore"):
+            got, want = _dgtsv(dl, d, du, b), dgtsv(dl, d, du, b)
+        assert got[-1] == want[-1]
+        for a, r in zip(got[:4], want[:4]):
+            assert np.array_equal(a, r, equal_nan=True)
+
+    def test_overwrite_flags_as_lapack(self):
+        rng = np.random.default_rng(11)
+        dl, d, du, b = flux_system(rng, 20)
+        kept = [a.copy() for a in (dl, d, du, b)]
+        du2, d_out, du_out, x, info = _dgtsv(dl, d, du, b)
+        for a, k in zip((dl, d, du, b), kept):
+            assert a.tobytes() == k.tobytes()
+        du2, d_out, du_out, x, info = _dgtsv(dl, d, du, b, overwrite_d=True,
+                                            overwrite_b=True)
+        assert d_out is d and x is b
+        assert dl.tobytes() == kept[0].tobytes()
+        assert du.tobytes() == kept[2].tobytes()
+
+    @pytest.mark.parametrize("n", [8, 65, 257, 1025])
+    def test_flux_solve_same_bits_with_either_back_end(self, n):
+        rng = np.random.default_rng(n)
+        h = 1.0 / (n - 1)
+        coef, rhs = rng.uniform(0.05, 20.0, n), rng.normal(size=n)
+        assert solve_flux_bvp(coef, h, rhs, 1.0, -0.5).tobytes() \
+            == solve_flux_bvp(coef, h, rhs, 1.0, -0.5, dgtsv).tobytes()
+
+    @pytest.mark.parametrize("gtsv", [_dgtsv, dgtsv], ids=["port", "lapack"])
+    def test_zero_pivot_is_a_singular_matrix(self, gtsv):
+        # a_mid / h^2 underflows to zero: the first pivot is 0, INFO = 1
+        n = 17
+        with pytest.raises(SolverError, match="^singular matrix$"):
+            solve_flux_bvp(np.full(n, 1e-300), 1e100, np.zeros(n), 0.0,
+                           1.0, gtsv)
 
 
 class TestP1:

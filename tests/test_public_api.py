@@ -12,6 +12,7 @@ import tubeflow
 
 SUBMODULES = ("coupling", "errors", "expansion", "geometry", "polydisc",
               "pressure", "verify")
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def test_every_name_in_all_resolves():
@@ -85,10 +86,37 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'
     assert _fresh(code) == "[]"
 
 
-def test_cli_still_loads_lapack_at_import():
-    # the float workloads pay for scipy.linalg in set-up, not in a first solve
-    code = "import sys, tubeflow.cli; print('scipy.linalg' in sys.modules)"
-    assert _fresh(code) == "True"
+# a rigid run's three or four axial solves use the Python dgtsv port, so
+# neither a rigid solve nor the rigid sweep loads scipy; the elastic wall's
+# fixed point solves with LAPACK's, imported while its wall law is built
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+@pytest.mark.parametrize("command,preset", [("solve", "straight_rigid"),
+                                            ("sweep", "helix_swirl")])
+def test_rigid_commands_load_no_scipy(command, preset, tmp_path):
+    config = PRESETS / f"{preset}.cfg"
+    code = f"""
+import sys
+from tubeflow.cli import main
+assert main([{command!r}, "--config", {str(config)!r},
+             "--out", {str(tmp_path)!r}]) == 0
+print({SCIPY_MODULES})
+"""
+    assert _fresh(code) == "[]"
+
+
+def test_elastic_wall_law_loads_lapack_in_set_up():
+    code = f"""
+import sys
+from tubeflow.cli import RunConfig
+cfg = RunConfig.from_file({str(PRESETS / "elastic_pulse.cfg")!r})
+before = {SCIPY_MODULES}
+cfg.build_wall_law()
+print(before, "scipy.linalg.lapack" in sys.modules)
+"""
+    assert _fresh(code) == "[] True"
 
 
 def _fresh(code):
