@@ -10,10 +10,9 @@ by one under-relaxed fixed point.  Each step reads the p0 boundary values
 of :class:`~tubeflow.pressure.PressureBC` once, at its end time, and
 hands them to every sweep: one :func:`~tubeflow.pressure.solve_p0`, which
 returns the p0 grid alone, and one :func:`apply_wall_law`.  The sweeps
-are the one caller that solves with LAPACK's ``dgtsv``, the same bits as
-the Python port the other solves use, at a twentieth of its time at
-257 nodes; building an :class:`ElasticWall` imports it, so the elastic
-set-up pays for the import and a rigid run never loads scipy.
+solve with LAPACK's ``dgtsv``, which gives the bits of the Python port
+the other solves use; this module is the one place that knows scipy's
+call, and building an :class:`ElasticWall` imports it, in set-up.
 
 The model is quasi-static: the wall radius R(t, s1) is the only state
 carried from one time step to the next.  :func:`advance_time_step` takes
@@ -49,6 +48,11 @@ class WallState:
     t: float = 0.0
 
     def __post_init__(self):
+        n = self.s1.size
+        for name, v in (("R", self.R), ("dR_dt", self.dR_dt)):
+            if v.size != n:
+                raise TubeflowError(f"{name} has {v.size} nodes, the axis "
+                                    f"grid has {n}")
         # minimum and maximum propagate NaN, which fails both comparisons
         if not (np.minimum.reduce(self.R, axis=None) > 0
                 and np.maximum.reduce(self.R, axis=None) < np.inf):
@@ -120,8 +124,7 @@ class ElasticWall:
                 and np.isfinite(self.p_e)):
             raise TubeflowError("elastic wall needs finite positive E, h0, "
                                 "R0 and a finite p_e")
-        # slow import (about 0.2 s), taken in set-up; advance_time_step
-        # solves every sweep with it
+        # taken in set-up: advance_time_step solves every sweep with it
         from scipy.linalg.lapack import dgtsv  # noqa: F401
 
     @cached_property
@@ -185,6 +188,9 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
         raise TubeflowError(f"unknown wall law {law!r}")
     from scipy.linalg.lapack import dgtsv   # loaded when law was built
 
+    def gtsv(off, diag, b):
+        return dgtsv(off, diag, off, b, overwrite_d=True, overwrite_b=True)[-1]
+
     r_old, h = state.R, state.h
     tol = 1e-12 if dt is None else 1e-10
     p_in, p_out = bc.p0_at(t)
@@ -200,7 +206,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
     omega = 0.5
     history = []
     for _ in range(MAX_SWEEPS):
-        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out, dgtsv)
+        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out, gtsv)
         change = apply_wall_law(law, p0)
         change -= r_cur
         # x[x.argmax()] is the bits of x.max(), a NaN included, at a third

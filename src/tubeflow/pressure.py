@@ -18,16 +18,14 @@ difference of its midpoint averages, so the p02 flux is exactly
 conservative too.  The interior system is symmetric tridiagonal.
 :func:`solve_flux_bvp` lays it out in one buffer: the grid (p_in, the
 interior right side, p_out) followed by the diagonal.  It tests the whole
-buffer for finiteness once, lets a ``dgtsv`` overwrite the interior in
-place and returns the head of the buffer, so a solve copies neither its
-right side nor the solved interior, and never writes into its inputs.
+buffer for finiteness once, lets a ``gtsv`` solve the interior in place
+and returns the head of the buffer, so a solve copies neither its right
+side nor the solved interior, and never writes into its inputs.
 
-That ``dgtsv`` is, by default, :func:`_dgtsv`, a line-for-line Python port
-of LAPACK's for one right side that returns LAPACK's bits, so this module
-loads no scipy.  A rigid run makes three or four solves, and the port
-saves it the 0.2 s import of scipy's LAPACK; the elastic wall's fixed point makes
-thousands, where LAPACK's own ``dgtsv`` is 20 times faster at 257 nodes,
-so :func:`tubeflow.coupling.advance_time_step` passes that one instead.
+That ``gtsv`` is, by default, :func:`_gtsv`, a Python port of LAPACK's
+``dgtsv`` that gives LAPACK's bits without loading scipy: a run makes
+three or four solves, the elastic wall's fixed point thousands, and for
+those :func:`tubeflow.coupling.advance_time_step` passes LAPACK's own.
 
 :func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid alone;
 :func:`midpoint_flux` forms its flux.  :func:`solve_p0` takes bare radius
@@ -35,12 +33,13 @@ and rate arrays, not a WallState, and the two boundary values, not the
 :class:`PressureBC`: the wall fixed point reads the boundary data once per
 time step and calls it once per sweep without building a WallState.
 :func:`solve_pressures` is the one way in to the hierarchy: it states
-each right side once, solves the three on one wall and keeps each
-solve's flux-form residual against that right side.  It is also the one
-place where derivatives are taken: the wall's R' and R'', p0 up to the
-third, p1' (p1'' = -4 R' p1' / R from the p1 equation, not differenced),
-p02', and the mixed time derivative of p0', for which it also solves p0
-on the previous step's wall.  A run calls it once, on its final wall.
+each right side once, solves the three on one wall, forms each solve's
+midpoint flux once and keeps its flux-form residual against that right
+side.  It is also the one place where derivatives are taken: the wall's
+R' and R'', p0 up to the third, p1' (p1'' = -4 R' p1' / R from the p1
+equation, not differenced), p02', and the mixed time derivative of p0',
+for which it also solves p0 on the previous step's wall.  A run calls it
+once, on its final wall.
 """
 
 from __future__ import annotations
@@ -165,16 +164,18 @@ def fd_third_derivative(values, h):
 
 # -- core flux-form solver -------------------------------------------------
 
-def _gtsv(dl, d, du, b):
-    """LAPACK's dgtsv for one right side, on lists; returns INFO.
+def _gtsv(off, diag, b):
+    """LAPACK's dgtsv on the symmetric system (off, diag, off); returns INFO.
 
     Gaussian elimination with partial pivoting, statement for statement
-    as in the reference dgtsv.f (indices from 0, INFO from 1): it
-    overwrites d and du with U, dl with U's second superdiagonal where a
-    row interchange made one, and b with the solution, and returns the
-    row of a zero pivot, or 0.  Each float operation is LAPACK's, in
-    LAPACK's order, so the bits are LAPACK's.
+    as in the reference dgtsv.f (indices from 0, INFO from 1), on
+    ``tolist()`` floats: each float operation is LAPACK's, in LAPACK's
+    order, so the solution it writes into ``b`` has LAPACK's bits.  INFO
+    is the row of a zero pivot, where ``b`` is left as it was, or 0.  The
+    input must be finite, as :func:`solve_flux_bvp` ensures: a NaN pivot
+    could make Python divide by zero where LAPACK goes on.
     """
+    dl, d, du, x = off.tolist(), diag.tolist(), off.tolist(), b.tolist()
     n = len(d)
     for i in range(n - 2):
         if abs(d[i]) >= abs(dl[i]):
@@ -182,7 +183,7 @@ def _gtsv(dl, d, du, b):
             if d[i] != 0.0:
                 fact = dl[i] / d[i]
                 d[i + 1] = d[i + 1] - fact * du[i]
-                b[i + 1] = b[i + 1] - fact * b[i]
+                x[i + 1] = x[i + 1] - fact * x[i]
             else:
                 return i + 1
             dl[i] = 0.0
@@ -195,16 +196,16 @@ def _gtsv(dl, d, du, b):
             dl[i] = du[i + 1]
             du[i + 1] = -fact * dl[i]
             du[i] = temp
-            temp = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = temp - fact * b[i + 1]
+            temp = x[i]
+            x[i] = x[i + 1]
+            x[i + 1] = temp - fact * x[i + 1]
     if n > 1:
         i = n - 2
         if abs(d[i]) >= abs(dl[i]):
             if d[i] != 0.0:
                 fact = dl[i] / d[i]
                 d[i + 1] = d[i + 1] - fact * du[i]
-                b[i + 1] = b[i + 1] - fact * b[i]
+                x[i + 1] = x[i + 1] - fact * x[i]
             else:
                 return i + 1
         else:
@@ -213,44 +214,19 @@ def _gtsv(dl, d, du, b):
             temp = d[i + 1]
             d[i + 1] = du[i] - fact * temp
             du[i] = temp
-            temp = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = temp - fact * b[i + 1]
+            temp = x[i]
+            x[i] = x[i + 1]
+            x[i + 1] = temp - fact * x[i + 1]
     if d[n - 1] == 0.0:
         return n
     # back solve with the matrix U from the factorization
-    b[n - 1] = b[n - 1] / d[n - 1]
+    x[n - 1] = x[n - 1] / d[n - 1]
     if n > 1:
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
     for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+    b[:] = x
     return 0
-
-
-def _dgtsv(dl, d, du, b, overwrite_d=False, overwrite_b=False):
-    """``scipy.linalg.lapack.dgtsv`` for one right side, without LAPACK.
-
-    The same call on float arrays and the same (du2, d, du, x, info), bit
-    for bit: :func:`_gtsv` works on ``tolist()`` floats, and d and b are
-    written back in place when asked to.  Only a NaN or an infinity in
-    the input can make it divide by zero, where Python raises and LAPACK
-    goes on; such a system is solved again in numpy floats, which divide
-    as LAPACK does.
-    """
-    lists = [dl.tolist(), d.tolist(), du.tolist(), b.tolist()]
-    try:
-        info = _gtsv(*lists)
-    except ZeroDivisionError:
-        lists = [list(a.astype(float)) for a in (dl, d, du, b)]
-        with np.errstate(all="ignore"):
-            info = _gtsv(*lists)
-    du2, d_new, du_new, x = lists
-    if overwrite_d:
-        d[:] = d_new
-    if overwrite_b:
-        b[:] = x
-    return (np.array(du2), d if overwrite_d else np.array(d_new),
-            np.array(du_new), b if overwrite_b else np.array(x), info)
 
 
 def bracket_derivative(bracket, h):
@@ -265,19 +241,20 @@ def bracket_derivative(bracket, h):
     return out
 
 
-def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_dgtsv):
+def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_gtsv):
     """Solve (coef u')' = rhs with Dirichlet data, conservative flux form.
 
     coef and rhs are nodal; midpoint coefficients are arithmetic averages
     and the right side is read at the interior nodes.  Returns the grid.
 
     One buffer holds the grid (p_in, the interior right side, p_out)
-    followed by the diagonal; it is tested for finiteness once, ``gtsv``
-    overwrites the interior in place, and the head of the buffer is the
-    returned grid.  coef and rhs are only read.  ``gtsv`` takes the call
-    of ``scipy.linalg.lapack.dgtsv`` and gives its bits: the Python port
-    :func:`_dgtsv` by default, LAPACK's own where a caller has loaded it.
+    followed by the diagonal; it is tested for finiteness once, and
+    ``gtsv(off, diag, b)`` solves the interior ``b`` in place and returns
+    LAPACK's INFO.  coef and rhs are only read.
     """
+    if not 0 < h < np.inf:   # NaN fails it too
+        raise SolverError(f"grid step h must be finite and positive, "
+                          f"got {h}")
     coef = np.asarray(coef, dtype=float)
     n = coef.size
     if n < 8:
@@ -306,7 +283,7 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_dgtsv):
     # counting finite entries costs less than an all() reduction
     if np.count_nonzero(np.isfinite(buf)) < buf.size:
         raise SolverError("tridiagonal system contains infs or NaNs")
-    *_, info = gtsv(off, diag, off, b, overwrite_d=True, overwrite_b=True)
+    info = gtsv(off, diag, b)
     if info:
         raise SolverError("singular matrix" if info > 0 else
                           f"illegal value in argument {-info} of gtsv")
@@ -326,9 +303,9 @@ def midpoint_flux(coef, h, p):
     return 0.5 * (coef[:-1] + coef[1:]) * np.diff(p) / h
 
 
-def flux_residual(coef, h, p, rhs):
-    """Relative flux-form residual of a candidate solution (interior max)."""
-    flux = midpoint_flux(coef, h, p)
+def flux_residual(flux, h, rhs):
+    """Relative flux-form residual of a solved grid's midpoint flux
+    (:func:`midpoint_flux`) against its nodal right side (interior max)."""
     lhs = (flux[1:] - flux[:-1]) / h
     f = np.asarray(rhs)[1:-1]
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(f)), np.max(np.abs(flux)) / h, 1e-300)
@@ -344,7 +321,7 @@ def _p0_source(R, dR_dt, fluid: "FluidParams"):
     return src
 
 
-def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, gtsv=_dgtsv):
+def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, gtsv=_gtsv):
     """Leading-order pressure: (R^4 p0')' = 16 nu rho0 R dR/dt.
 
     Takes the bare nodal radius and its rate on a grid of spacing h, and
@@ -397,8 +374,7 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
     mixed time derivative dt_dp0 is the backward difference of dp0 against
     dp0 of the previous step's wall ``prev``, solved at ``prev.t`` (zero
     without ``prev``, on the first step, and in steady mode).  Its three
-    or four solves use the port :func:`_dgtsv`, so a rigid run loads no
-    LAPACK.
+    or four solves use the port :func:`_gtsv`.
     """
     h = wall.h
     dR, d2R = fd_derivative(wall.R, h), fd_second_derivative(wall.R, h)
@@ -421,12 +397,13 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
     rhs02 = bracket_derivative(bracket, h)
     p02 = solve_flux_bvp(r4, h, rhs02, bc.p02_inlet, bc.p02_outlet)
     rhs0 = _p0_source(wall.R, wall.dR_dt, fluid)
+    flux0, flux1 = midpoint_flux(r4, h, p0), midpoint_flux(r4, h, p1)
     return PressureExpansion(
         p0=p0, dp0=dp0, d2p0=d2p0, d3p0=d3p0, dt_dp0=dt_dp0,
         dR_ds1=dR, d2R_ds12=d2R, p1=p1, dp1=dp1, d2p1=d2p1,
-        p02=p02, dp02=fd_derivative(p02, h),
-        flux_p0=midpoint_flux(r4, h, p0), flux_p1=midpoint_flux(r4, h, p1),
-        residuals={"p0": flux_residual(r4, h, p0, rhs0),
-                   "p1": flux_residual(r4, h, p1, rhs1),
-                   "p02": flux_residual(r4, h, p02, rhs02)},
+        p02=p02, dp02=fd_derivative(p02, h), flux_p0=flux0, flux_p1=flux1,
+        residuals={"p0": flux_residual(flux0, h, rhs0),
+                   "p1": flux_residual(flux1, h, rhs1),
+                   "p02": flux_residual(midpoint_flux(r4, h, p02), h,
+                                        rhs02)},
     )

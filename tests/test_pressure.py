@@ -21,8 +21,8 @@ from tubeflow.errors import (
 from tubeflow.expansion import BodyForce, FluidParams
 from tubeflow.pressure import (
     PressureBC,
-    _dgtsv,
     TimeSeries,
+    _gtsv,
     bracket_derivative,
     fd_derivative,
     fd_second_derivative,
@@ -169,6 +169,15 @@ class TestFluxSolver:
             solve_flux_bvp(args["coef"], h, rhs, args["p_in"],
                            args["p_out"])
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_grid_step_rejected(self, h):
+        # h = 0 raised a bare ZeroDivisionError, inf reported a singular
+        # matrix and -0.1 solved as 0.1
+        with pytest.raises(SolverError,
+                           match=f"^grid step h must be finite and positive, "
+                                 f"got {h}$"):
+            solve_flux_bvp(np.ones(9), h, np.zeros(9), 1.0, 0.0)
+
     def test_inputs_are_only_read(self):
         # the solve writes into its own buffer: read-only views of the
         # inputs solve as the arrays do, and neither is written to
@@ -193,90 +202,61 @@ class TestFluxSolver:
 
 # -- the Python dgtsv port against LAPACK's own
 
-def general_system(rng, n):
-    """(dl, d, du, b) of a random tridiagonal whose sub-diagonal outweighs
-    the diagonal in about half the rows, so that rows are interchanged."""
-    return (rng.normal(size=n - 1), rng.normal(size=n),
-            rng.normal(size=n - 1), rng.normal(size=n))
+def symmetric_system(rng, n):
+    """(off, diag, b) of a random symmetric tridiagonal whose off-diagonal
+    outweighs the diagonal in about half the rows, so that rows are
+    interchanged."""
+    return rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n)
 
 
 def flux_system(rng, n):
-    """(dl, d, du, b) of the flux form's interior system: off-diagonal
+    """(off, diag, b) of the flux form's interior system: off-diagonal
     a_{i+1/2} / h^2, diagonal -(a_{i-1/2} + a_{i+1/2}) / h^2."""
     inv_h2 = float(n + 1) ** 2
     a_mid = rng.uniform(0.05, 20.0, n + 1)
     off = a_mid[1:-1] * inv_h2
     diag = -(a_mid[:-1] + a_mid[1:]) * inv_h2
-    return off, diag, off.copy(), rng.normal(size=n)
+    return off, diag, rng.normal(size=n)
 
 
-def assert_same_outputs(got, want):
-    *arrays, info = got
-    *ref, ref_info = want
-    assert info == ref_info
-    for name, a, r in zip(("du2", "d", "du", "x"), arrays, ref):
-        assert a.dtype == r.dtype and a.tobytes() == r.tobytes(), name
+def lapack_gtsv(off, diag, b):
+    """scipy's dgtsv under the port's call, as the wall sweeps use it."""
+    return dgtsv(off, diag, off, b, overwrite_d=True, overwrite_b=True)[-1]
 
 
 class TestDgtsvPort:
     @pytest.mark.parametrize("n", [6, 63, 255, 1023])
-    @pytest.mark.parametrize("make", [general_system, flux_system])
+    @pytest.mark.parametrize("make", [symmetric_system, flux_system])
     def test_bits_of_lapack(self, n, make):
-        # every output: the factors as well as the solution
+        # the solution written into b and INFO, against LAPACK's x and INFO
         rng = np.random.default_rng(n)
         interchanges = 0
         for _ in range(25):
-            system = make(rng, n)
-            want = dgtsv(*system)
-            assert_same_outputs(_dgtsv(*system), want)
-            # LAPACK zeroes dl where it kept the rows and writes U's second
-            # superdiagonal there on an interchange; the last row keeps dl
-            interchanges += np.count_nonzero(want[0][:-1])
-        if make is general_system:
+            off, diag, b = make(rng, n)
+            kept = off.tobytes(), diag.tobytes()
+            du2, *_, x, info = dgtsv(off, diag, off, b)
+            assert _gtsv(off, diag, b) == info == 0
+            assert b.tobytes() == x.tobytes()
+            assert (off.tobytes(), diag.tobytes()) == kept
+            # LAPACK zeroes du2 where it kept the rows and writes U's second
+            # superdiagonal there on an interchange; the last row keeps it
+            interchanges += np.count_nonzero(du2[:-1])
+        if make is symmetric_system:
             assert interchanges > 25 * n // 4
         else:
             assert interchanges == 0
 
     @pytest.mark.parametrize("row", [0, 3, 6, 7])
     def test_zero_pivot_gives_lapack_info(self, row):
-        # a zero column in the eliminated part: the pivot of that row is 0
+        # a zero row: no interchange can bring a nonzero pivot up
         rng = np.random.default_rng(row)
-        dl, d, du, b = general_system(rng, 8)
-        d[row] = 0.0
-        if row < 7:
-            dl[row] = 0.0
-        if row:
-            du[row - 1] = 0.0
-            if row > 1:
-                dl[row - 1] = 0.0   # no interchange can bring a nonzero up
-        want = dgtsv(dl, d, du, b)
-        assert want[-1] == row + 1
-        assert_same_outputs(_dgtsv(dl, d, du, b), want)
-
-    def test_non_finite_input_divides_as_lapack(self):
-        # NaN on the diagonal over a zero sub-diagonal: LAPACK interchanges
-        # and divides by that zero, where Python floats would raise
-        rng = np.random.default_rng(3)
-        dl, d, du, b = general_system(rng, 9)
-        d[2], dl[2] = np.nan, 0.0
-        with np.errstate(all="ignore"):
-            got, want = _dgtsv(dl, d, du, b), dgtsv(dl, d, du, b)
-        assert got[-1] == want[-1]
-        for a, r in zip(got[:4], want[:4]):
-            assert np.array_equal(a, r, equal_nan=True)
-
-    def test_overwrite_flags_as_lapack(self):
-        rng = np.random.default_rng(11)
-        dl, d, du, b = flux_system(rng, 20)
-        kept = [a.copy() for a in (dl, d, du, b)]
-        du2, d_out, du_out, x, info = _dgtsv(dl, d, du, b)
-        for a, k in zip((dl, d, du, b), kept):
-            assert a.tobytes() == k.tobytes()
-        du2, d_out, du_out, x, info = _dgtsv(dl, d, du, b, overwrite_d=True,
-                                            overwrite_b=True)
-        assert d_out is d and x is b
-        assert dl.tobytes() == kept[0].tobytes()
-        assert du.tobytes() == kept[2].tobytes()
+        off, diag, b = symmetric_system(rng, 8)
+        diag[row] = 0.0
+        off[max(row - 1, 0):row + 1] = 0.0
+        assert dgtsv(off, diag, off, b)[-1] == row + 1
+        kept = b.tobytes()
+        assert _gtsv(off, diag, b) == row + 1
+        assert b.tobytes() == kept
 
     @pytest.mark.parametrize("n", [8, 65, 257, 1025])
     def test_flux_solve_same_bits_with_either_back_end(self, n):
@@ -284,9 +264,10 @@ class TestDgtsvPort:
         h = 1.0 / (n - 1)
         coef, rhs = rng.uniform(0.05, 20.0, n), rng.normal(size=n)
         assert solve_flux_bvp(coef, h, rhs, 1.0, -0.5).tobytes() \
-            == solve_flux_bvp(coef, h, rhs, 1.0, -0.5, dgtsv).tobytes()
+            == solve_flux_bvp(coef, h, rhs, 1.0, -0.5, lapack_gtsv).tobytes()
 
-    @pytest.mark.parametrize("gtsv", [_dgtsv, dgtsv], ids=["port", "lapack"])
+    @pytest.mark.parametrize("gtsv", [_gtsv, lapack_gtsv],
+                             ids=["port", "lapack"])
     def test_zero_pivot_is_a_singular_matrix(self, gtsv):
         # a_mid / h^2 underflows to zero: the first pivot is 0, INFO = 1
         n = 17
@@ -390,8 +371,9 @@ class TestP02:
                                   FLUID, np.zeros(n),
                                   steady_p0_data(wall, PressureBC(1.0, 0.0)),
                                   BodyForce())
-            errs.append(flux_residual(wall.R**4, wall.h, pexp.p02,
-                                      bracket_derivative(bracket, wall.h)))
+            errs.append(flux_residual(
+                midpoint_flux(wall.R**4, wall.h, pexp.p02), wall.h,
+                bracket_derivative(bracket, wall.h)))
             assert pexp.residuals["p02"] == errs[-1]
         assert max(errs) < 1e-12
 
@@ -434,7 +416,7 @@ class TestInvariantsAndHelpers:
         wall, _ = make_wall(radius=lambda x: 1 + 0.1 * x)
         pexp = steady(wall, PressureBC(1.0, 0.0))
         assert pexp.flux_p0 is not None and pexp.p02.shape == (101,)
-        assert flux_residual(wall.R**4, wall.h, pexp.p0,
+        assert flux_residual(pexp.flux_p0, wall.h,
                              16 * wall.R * wall.dR_dt) < 1e-12
 
         # an unsteady elastic step with its previous wall (dt_dp0 != 0):
@@ -459,12 +441,16 @@ class TestInvariantsAndHelpers:
             wall, (pexp.dR_ds1, pexp.d2R_ds12), fluid, kappa,
             (pexp.dp0, pexp.d2p0, pexp.d3p0, pexp.dt_dp0), body)
         expected = {
-            "p0": flux_residual(r4, h, pexp.p0, rhs0),
-            "p1": flux_residual(r4, h, pexp.p1, np.zeros(n)),
-            "p02": flux_residual(r4, h, pexp.p02,
+            "p0": flux_residual(midpoint_flux(r4, h, pexp.p0), h, rhs0),
+            "p1": flux_residual(midpoint_flux(r4, h, pexp.p1), h,
+                                np.zeros(n)),
+            "p02": flux_residual(midpoint_flux(r4, h, pexp.p02), h,
                                  bracket_derivative(bracket, h)),
         }
         assert pexp.residuals == expected
+        # the kept fluxes are the ones the residuals read
+        assert pexp.flux_p0.tobytes() == midpoint_flux(r4, h, pexp.p0).tobytes()
+        assert pexp.flux_p1.tobytes() == midpoint_flux(r4, h, pexp.p1).tobytes()
         assert max(expected.values()) < 1e-12
 
     def test_dirichlet_data_held_exactly(self):
