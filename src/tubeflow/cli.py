@@ -8,8 +8,10 @@ and no timestamps, so identical configs produce byte-identical outputs.
 
 Subcommands: ``solve`` (full pipeline), ``fields`` (sample/export only),
 ``verify`` (verification suites only), ``tables`` (secondary-flow
-coefficient-table check), ``sweep`` (kappa/tau/eps parameter grid); the
-run subcommands take ``--config``, ``--out`` and ``--order`` only.
+coefficient-table check), ``sweep`` (kappa/tau/eps parameter grid: one
+axis solve per (kappa, tau) curve, the tube-map invertibility check for
+each eps); the run subcommands take ``--config``, ``--out`` and
+``--order`` only.
 Exit codes: 0 success, 2 verification failure (its report keys on stderr),
 1 error, a usage error included.
 """
@@ -295,8 +297,35 @@ class PipelineResult:
         return not self.failed_checks()
 
 
+# The previous run of the sweep in progress as {key: result}, the key the
+# repr of every config field but eps; None outside run_sweep.
+_sweep_run = None
+
+
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    """Geometry -> pressures -> expansion -> verification, in memory."""
+    """Geometry -> pressures -> expansion -> verification, in memory.
+
+    eps enters no solve: it only scales the assembled solution and bounds
+    the tube map.  So while :func:`run_sweep` runs, a case that differs
+    from the sweep's previous run only in eps checks the map's
+    invertibility at its own eps and returns that run with its own
+    config.  A run that raised is not kept; outside a sweep every call
+    computes afresh.
+    """
+    if _sweep_run is None:
+        return _solve(cfg)
+    # repr tells the bits of each float apart, -0.0 from 0.0 too
+    key = repr({k: v for k, v in vars(cfg).items() if k != "eps"})
+    kept = _sweep_run.get(key)
+    if kept is not None:
+        geometry.check_invertibility(cfg.eps, kept.curve, kept.wall)
+        return replace(kept, config=cfg)
+    _sweep_run.clear()
+    _sweep_run[key] = result = _solve(cfg)
+    return result
+
+
+def _solve(cfg: RunConfig) -> PipelineResult:
     curve = cfg.build_curve()
     # a sampled curve brings its own length; the axis grid must span it
     if abs(curve.length - cfg.length) > 1e-12:
@@ -509,14 +538,18 @@ def export_bundle(result: PipelineResult, outdir, order: int = 2,
 # -- sweep ----------------------------------------------------------------------
 
 def run_sweep(cfg: RunConfig, outdir) -> int:
-    """Steady rigid runs over a (kappa, tau, eps) grid; emits sweep.csv."""
+    """Steady rigid runs over a (kappa, tau, eps) grid; emits sweep.csv.
+
+    Each (kappa, tau) curve is solved once: eps is the innermost loop and
+    enters no solve, so each further eps of a curve checks the tube map's
+    invertibility at its own eps and reuses the curve's run (see
+    :func:`run_pipeline`).  A grid with no case is a ConfigurationError.
+    """
+    global _sweep_run
     kappas = cfg.sweep_kappa or (0.0, 0.5)
     taus = cfg.sweep_tau or (0.0,)
     epss = cfg.sweep_eps or (cfg.eps,)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    rows = []
+    curves = []
     for kap in kappas:
         for tau in taus:
             if kap == 0.0 and tau != 0.0:
@@ -527,6 +560,19 @@ def run_sweep(cfg: RunConfig, outdir) -> int:
                 denom = kap**2 + tau**2
                 case.update(geometry_kind="helix", helix_a=kap / denom,
                             helix_b=tau / denom)
+            curves.append((kap, tau, case))
+    if not curves:
+        raise ConfigurationError(
+            f"the sweep grid has no case: sweep.kappa = "
+            f"{', '.join(map(repr, kappas))} (a straight axis) takes only "
+            f"tau = 0, and sweep.tau = {', '.join(map(repr, taus))} has no 0")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+
+    rows = []
+    _sweep_run = {}
+    try:
+        for kap, tau, case in curves:
             for eps in epss:
                 result = run_pipeline(replace(cfg, **case, eps=eps))
                 # the shape checks read the same mid station
@@ -535,6 +581,8 @@ def run_sweep(cfg: RunConfig, outdir) -> int:
                              result.flow.q0[cfg.n_s1 // 2],
                              checks["u1_1_skew_group"],
                              checks["U2_circulation_content"]))
+    finally:
+        _sweep_run = None
     write_csv(outdir / "sweep.csv",
               ["kappa", "tau", "eps", "Q0_mid", "u1_1_skew_group",
                "U2_circulation"], rows)

@@ -328,8 +328,10 @@ def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, gtsv=_gtsv):
     the boundary values ``PressureBC.p0_at`` gives at the solve's time, so
     the wall fixed point can call it without building a WallState or
     reading the boundary data again.  Returns the solved p0; ``gtsv`` is
-    :func:`solve_flux_bvp`'s.
+    :func:`solve_flux_bvp`'s.  R and dR_dt may be any sequences of floats.
     """
+    R = np.asarray(R, dtype=float)
+    dR_dt = np.asarray(dR_dt, dtype=float)
     if dR_dt.size != R.size:
         raise SolverError(f"rate has {dR_dt.size} nodes, radius has "
                           f"{R.size}")

@@ -24,7 +24,7 @@ from tubeflow.cli import (
 )
 from tubeflow.coupling import WallState, advance_time_step, wall_law_residual
 from tubeflow.geometry import CenterCurve
-from tubeflow.errors import ConfigurationError
+from tubeflow.errors import ConfigurationError, MapError
 from tubeflow.polydisc import DiscPoly
 from tubeflow.pressure import solve_pressures
 from tubeflow.verify import bounds
@@ -64,6 +64,19 @@ def write_cfg(tmp_path, mapping, name="run.cfg"):
     path = tmp_path / name
     path.write_text("\n".join(f"{k} = {v}" for k, v in mapping.items()) + "\n")
     return path
+
+
+def spy_runs(monkeypatch):
+    """Record (config, result) of each run_pipeline call run_sweep makes."""
+    seen = []
+
+    def spy(cfg):
+        result = run_pipeline(cfg)
+        seen.append((cfg, result))
+        return result
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    return seen
 
 
 class TestConfigParsing:
@@ -540,18 +553,11 @@ class TestCommandLine:
     def test_each_sweep_case_keeps_its_own_eps(self, tmp_path, monkeypatch):
         # one config object served every eps, so afterwards each earlier
         # result's config read the last eps
-        seen = []
-
-        def spy(cfg):
-            result = run_pipeline(cfg)
-            seen.append((cfg.eps, result))
-            return result
-
-        monkeypatch.setattr(cli, "run_pipeline", spy)
+        seen = spy_runs(monkeypatch)
         cfg = RunConfig.from_mapping({**STRAIGHT, "sweep.kappa": "0.5",
                                       "sweep.eps": "0.01, 0.02, 0.04"})
         assert cli.run_sweep(cfg, tmp_path) == 0
-        assert [eps for eps, _ in seen] == [0.01, 0.02, 0.04]
+        assert [c.eps for c, _ in seen] == [0.01, 0.02, 0.04]
         assert [r.config.eps for _, r in seen] == [0.01, 0.02, 0.04]
 
     def test_each_sweep_run_is_validated_once(self, tmp_path, monkeypatch):
@@ -773,6 +779,97 @@ class TestCommandLine:
                 for d in ("one", "three")]
         assert [a for a, b in zip(*meta, strict=True) if a != b] \
             == ["stations = (0.5,)"]
+
+
+class TestSweepReuse:
+    """A sweep solves each (kappa, tau) curve once: eps enters no solve."""
+
+    def test_one_axis_solve_per_curve(self, tmp_path, monkeypatch):
+        # every case ran the whole pipeline again, 6 solves for 2 curves
+        solves = []
+        solve = cli.pressure.solve_pressures
+
+        def count_solves(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli.pressure, "solve_pressures", count_solves)
+        seen = spy_runs(monkeypatch)
+        cfg = RunConfig.from_mapping({**STRAIGHT, "sweep.kappa": "0.5",
+                                      "sweep.tau": "0, 0.25",
+                                      "sweep.eps": "0.01, 0.02, 0.04"})
+        assert cli.run_sweep(cfg, tmp_path) == 0
+        assert len(seen) == 6 and len(solves) == 2
+
+    def test_each_case_has_the_bits_of_a_fresh_run(self, tmp_path,
+                                                    monkeypatch):
+        seen = spy_runs(monkeypatch)
+        cfg = RunConfig.from_mapping({**STRAIGHT, "sweep.kappa": "0, 0.5",
+                                      "sweep.tau": "0, 0.25",
+                                      "sweep.eps": "0.01, 0.04"})
+        assert cli.run_sweep(cfg, tmp_path / "sweep") == 0
+        monkeypatch.undo()
+        grid = [(k, t, e) for k, t in ((0.0, 0.0), (0.5, 0.0), (0.5, 0.25))
+                for e in (0.01, 0.04)]
+        assert [c.eps for c, _ in seen] == [e for _, _, e in grid]
+        rows = []
+        for (case, result), (kap, tau, eps) in zip(seen, grid, strict=True):
+            fresh = run_pipeline(case)
+            assert result.config is case and result.config.eps == eps
+            assert repr(result.report()) == repr(fresh.report())
+            assert result.flow.q0.tobytes() == fresh.flow.q0.tobytes()
+            assert result.wall.R.tobytes() == fresh.wall.R.tobytes()
+            checks = fresh.shape_checks
+            rows.append((kap, tau, eps, fresh.flow.q0[cfg.n_s1 // 2],
+                         checks["u1_1_skew_group"],
+                         checks["U2_circulation_content"]))
+        cli.write_csv(tmp_path / "fresh.csv",
+                      ["kappa", "tau", "eps", "Q0_mid", "u1_1_skew_group",
+                       "U2_circulation"], rows)
+        assert ((tmp_path / "sweep" / "sweep.csv").read_bytes()
+                == (tmp_path / "fresh.csv").read_bytes())
+
+    def test_nothing_is_kept_outside_a_sweep(self, tmp_path, monkeypatch):
+        cfg = RunConfig.from_mapping(CURVED)
+        a, b = run_pipeline(cfg), run_pipeline(cfg)
+        assert a.wall is not b.wall and a.pexp is not b.pexp
+        seen = spy_runs(monkeypatch)
+        sweep = RunConfig.from_mapping({**STRAIGHT, "sweep.kappa": "0.5",
+                                        "sweep.eps": "0.05, 2.5"})
+        with pytest.raises(MapError):
+            cli.run_sweep(sweep, tmp_path)
+        monkeypatch.undo()
+        case, kept = seen[0]
+        a, b = run_pipeline(case), run_pipeline(case)
+        assert a.wall is not b.wall and a.pexp is not b.pexp
+        assert kept.wall is not a.wall and kept.wall is not b.wall
+
+    def test_an_eps_too_large_still_fails(self, tmp_path, capsys):
+        # kappa = 0.5 and R = 1: eps = 1.2 bounds the map at 0.6, which
+        # warns, and eps = 2.5 at 1.25, which is not invertible
+        entries = {**STRAIGHT, "sweep.kappa": "0.5",
+                   "sweep.eps": "0.05, 1.2, 2.5"}
+        cfg = RunConfig.from_mapping(entries)
+        with pytest.warns(UserWarning, match="= 0.6 > 0.5"), \
+                pytest.raises(MapError, match="= 1.25 is not below 1"):
+            cli.run_sweep(cfg, tmp_path / "direct")
+        path = write_cfg(tmp_path, entries)
+        with pytest.warns(UserWarning, match="= 0.6 > 0.5"):
+            assert main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "cli")]) == 1
+        assert "error [MapError]" in capsys.readouterr().err
+
+    def test_an_empty_grid_is_a_config_error(self, tmp_path, capsys):
+        # a straight axis takes only tau = 0: this wrote a sweep.csv of a
+        # header alone and exited 0
+        cfg = write_cfg(tmp_path, {**STRAIGHT, "grid.n_s1": "17",
+                                   "sweep.kappa": "0", "sweep.tau": "0.25"})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error [ConfigurationError]" in err
+        assert "the sweep grid has no case" in err and "sweep.tau" in err
+        assert not out.exists()
 
 
 class TestSvgEmission:

@@ -199,6 +199,21 @@ class TestFluxSolver:
         for a, b in zip(inputs, kept):
             assert a.tobytes() == b.tobytes()
 
+    def test_lists_solve_as_arrays(self):
+        # solve_p0 of lists raised a raw AttributeError ('list' object has
+        # no attribute 'size'); solve_flux_bvp always took them
+        n = 33
+        rng = np.random.default_rng(9)
+        h = 1.0 / (n - 1)
+        coef, rhs, R = rng.uniform(0.5, 2.0, (3, n))
+        rate = rng.normal(size=n)
+        assert (solve_p0(R.tolist(), rate.tolist(), h, FLUID, 1.0, -0.5)
+                .tobytes() == solve_p0(R, rate, h, FLUID, 1.0, -0.5).tobytes())
+        assert (solve_flux_bvp(coef.tolist(), h, rhs.tolist(), 1.0, -0.5)
+                .tobytes() == solve_flux_bvp(coef, h, rhs, 1.0, -0.5).tobytes())
+        p0 = solve_p0([1.0] * 9, [0.0] * 9, 0.125, FLUID, 1.0, 0.0)
+        assert np.abs(p0 - np.linspace(1.0, 0.0, 9)).max() < 1e-15
+
 
 # -- the Python dgtsv port against LAPACK's own
 
