@@ -7,12 +7,15 @@ exact polynomial verification layer on the unit disc.
 
 ``import tubeflow`` loads no submodule.  Each one loads the first time one
 of its names is read: ``from tubeflow import DiscPoly`` loads ``polydisc``
-and numpy only.  No submodule loads scipy at import.  The exact layer
-(``expansion``, ``polydisc``) never loads it, nor does ``verify``, which
-rests on it alone.  ``pressure`` solves the axial problems with a Python
-port of LAPACK's ``dgtsv``, so a rigid ``tubeflow solve`` or ``sweep``
-loads no scipy; building an ``ElasticWall`` loads scipy's LAPACK, whose
-``dgtsv`` solves the wall's fixed point, and a sampled center curve loads
+only.  The exact layer (``expansion``, ``polydisc``) imports no numpy, so
+exact evaluation needs the standard library alone; numpy loads with
+``nodes`` (node arrays, polar grids) or when a float path of ``expansion``
+runs.  No submodule loads scipy at import.  The exact layer never loads
+it, nor does ``verify``, which rests on it and ``nodes`` alone.
+``pressure`` solves the axial problems with a Python port of LAPACK's
+``dgtsv``, so a rigid ``tubeflow solve`` or ``sweep`` loads no scipy;
+building an ``ElasticWall`` loads scipy's LAPACK, whose ``dgtsv`` solves
+the wall's fixed point, and a sampled center curve loads
 ``scipy.interpolate``.
 """
 

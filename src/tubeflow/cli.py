@@ -29,7 +29,7 @@ import numpy as np
 
 from . import coupling, expansion, geometry, plotting, pressure, verify
 from .errors import ConfigurationError, TubeflowError
-from .polydisc import polar_grid
+from .nodes import polar_grid
 
 _FMT = "%.17g"
 
@@ -385,7 +385,7 @@ def _solve(cfg: RunConfig) -> PipelineResult:
 def sample_fields(fields: expansion.ExpansionFields, n_disc: int,
                   names) -> dict:
     """Tabulate disc fields on the polar grid of n_disc rings and
-    2 n_disc sectors (:func:`~tubeflow.polydisc.polar_grid`).
+    2 n_disc sectors (:func:`~tubeflow.nodes.polar_grid`).
 
     Each name maps to a float array with one row per grid point: (z2, z3,
     value) for scalars, (z2, z3, v2, v3) for vectors.  The polynomials are

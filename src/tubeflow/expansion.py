@@ -11,8 +11,10 @@ arithmetic.
 All evaluators are arithmetic-generic: feed them ``fractions.Fraction``
 inputs and every polynomial coefficient comes out exact, which is how the
 zero-residual verification suite runs; feed them
-:class:`~tubeflow.polydisc.NodeArray` node data and one call covers every
-axis node, each with the bits of its own Python-float evaluation.
+:class:`~tubeflow.nodes.NodeArray` node data and one call covers every
+axis node, each with the bits of its own Python-float evaluation.  The
+module imports no numpy: only its float paths load it, so exact
+evaluation never does.
 """
 
 from __future__ import annotations
@@ -20,22 +22,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from math import inf, pi
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ModelInconsistencyError, TubeflowError
 from .polydisc import (
     DiscPoly,
-    NodeArray,
     _is_float,
     diff_z2,
     diff_z3,
     disc_integral_over_pi,
     laplacian,
 )
-
-_PI = float(np.pi)
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ class FluidParams:
 
     def __post_init__(self):
         # chained, so NaN and inf fail too; a Fraction compares exactly
-        if not (0 < self.rho0 < np.inf and 0 < self.nu < np.inf):
+        if not (0 < self.rho0 < inf and 0 < self.nu < inf):
             raise ValueError("fluid parameters must be positive and finite")
 
 
@@ -69,7 +67,7 @@ class StationData:
     radius and its s1/t derivatives; kappa/tau come from the center curve.
 
     The node entries (every field but rho0, nu and b1..b3) may instead be
-    :class:`~tubeflow.polydisc.NodeArray` values of all axis nodes at once
+    :class:`~tubeflow.nodes.NodeArray` values of all axis nodes at once
     (:func:`stations_from_grids`); the closed forms then build each term
     for every node in one call.  :class:`NodeStations` reads such data one
     node at a time.
@@ -468,7 +466,7 @@ def check_U2_compatibility(g: DiscPoly, s1=None):
     node for node-array data.
     """
     integral = disc_integral_over_pi(g)
-    value = integral * _PI
+    value = integral * pi
     if not _is_float(integral):
         if integral:
             raise ModelInconsistencyError(
@@ -476,6 +474,7 @@ def check_U2_compatibility(g: DiscPoly, s1=None):
             )
         scale = max(1, g.max_abs())   # exact: no numpy object loop
     else:
+        import numpy as np   # float data only: exact checks load no numpy
         scale = np.maximum(1.0, g.max_abs())
         bad = abs(value) > U2_COMPATIBILITY_TOL * scale
         if np.ndim(bad) == 0:
@@ -713,6 +712,8 @@ class NodeStations(Sequence):
     """
 
     def __init__(self, data: StationData):
+        import numpy as np
+
         self.data = data
         self._node_fields = tuple(
             f.name for f in fields(data)
@@ -742,12 +743,15 @@ class NodeStations(Sequence):
 def stations_from_grids(wall, pexp, curvature, fluid: FluidParams,
                         body: BodyForce) -> StationData:
     """The StationData of every axis node at once, from solved wall and
-    pressure grids: each node entry is a :class:`NodeArray` over the nodes.
+    pressure grids: each node entry is a :class:`~tubeflow.nodes.NodeArray`
+    over the nodes.
 
     ``curvature`` holds the center curve's kappa, kappa' and tau at each
     node of ``wall.s1`` (``curve.curvature(wall.s1)``).
     :class:`NodeStations` reads the result one node at a time.
     """
+    from .nodes import NodeArray
+
     kappa, dkappa, tau = curvature
     return StationData(
         rho0=fluid.rho0, nu=fluid.nu,
@@ -766,7 +770,7 @@ def stations_from_grids(wall, pexp, curvature, fluid: FluidParams,
 
 def truncated_solution(f: ExpansionFields, p0, p1, eps, order: int, z2, z3):
     """Truncated expansion at the disc point (z2, z3) of one station, or
-    at every point of a grid given as two :class:`~tubeflow.polydisc.NodeArray`.
+    at every point of a grid given as two :class:`~tubeflow.nodes.NodeArray`.
 
     Order k keeps the velocity terms through eps^k and the pressure terms
     through eps^(k-2); ``p0``/``p1`` are the axial pressures at the

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polydisc import polar_grid
+from .nodes import polar_grid
 
 _SIZE = 420
 _MARGIN = 30
@@ -73,7 +73,7 @@ _QUIVER_RINGS = 8
 @lru_cache(maxsize=None)
 def _polygon_points(n_rings):
     """SVG ``points`` text of each polar cell, in the order of the cell
-    centres of :func:`~tubeflow.polydisc.polar_grid`."""
+    centres of :func:`~tubeflow.nodes.polar_grid`."""
     n_sectors = 2 * n_rings
     out = []
     for i in range(n_rings):

@@ -7,19 +7,21 @@ polynomial ring, exact differentiation, exact disc integration, and the
 polar/Fourier conversions that the residual checks are built on.
 
 Coefficients may be ``fractions.Fraction`` (exact verification domain) or
-``float`` (runtime fields scaled by pressure data), or :class:`NodeArray`
-(one float per axis node, every node at once); all operations preserve
-whichever domain they are given.  :meth:`DiscPoly.evaluate` takes a point,
-or a whole grid of points as two :class:`NodeArray`, such as the polar
-grids of :func:`polar_grid` that the export and the plots sample.
+``float`` (runtime fields scaled by pressure data), or
+:class:`~tubeflow.nodes.NodeArray` (one float per axis node, every node at
+once); all operations preserve whichever domain they are given.
+:meth:`DiscPoly.evaluate` takes a point, or a whole grid of points as two
+node arrays, such as the polar grids of :func:`~tubeflow.nodes.polar_grid`
+that the export and the plots sample.  The module imports no numpy: a
+node array exists only once numpy is loaded, so the domain tests look for
+one only then.
 
 Two rules hold in every domain, and keep one code path cheap in all three:
 
 - *Zero means falsy.*  A coefficient is dropped when ``not c``, never by
   ``c != 0``: the truth value is the same test for ``Fraction``, int and
-  float (NaN counts as nonzero, +-0.0 as zero), and for a
-  :class:`NodeArray` it is "nonzero at some point" without building a
-  boolean array first.
+  float (NaN counts as nonzero, +-0.0 as zero), and for a node array it
+  is "nonzero at some point" without building a boolean array first.
 - *A float coefficient times an exact table uses the table's float.*  The
   disc moments and the Fourier modes of ``cos^m sin^n`` are exact
   ``Fraction`` tables; a float or node-array coefficient is multiplied by
@@ -30,11 +32,11 @@ Two rules hold in every domain, and keep one code path cheap in all three:
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import pi
-
-import numpy as np
+from operator import index
 
 
 class DiscPoly:
@@ -53,10 +55,15 @@ class DiscPoly:
     def __init__(self, coeffs=None):
         clean = {}
         for (m, n), c in (coeffs or {}).items():
+            try:
+                m, n = index(m), index(n)
+            except TypeError:
+                raise ValueError("non-integral exponent in monomial "
+                                 f"({m},{n})") from None
             if m < 0 or n < 0:
                 raise ValueError(f"negative exponent in monomial ({m},{n})")
             if c:
-                clean[(int(m), int(n))] = c
+                clean[(m, n)] = c
         self.coeffs = clean
 
     @classmethod
@@ -135,6 +142,10 @@ class DiscPoly:
                                    for k, c in self.coeffs.items())
 
     def __pow__(self, n):
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"non-integral power {n!r}") from None
         if n < 0:
             raise ValueError("negative power")
         out = None   # no product with the constant 1
@@ -162,7 +173,8 @@ class DiscPoly:
     def max_abs(self):
         """Largest |coefficient|; per node for node-array coefficients."""
         mags = [abs(c) for c in self.coeffs.values()]
-        if any(isinstance(m, np.ndarray) for m in mags):
+        np = sys.modules.get("numpy")   # no array exists before it loads
+        if np is not None and any(isinstance(m, np.ndarray) for m in mags):
             return reduce(np.maximum, mags)
         return max(mags, default=0)
 
@@ -191,77 +203,6 @@ class DiscPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class NodeArray(np.ndarray):
-    """One quantity at many points, for a formula to run on all at once:
-    every axis node of a closed form, or every disc point of a grid that
-    :meth:`DiscPoly.evaluate` tabulates.
-
-    Arithmetic is numpy's elementwise IEEE arithmetic, which gives each
-    point the bits of the same formula on Python floats, except for
-    ``**``: here it is each point's Python-float power (an array
-    ``x ** k`` may differ from the scalar one in the last bit).  An array
-    made by ``NodeArray(values)`` is read-only and keeps each power it
-    returns, read-only too, so ``x ** k`` is the same object on every
-    call; the results of arithmetic are computed afresh.
-
-    Zero means falsy: the truth value is "some point is nonzero" (NaN
-    counts, +-0.0 does not), a Python ``bool`` at the cost of one
-    ``count_nonzero``.  So :class:`DiscPoly` keeps a coefficient that is
-    nonzero anywhere, and it is 0.0 at the points where a scalar
-    polynomial would drop it.  Times an exact table (disc moments, Fourier
-    modes), a node array takes the table's float, so it stays a float
-    array with each point's scalar bits.  A zero polynomial evaluates to
-    the int 0; :meth:`broadcast` spreads such a scalar over the points.
-    """
-
-    def __new__(cls, values):
-        out = np.array(values, dtype=float).view(cls)
-        out.flags.writeable = False
-        out._powers = {}
-        return out
-
-    def __pow__(self, k):
-        # an arithmetic result may be written to, so it keeps no powers
-        powers = getattr(self, "_powers", {})
-        out = powers.get(k)
-        if out is None:
-            out = powers[k] = NodeArray([x**k for x in self.tolist()])
-        return out
-
-    def __bool__(self):
-        # a Python bool: `if` raises TypeError on a numpy.bool from here
-        return bool(np.count_nonzero(self))
-
-    def broadcast(self, value):
-        """``value``, an array over the points or a scalar, as one float
-        per point (read-only)."""
-        return np.broadcast_to(np.asarray(value, dtype=float), self.shape)
-
-
-@lru_cache(maxsize=None)
-def polar_grid(n_rings):
-    """(s2, s3, z2, z3) at the centre of each cell of a polar grid on the
-    unit disc with ``n_rings`` rings and 2 ``n_rings`` sectors, ring by ring.
-
-    Radii are half-offset ((i + 1/2) / n_rings) so the axis point, where the
-    angle is ambiguous, is never sampled.  s2 and s3 are read-only float
-    arrays, z2 and z3 :class:`NodeArray`, so one :meth:`DiscPoly.evaluate`
-    tabulates a polynomial on the whole grid.
-    """
-    n_sectors = 2 * n_rings
-    points = []
-    for i in range(n_rings):
-        s3 = (i + 0.5) / n_rings
-        for j in range(n_sectors):
-            s2 = 2 * pi * j / n_sectors
-            points.append((s2, s3, float(s3 * np.cos(s2)),
-                           float(s3 * np.sin(s2))))
-    s2, s3, z2, z3 = zip(*points)
-    s2, s3 = np.array(s2), np.array(s3)
-    s2.flags.writeable = s3.flags.writeable = False
-    return s2, s3, NodeArray(z2), NodeArray(z3)
-
-
 def _as_poly(x):
     if isinstance(x, DiscPoly):
         return x
@@ -270,8 +211,14 @@ def _as_poly(x):
 
 def _is_float(c):
     """True for a float coefficient (one per node for a node array), which
-    takes the float of an exact table entry; False for an exact one."""
-    return isinstance(c, (float, np.ndarray))
+    takes the float of an exact table entry; False for an exact one.
+
+    numpy is not imported to find out: no array exists before it loads.
+    """
+    if isinstance(c, float):
+        return True
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(c, np.ndarray)
 
 
 # -- differential operators ---------------------------------------------
@@ -374,10 +321,14 @@ class TrigSeries:
     def __init__(self, modes=None):
         clean = {}
         for k, (a, b) in (modes or {}).items():
+            try:
+                k = index(k)
+            except TypeError:
+                raise ValueError(f"non-integral mode {k!r}") from None
             if k == 0:
                 b = 0
             if a or b:
-                clean[int(k)] = [a, b]
+                clean[k] = [a, b]
         self.modes = clean
 
     def cos_coeff(self, k):

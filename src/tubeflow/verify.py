@@ -6,8 +6,9 @@ the same stencils the pressure solver used, so that residuals of solved
 states sit at round-off rather than at discretization level.  The three
 pressure solves' own residuals are ``PressureExpansion.residuals``.
 :func:`bounds` is the one statement of the verdict's bounds.  The module
-imports numpy and the exact layer (``expansion``, ``polydisc``) only, so
-it loads no scipy: the solved pressures arrive as a ``PressureExpansion``.
+imports numpy, the exact layer (``expansion``, ``polydisc``) and its node
+arrays (``nodes``) only, so it loads no scipy: the solved pressures arrive
+as a ``PressureExpansion``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import U2_COMPATIBILITY_TOL, r2dp0_derivative
-from .polydisc import (DiscPoly, NodeArray, disc_integral, polar_fourier,
+from .nodes import NodeArray
+from .polydisc import (DiscPoly, disc_integral, polar_fourier,
                        restrict_to_boundary)
 
 

@@ -1,36 +1,11 @@
 import sys
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tubeflow.expansion import StationData
-
-
-def make_exact_station(**overrides):
-    """Generic rational station satisfying the model's solvability relations.
-
-    The first-correction pressure relation fixes d2p1 from dp1, and the
-    wall rate is defined by the leading-order compatibility identity, so
-    every boundary trace and divergence integral is exactly consistent.
-    """
-    vals = dict(
-        rho0=F(21, 20), nu=F(3, 7), R=F(7, 5), dR=F(1, 3), d2R=F(-1, 7),
-        kappa=F(3, 4), dkappa=F(1, 6), tau=F(2, 5),
-        dp0=F(-5, 4), d2p0=F(7, 9), d3p0=F(-2, 11), dt_dp0=F(5, 13),
-        dp1=F(3, 8), p02=F(1, 5), dp02=F(2, 9),
-        b1=F(1, 12), b2=F(1, 9), b3=F(-2, 13),
-    )
-    vals.update(overrides)
-    vals.setdefault("d2p1", -4 * vals["dR"] * vals["dp1"] / vals["R"])
-    if "Rdot" not in vals:
-        d_r2dp0 = (2 * vals["R"] * vals["dR"] * vals["dp0"]
-                   + vals["R"] ** 2 * vals["d2p0"])
-        vals["Rdot"] = (vals["R"] / (16 * vals["rho0"] * vals["nu"])
-                        * (2 * d_r2dp0 - vals["R"] ** 2 * vals["d2p0"]))
-    return StationData(**vals)
+from exact_stdlib_check import make_exact_station
 
 
 @pytest.fixture

@@ -16,7 +16,8 @@ import pytest
 
 from tubeflow.cli import RunConfig, run_pipeline
 from tubeflow.expansion import evaluate_station, verification_terms
-from tubeflow.polydisc import DiscPoly, NodeArray, disc_integral
+from tubeflow.nodes import NodeArray
+from tubeflow.polydisc import DiscPoly, disc_integral
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 

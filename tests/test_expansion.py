@@ -43,9 +43,9 @@ from tubeflow.expansion import (
     verify_coefficient_tables,
     _gauss_solve_exact,
 )
+from tubeflow.nodes import NodeArray
 from tubeflow.polydisc import (
     DiscPoly,
-    NodeArray,
     angular_derivative,
     diff_z2,
     diff_z3,

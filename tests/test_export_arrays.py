@@ -1,7 +1,7 @@
 """Whole-grid evaluation writes the bytes of point-by-point evaluation.
 
 The export evaluates each polynomial once on all disc points of a grid,
-through :class:`~tubeflow.polydisc.NodeArray`.  These tests compare it,
+through :class:`~tubeflow.nodes.NodeArray`.  These tests compare it,
 by ``tobytes()``, against evaluating the same points one at a time, and
 pin the heatmap colours and the CSV row format against the per-value
 rules they replace.  The CSV export formats each disc-grid coordinate
@@ -17,8 +17,9 @@ import pytest
 from tubeflow import cli
 from tubeflow.cli import RunConfig, _grid_text, run_pipeline, write_csv
 from tubeflow.expansion import truncated_solution
+from tubeflow.nodes import NodeArray, polar_grid
 from tubeflow.plotting import _HEATMAP_RINGS, _QUIVER_RINGS, _diverging_colors
-from tubeflow.polydisc import DiscPoly, NodeArray, polar_grid
+from tubeflow.polydisc import DiscPoly
 
 GRIDS = {
     "disc16": polar_grid(16)[2:],

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tubeflow.nodes import NodeArray
 from tubeflow.polydisc import (
     DiscPoly,
-    NodeArray,
     TrigSeries,
     _trig_expand,
     _trig_tables,
@@ -148,6 +148,26 @@ class TestRingLaws:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             DiscPoly({(-1, 0): 1})
+
+    # int() truncated each of these (2.5 -> 2, overwriting the z2^2 term),
+    # and ** 2.0 raised a bare TypeError
+    @pytest.mark.parametrize("build,match", [
+        (lambda: DiscPoly({(2.5, 0): 1, (2, 0): 3}), r"monomial \(2.5,0\)"),
+        (lambda: DiscPoly.monomial(1.9, 0, 5), r"monomial \(1.9,0\)"),
+        (lambda: TrigSeries({1.5: [1, 0], 1: [2, 0]}), "mode 1.5"),
+        (lambda: DiscPoly.z2() ** 2.0, "power 2.0"),
+    ], ids=["monomial", "monomial()", "mode", "power"])
+    def test_non_integral_exponent_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_integer_like_exponents_accepted(self):
+        two = np.int64(2)
+        p = DiscPoly.monomial(two, 0)
+        assert p == Z2**2 == Z2**two
+        assert [type(e) for key in p.coeffs for e in key] == [int, int]
+        t = TrigSeries({two: [1, 0]})
+        assert t.modes == {2: [1, 0]} and [type(k) for k in t.modes] == [int]
 
 
 class TestDifferentiation:

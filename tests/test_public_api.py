@@ -12,7 +12,8 @@ import tubeflow
 
 SUBMODULES = ("coupling", "errors", "expansion", "geometry", "polydisc",
               "pressure", "verify")
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
+TESTS = Path(__file__).resolve().parent
+PRESETS = TESTS.parent / "presets"
 
 
 def test_every_name_in_all_resolves():
@@ -57,8 +58,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_exact_layer_loads_no_scipy():
-    # scipy.linalg alone took 0.24-0.37 s to import, and the rational
-    # layer never calls it
+    # scipy.linalg alone took 0.24-0.37 s to import and numpy 0.10 s, and
+    # the rational layer calls neither
     code = """
 import sys
 from fractions import Fraction as F
@@ -69,9 +70,54 @@ assert verify_coefficient_tables().all_match
 fields = evaluate_station(StationData(rho0=1, nu=F(1, 2), R=F(3, 2), dp0=-1,
                                       b2=F(2, 7), b3=F(1, 5)))
 assert isinstance(fields, ExpansionFields)
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))
 """
     assert _fresh(code) == "[]"
+
+
+def test_exact_layer_runs_with_numpy_blocked():
+    # a None entry makes every import of numpy raise ImportError
+    code = f"""
+import runpy, sys
+sys.modules["numpy"] = None
+runpy.run_path({str(TESTS / "exact_stdlib_check.py")!r}, run_name="__main__")
+"""
+    assert _fresh(code).endswith(", 0 failed")
+
+
+def test_exact_results_do_not_depend_on_numpy_being_loaded():
+    # the float-domain test looks for numpy arrays only once numpy is
+    # loaded; a Fraction station (and its float rounding) must come out
+    # the same either way
+    code = f"""
+import sys
+from dataclasses import fields
+sys.path.insert(0, {str(TESTS)!r})
+from exact_stdlib_check import make_exact_station
+from tubeflow.expansion import evaluate_station
+from tubeflow.polydisc import (DiscPoly, disc_integral, polar_fourier,
+                               restrict_to_boundary)
+
+def reprs():
+    f, out = evaluate_station(make_exact_station()), []
+    for value in (getattr(f, fld.name) for fld in fields(f)):
+        for p in value if isinstance(value, tuple) else (value,):
+            if isinstance(p, DiscPoly):
+                for q in (p, p.to_float()):
+                    out.append(repr((q, q.max_abs(), disc_integral(q),
+                                     polar_fourier(q),
+                                     restrict_to_boundary(q))))
+            else:
+                out.append(repr(p))
+    return out
+
+before = reprs()
+assert "numpy" not in sys.modules
+import numpy
+print(len(before), before == reprs())
+"""
+    count, same = _fresh(code).split()
+    assert int(count) > 20 and same == "True"
 
 
 def test_verdict_layer_loads_no_axial_solver():

@@ -17,7 +17,8 @@ from tubeflow.expansion import (
     verification_terms,
 )
 from tubeflow.geometry import CenterCurve
-from tubeflow.polydisc import DiscPoly, NodeArray, restrict_to_boundary
+from tubeflow.nodes import NodeArray
+from tubeflow.polydisc import DiscPoly, restrict_to_boundary
 from tubeflow.pressure import PressureBC, p02_bracket, solve_pressures
 from tubeflow.verify import (
     azimuthal_polynomial,
