@@ -544,6 +544,8 @@ def run_sweep(cfg: RunConfig, outdir) -> int:
     enters no solve, so each further eps of a curve checks the tube map's
     invertibility at its own eps and reuses the curve's run (see
     :func:`run_pipeline`).  A grid with no case is a ConfigurationError.
+    Returns 2, after naming each failing case on stderr, when a case
+    fails verification, else 0.
     """
     global _sweep_run
     kappas = cfg.sweep_kappa or (0.0, 0.5)
@@ -569,12 +571,18 @@ def run_sweep(cfg: RunConfig, outdir) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    rows, failures = [], []
     _sweep_run = {}
     try:
         for kap, tau, case in curves:
+            failed = None
             for eps in epss:
                 result = run_pipeline(replace(cfg, **case, eps=eps))
+                if failed is None:
+                    failed = result.failed_checks()  # eps enters no check
+                if failed:
+                    failures.append(f"kappa = {kap!r}, tau = {tau!r}, "
+                                    f"eps = {eps!r}: {', '.join(failed)}")
                 # the shape checks read the same mid station
                 checks = result.shape_checks
                 rows.append((kap, tau, eps,
@@ -586,7 +594,9 @@ def run_sweep(cfg: RunConfig, outdir) -> int:
     write_csv(outdir / "sweep.csv",
               ["kappa", "tau", "eps", "Q0_mid", "u1_1_skew_group",
                "U2_circulation"], rows)
-    return 0
+    for line in failures:
+        print("verification failed: " + line, file=sys.stderr)
+    return 2 if failures else 0
 
 
 # -- entry point ------------------------------------------------------------------

@@ -313,7 +313,8 @@ def disc_integral(p: DiscPoly):
 class TrigSeries:
     """Finite Fourier series a_0 + sum_k (a_k cos k s2 + b_k sin k s2).
 
-    Stored as {k: [a_k, b_k]} with zero entries dropped; b_0 is unused.
+    Stored as {k: [a_k, b_k]} for k >= 0 with zero entries dropped; b_0 is
+    unused.
     """
 
     __slots__ = ("modes",)
@@ -325,6 +326,10 @@ class TrigSeries:
                 k = index(k)
             except TypeError:
                 raise ValueError(f"non-integral mode {k!r}") from None
+            if k < 0:
+                # cos(-k) = cos(k) and sin(-k) = -sin(k): a second key for
+                # one function would break ==, cos_coeff and sin_coeff
+                raise ValueError(f"negative mode {k}")
             if k == 0:
                 b = 0
             if a or b:

@@ -167,17 +167,18 @@ def fd_third_derivative(values, h):
 def _gtsv(off, diag, b):
     """LAPACK's dgtsv on the symmetric system (off, diag, off); returns INFO.
 
-    Gaussian elimination with partial pivoting, statement for statement
+    Gaussian elimination with partial pivoting, operation for operation
     as in the reference dgtsv.f (indices from 0, INFO from 1), on
     ``tolist()`` floats: each float operation is LAPACK's, in LAPACK's
     order, so the solution it writes into ``b`` has LAPACK's bits.  INFO
     is the row of a zero pivot, where ``b`` is left as it was, or 0.  The
     input must be finite, as :func:`solve_flux_bvp` ensures: a NaN pivot
-    could make Python divide by zero where LAPACK goes on.
+    could make Python divide by zero where LAPACK goes on.  The last pass
+    skips the interchange's fill-in, which would reach past the last row.
     """
     dl, d, du, x = off.tolist(), diag.tolist(), off.tolist(), b.tolist()
     n = len(d)
-    for i in range(n - 2):
+    for i in range(n - 1):
         if abs(d[i]) >= abs(dl[i]):
             # no row interchange required
             if d[i] != 0.0:
@@ -193,26 +194,9 @@ def _gtsv(off, diag, b):
             d[i] = dl[i]
             temp = d[i + 1]
             d[i + 1] = du[i] - fact * temp
-            dl[i] = du[i + 1]
-            du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            temp = x[i]
-            x[i] = x[i + 1]
-            x[i + 1] = temp - fact * x[i + 1]
-    if n > 1:
-        i = n - 2
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] != 0.0:
-                fact = dl[i] / d[i]
-                d[i + 1] = d[i + 1] - fact * du[i]
-                x[i + 1] = x[i + 1] - fact * x[i]
-            else:
-                return i + 1
-        else:
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
             du[i] = temp
             temp = x[i]
             x[i] = x[i + 1]

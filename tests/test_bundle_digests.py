@@ -4,9 +4,10 @@ Pins the sha256 of every file that ``tubeflow solve`` writes for each
 preset in ``presets/``, of ``solution_station*.csv`` at ``--order 0`` and
 ``--order 1`` for ``curved_rigid`` and ``helix_swirl``, of ``sweep.csv``
 for ``helix_swirl``, of ``tables_report.txt`` from ``tubeflow tables``,
-of every file each script in ``scripts/`` writes, and of every file but
+of every file each script in ``scripts/`` writes, of every file but
 ``run_meta.txt`` (which records the curve file's path) of a solve on the
-sampled parabola y = x^2 / 2, whose curvature varies along the axis.  A
+sampled parabola y = x^2 / 2, whose curvature varies along the axis, and
+of the failing ``verify_report.txt`` (exit 2) of a soft elastic wall.  A
 refactor that claims to keep behaviour keeps these digests.  A change
 that alters bytes on purpose re-records them with
 ``python tests/test_bundle_digests.py`` and says why in CHANGES.md.
@@ -32,21 +33,6 @@ from tubeflow.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST_FILE = Path(__file__).with_name("bundle_digests.json")
 
-# case -> (subcommand, preset or script, --order, glob of the pinned files)
-CASES = {
-    **{name: ("solve", name, 2, "*")
-       for name in ("curved_rigid", "elastic_pulse", "helix_swirl",
-                    "straight_rigid")},
-    **{f"{name}_order{k}": ("solve", name, k, "solution_station*.csv")
-       for name in ("curved_rigid", "helix_swirl") for k in (0, 1)},
-    "helix_swirl_sweep": ("sweep", "helix_swirl", 2, "sweep.csv"),
-    "tables": ("tables", None, None, "tables_report.txt"),
-    "sampled_parabola": ("sampled", None, 2, "*"),
-    **{f"script_{p.stem}": ("script", p.stem, None, "*")
-       for p in sorted((ROOT / "scripts").glob("*.py"))},
-}
-
-
 def write_parabola_config(where):
     """Curve file and config of a steady solve on y = x^2 / 2, 0 <= x <= 1,
     written into ``where``; returns the config path."""
@@ -67,9 +53,40 @@ def write_parabola_config(where):
     return cfg
 
 
+def write_soft_wall_config(where):
+    """Config of a steady straight pipe whose soft elastic wall (E = 20)
+    fails the u1 compatibility check, written into ``where``; returns the
+    config path."""
+    where.mkdir(parents=True, exist_ok=True)
+    cfg = where / "soft_wall.cfg"
+    cfg.write_text("geometry.kind = straight\nbc.p0.inlet = 8\n"
+                   "bc.p0.outlet = 0.0\ngrid.n_s1 = 33\ngrid.n_disc = 8\n"
+                   "output.stations = 0.5\nwall.law = elastic\n"
+                   "wall.E = 20\nwall.h0 = 0.1\n")
+    return cfg
+
+
+# case -> (subcommand, preset name | script name | config writer, --order,
+# glob of the pinned files, exit code)
+CASES = {
+    **{name: ("solve", name, 2, "*", 0)
+       for name in ("curved_rigid", "elastic_pulse", "helix_swirl",
+                    "straight_rigid")},
+    **{f"{name}_order{k}": ("solve", name, k, "solution_station*.csv", 0)
+       for name in ("curved_rigid", "helix_swirl") for k in (0, 1)},
+    "helix_swirl_sweep": ("sweep", "helix_swirl", 2, "sweep.csv", 0),
+    "tables": ("tables", None, None, "tables_report.txt", 0),
+    "sampled_parabola": ("solve", write_parabola_config, 2, "*", 0),
+    "soft_wall_verify": ("verify", write_soft_wall_config, 2,
+                         "verify_report.txt", 2),
+    **{f"script_{p.stem}": ("script", p.stem, None, "*", 0)
+       for p in sorted((ROOT / "scripts").glob("*.py"))},
+}
+
+
 def run_case(case, out):
     """Run one case into ``out``; return its exit code and file digests."""
-    command, preset, order, pattern = CASES[case]
+    command, preset, order, pattern, _ = CASES[case]
     out = Path(out)
     skip = ()
     if command == "script":
@@ -77,15 +94,14 @@ def run_case(case, out):
         code = runpy.run_path(str(script))["main"](str(out))
     elif command == "tables":
         code = main(["tables", "--out", str(out)])
-    elif command == "sampled":
-        cfg = write_parabola_config(out.parent / f"{case}_input")
-        code = main(["solve", "--config", str(cfg), "--out", str(out),
-                     "--order", str(order)])
-        skip = ("run_meta.txt",)
     else:
-        code = main([command, "--config",
-                     str(ROOT / "presets" / f"{preset}.cfg"),
-                     "--out", str(out), "--order", str(order)])
+        if callable(preset):
+            cfg = preset(out.parent / f"{case}_input")
+            skip = ("run_meta.txt",)  # it records the paths in the config
+        else:
+            cfg = ROOT / "presets" / f"{preset}.cfg"
+        code = main([command, "--config", str(cfg), "--out", str(out),
+                     "--order", str(order)])
     return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in sorted(out.glob(pattern)) if p.name not in skip}
 
@@ -94,7 +110,7 @@ def run_case(case, out):
 def test_bundle_digests(case, tmp_path):
     pinned = json.loads(DIGEST_FILE.read_text())[case]
     code, digests = run_case(case, tmp_path / "out")
-    assert code == 0
+    assert code == CASES[case][-1]
     assert digests == pinned
 
 

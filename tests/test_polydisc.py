@@ -150,13 +150,15 @@ class TestRingLaws:
             DiscPoly({(-1, 0): 1})
 
     # int() truncated each of these (2.5 -> 2, overwriting the z2^2 term),
-    # and ** 2.0 raised a bare TypeError
+    # and ** 2.0 raised a bare TypeError; mode -1 was kept as its own key,
+    # so the series 2 cos s2 read cos_coeff(1) == 1
     @pytest.mark.parametrize("build,match", [
         (lambda: DiscPoly({(2.5, 0): 1, (2, 0): 3}), r"monomial \(2.5,0\)"),
         (lambda: DiscPoly.monomial(1.9, 0, 5), r"monomial \(1.9,0\)"),
         (lambda: TrigSeries({1.5: [1, 0], 1: [2, 0]}), "mode 1.5"),
         (lambda: DiscPoly.z2() ** 2.0, "power 2.0"),
-    ], ids=["monomial", "monomial()", "mode", "power"])
+        (lambda: TrigSeries({-1: [1, 0], 1: [1, 0]}), "negative mode -1"),
+    ], ids=["monomial", "monomial()", "mode", "power", "negative mode"])
     def test_non_integral_exponent_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
