@@ -13,7 +13,8 @@ axis solve per (kappa, tau) curve, the tube-map invertibility check for
 each eps); the run subcommands take ``--config``, ``--out`` and
 ``--order`` only.
 Exit codes: 0 success, 2 verification failure (its report keys on stderr),
-1 error, a usage error included.
+1 error, a usage error included; a wall coupling that does not converge
+adds its step's end time and the residual of each sweep on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import coupling, expansion, geometry, plotting, pressure, verify
-from .errors import ConfigurationError, TubeflowError
+from .errors import (ConfigurationError, CouplingDivergenceError,
+                     TubeflowError)
 from .nodes import polar_grid
 
 _FMT = "%.17g"
@@ -613,6 +615,15 @@ def _tables_report(outdir=None) -> int:
     return 0 if report.all_match else 2
 
 
+def _divergence_lines(exc):
+    """The failing step's end time and the residual of each of its sweeps."""
+    yield f"the failing wall step ends at t = {float(exc.t)!r}"
+    yield f"residual (max |R_law - R|) of each of its {len(exc.history)} " \
+          f"sweeps:"
+    for sweep, resid in enumerate(exc.history, 1):
+        yield f"  sweep {sweep}: {resid:.6e}"
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit 1: exit 2 is a failed verdict."""
 
@@ -656,6 +667,9 @@ def main(argv=None) -> int:
         where = f" (config {args.config})" if getattr(args, "config", None) \
             else ""
         print(f"error [{type(exc).__name__}]{where}: {exc}", file=sys.stderr)
+        if isinstance(exc, CouplingDivergenceError):
+            for line in _divergence_lines(exc):
+                print(line, file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,12 @@ hands them to every sweep: one :func:`~tubeflow.pressure.solve_p0`, which
 returns the p0 grid alone, and one :func:`apply_wall_law`.  The sweeps
 solve with LAPACK's ``dgtsv``, which gives the bits of the Python port
 the other solves use; this module is the one place that knows scipy's
-call, and building an :class:`ElasticWall` imports it, in set-up.
+call, and building an :class:`ElasticWall` imports it, in set-up.  A
+step makes its arrays once: a :class:`~tubeflow.pressure.FluxWorkspace`
+for the p0 system, the wall rate, the law's new radius (``out`` of
+:func:`apply_wall_law`) and the residual.  Every sweep writes into them
+in place, with the float operations of a sweep in fresh arrays; the
+WallState a step returns owns its R and dR/dt.
 
 The model is quasi-static: the wall radius R(t, s1) is the only state
 carried from one time step to the next.  :func:`advance_time_step` takes
@@ -32,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CouplingDivergenceError, TubeflowError, WallCollapseError
-from .pressure import PressureBC, any_nonpositive, solve_p0
+from .pressure import FluxWorkspace, PressureBC, any_nonpositive, solve_p0
 
 # sweeps of the wall fixed point before a step is reported as divergent
 MAX_SWEEPS = 100
@@ -135,8 +140,9 @@ class ElasticWall:
         return r0, r0 * r0 / (self.E * self.h0)
 
 
-def apply_wall_law(law: ElasticWall, p0):
-    """Radius from the elastic law: R = R0 + (R0^2 / E h0)(p0 - p_e)."""
+def apply_wall_law(law: ElasticWall, p0, out=None):
+    """Radius from the elastic law: R = R0 + (R0^2 / E h0)(p0 - p_e),
+    written into ``out`` when it is given (an array of p0's length)."""
     if not isinstance(law, ElasticWall):
         raise TubeflowError("apply_wall_law needs the elastic variant")
     r0, compliance = law.constants
@@ -144,7 +150,7 @@ def apply_wall_law(law: ElasticWall, p0):
     if r0.ndim and p0.size != r0.size:
         raise TubeflowError(f"p0 has {p0.size} nodes, elastic law has "
                             f"{r0.size} rest radii")
-    r = p0 - law.p_e
+    r = np.subtract(p0, law.p_e, out=out)
     r *= compliance
     r += r0
     if r.size and any_nonpositive(r):
@@ -176,7 +182,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
     halving the factor whenever the residual stops decreasing after the
     first three sweeps.  tol is 1e-12 for the steady equilibrium and 1e-10
     per time step.  Raises CouplingDivergenceError, with the residual
-    history, after :data:`MAX_SWEEPS` sweeps.
+    history and the step's end time, after :data:`MAX_SWEEPS` sweeps.
     """
     if dt is not None and not 0 < dt < np.inf:   # NaN fails it too
         raise TubeflowError(f"time step must be finite and positive, "
@@ -195,34 +201,40 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
     tol = 1e-12 if dt is None else 1e-10
     p_in, p_out = bc.p0_at(t)
 
-    def rate(r):
-        if dt is None:
-            return np.zeros_like(r)
-        d = r - r_old
-        d /= dt
-        return d
+    # the step's workspace, written over by every sweep: the p0 system,
+    # the wall rate (0 when steady), the law's radius less the current one
+    # and its magnitude; building it checks the grid
+    work = FluxWorkspace(r_old.size, h)
+    rate = np.zeros_like(r_old)
+    change, gap = np.empty_like(r_old), np.empty_like(r_old)
+
+    def wall_rate():
+        if dt is not None:
+            np.subtract(r_cur, r_old, out=rate)
+            np.divide(rate, dt, out=rate)
+        return rate
 
     r_cur = r_old.copy()
     omega = 0.5
     history = []
     for _ in range(MAX_SWEEPS):
-        p0 = solve_p0(r_cur, rate(r_cur), h, fluid, p_in, p_out, gtsv)
-        change = apply_wall_law(law, p0)
+        p0 = solve_p0(r_cur, wall_rate(), h, fluid, p_in, p_out, gtsv, work)
+        apply_wall_law(law, p0, change)
         change -= r_cur
         # x[x.argmax()] is the bits of x.max(), a NaN included, at a third
         # of the cost of a reduction over a few hundred nodes
-        gap = np.abs(change)
+        np.abs(change, out=gap)
         resid = float(gap[gap.argmax()])
         history.append(resid)
         if resid <= tol * float(r_cur[r_cur.argmax()]):
             change *= omega
             r_cur += change
-            return WallState(state.s1, r_cur, rate(r_cur), t)
+            return WallState(state.s1, r_cur, wall_rate(), t)
         if len(history) > 3 and history[-1] > history[-2]:
             omega *= 0.5
         change *= omega
         r_cur += change
     raise CouplingDivergenceError(
         f"wall coupling did not converge in {MAX_SWEEPS} iterations "
-        f"(last residual {history[-1]:.3e})", history,
+        f"(last residual {history[-1]:.3e})", history, t,
     )

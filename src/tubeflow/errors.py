@@ -26,11 +26,16 @@ class WallCollapseError(TubeflowError):
 
 
 class CouplingDivergenceError(TubeflowError):
-    """The wall/pressure fixed point failed to converge."""
+    """The wall/pressure fixed point failed to converge.
 
-    def __init__(self, message, history=None):
+    ``history`` holds the residual of each sweep of the failing step and
+    ``t`` its end time.
+    """
+
+    def __init__(self, message, history, t):
         super().__init__(message)
-        self.history = list(history or [])
+        self.history = list(history)
+        self.t = t
 
 
 class ModelInconsistencyError(TubeflowError):

@@ -16,16 +16,24 @@ verify module cancel to round-off against the same stencils.  The p02
 right side f is :func:`bracket_derivative` of the nodal bracket, the
 difference of its midpoint averages, so the p02 flux is exactly
 conservative too.  The interior system is symmetric tridiagonal.
-:func:`solve_flux_bvp` lays it out in one buffer: the grid (p_in, the
-interior right side, p_out) followed by the diagonal.  It tests the whole
-buffer for finiteness once, lets a ``gtsv`` solve the interior in place
-and returns the head of the buffer, so a solve copies neither its right
-side nor the solved interior, and never writes into its inputs.
+:func:`solve_flux_bvp` lays it out in the one buffer of a
+:class:`FluxWorkspace`: the grid (p_in, the interior right side, p_out)
+followed by the diagonal.  It tests the whole buffer for finiteness
+once, lets a ``gtsv`` solve the interior in place and returns the head
+of the buffer, so a solve copies neither its right side nor the solved
+interior, and never writes into its inputs.
 
 That ``gtsv`` is, by default, :func:`_gtsv`, a Python port of LAPACK's
 ``dgtsv`` that gives LAPACK's bits without loading scipy: a run makes
 three or four solves, the elastic wall's fixed point thousands, and for
 those :func:`tubeflow.coupling.advance_time_step` passes LAPACK's own.
+The fixed point also passes one workspace for all the sweeps of a step:
+it holds R^4, the midpoint coefficients, the off-diagonal, the buffer,
+the finiteness mask and 1/h^2, and :func:`solve_p0` writes its source
+straight into the buffer's right-side slots.  Every solve writes them
+with the float operations, in the order, of a solve in fresh arrays, so
+a reused workspace gives the bits of a fresh one; a solve called without
+one makes a fresh one, and what it returns is its own.
 
 :func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid alone;
 :func:`midpoint_flux` forms its flux.  :func:`solve_p0` takes bare radius
@@ -225,60 +233,101 @@ def bracket_derivative(bracket, h):
     return out
 
 
-def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_gtsv):
+class FluxWorkspace:
+    """The arrays of one flux-form system on ``n`` nodes of step ``h``.
+
+    Built once, it serves every solve of that system: the midpoint
+    coefficients, the off-diagonal, the (grid | diagonal) buffer, whose
+    grid head a solve returns, and the finiteness mask; 1/h^2 is taken
+    once, here.  The p0 coefficient R^4 (``coef``) is made by the first
+    :func:`solve_p0` in the workspace.  Building it checks the
+    grid: h finite and positive, at least 8 nodes.  A solve overwrites
+    every array, so what it returned holds only until the next solve in
+    the same workspace.
+    """
+
+    def __init__(self, n, h):
+        if not 0 < h < np.inf:   # NaN fails it too
+            raise SolverError(f"grid step h must be finite and positive, "
+                              f"got {h}")
+        if n < 8:
+            raise SolverError("grid too coarse: need at least 8 nodes")
+        self.n, self.h, self.inv_h2 = n, h, 1.0 / h**2
+        self.coef = None
+        self.a_mid = np.empty(n - 1)
+        self.off = np.empty(n - 3)
+        self.buf = np.empty(2 * n - 2)
+        self.p, self.diag = self.buf[:n], self.buf[n:]
+        self.b = self.p[1:-1]
+        self.finite = np.empty(2 * n - 2, dtype=bool)
+
+
+def _workspace(work, n, h):
+    """``work``, or a fresh FluxWorkspace(n, h) when it is None."""
+    if work is None:
+        return FluxWorkspace(n, h)
+    if n != work.n or h != work.h:
+        raise SolverError(f"workspace is for {work.n} nodes at h = "
+                          f"{work.h}, not {n} at h = {h}")
+    return work
+
+
+def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_gtsv, work=None):
     """Solve (coef u')' = rhs with Dirichlet data, conservative flux form.
 
     coef and rhs are nodal; midpoint coefficients are arithmetic averages
     and the right side is read at the interior nodes.  Returns the grid.
 
-    One buffer holds the grid (p_in, the interior right side, p_out)
-    followed by the diagonal; it is tested for finiteness once, and
-    ``gtsv(off, diag, b)`` solves the interior ``b`` in place and returns
-    LAPACK's INFO.  coef and rhs are only read.
+    The solve runs in ``work`` (a :class:`FluxWorkspace` for coef's nodes
+    and h; a fresh one when None): its buffer holds the grid (p_in, the
+    interior right side, p_out) followed by the diagonal, is tested for
+    finiteness once, and ``gtsv(off, diag, b)`` solves the interior ``b``
+    in place and returns LAPACK's INFO.  coef and rhs are only read; the
+    solve writes into the workspace alone.
     """
-    if not 0 < h < np.inf:   # NaN fails it too
-        raise SolverError(f"grid step h must be finite and positive, "
-                          f"got {h}")
     coef = np.asarray(coef, dtype=float)
-    n = coef.size
-    if n < 8:
-        raise SolverError("grid too coarse: need at least 8 nodes")
+    work = _workspace(work, coef.size, h)
+    n = work.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size != n:
         raise SolverError(f"right side has {rhs.size} nodes, "
                           f"coefficient has {n}")
-    a_mid = coef[:-1] + coef[1:]
+    a_mid = np.add(coef[:-1], coef[1:], out=work.a_mid)
     a_mid *= 0.5
     if any_nonpositive(a_mid):
         raise SolverError("singular flux coefficient (R -> 0?)")
-    buf = np.empty(2 * n - 2)
-    p, diag = buf[:n], buf[n:]
-    b = p[1:-1]
-    p[0], b[:], p[-1] = p_in, rhs[1:-1], p_out
+    p, diag, b = work.p, work.diag, work.b
+    b[:] = rhs[1:-1]
+    p[0], p[-1] = p_in, p_out
 
     # Dirichlet unknowns eliminated up front: solve the interior system so
     # the boundary data is held exactly.  Symmetric tridiagonal: gtsv.
-    inv_h2 = 1.0 / h**2
-    off = a_mid[1:-1] * inv_h2
+    inv_h2 = work.inv_h2
+    off = np.multiply(a_mid[1:-1], inv_h2, out=work.off)
     np.add(a_mid[:-1], a_mid[1:], out=diag)
     diag *= -inv_h2
     b[0] -= a_mid[0] * p_in * inv_h2
     b[-1] -= a_mid[-1] * p_out * inv_h2
     # counting finite entries costs less than an all() reduction
-    if np.count_nonzero(np.isfinite(buf)) < buf.size:
+    finite = work.finite
+    if np.count_nonzero(np.isfinite(work.buf, out=finite)) < finite.size:
         raise SolverError("tridiagonal system contains infs or NaNs")
     info = gtsv(off, diag, b)
     if info:
         raise SolverError("singular matrix" if info > 0 else
                           f"illegal value in argument {-info} of gtsv")
-    if np.count_nonzero(np.isfinite(b)) < b.size:
+    if np.count_nonzero(np.isfinite(b, out=finite[:n - 2])) < n - 2:
         raise SolverError("tridiagonal solve produced non-finite values")
     return p
 
 
 def any_nonpositive(x):
-    """(x <= 0).any() of a non-empty array; fmin skips NaN as the mask does."""
-    return np.fmin.reduce(x, axis=None) <= 0
+    """(x <= 0).any() of a non-empty 1-D array, NaN skipped as the mask
+    does.  x[x.argmin()] is the least entry at a third of the cost of a
+    reduction; argmin stops at a NaN, and then fmin, which skips it,
+    decides."""
+    low = x[x.argmin()]
+    return (low if low == low else np.fmin.reduce(x, axis=None)) <= 0
 
 
 def midpoint_flux(coef, h, p):
@@ -298,31 +347,36 @@ def flux_residual(flux, h, rhs):
 
 # -- the three pressure problems -------------------------------------------
 
-def _p0_source(R, dR_dt, fluid: "FluidParams"):
+def _p0_source(R, dR_dt, fluid: "FluidParams", out=None):
     """Right side of the leading-order problem: 16 nu rho0 R dR/dt."""
-    src = 16.0 * fluid.nu * fluid.rho0 * R
+    src = np.multiply(16.0 * fluid.nu * fluid.rho0, R, out=out)
     src *= dR_dt
     return src
 
 
-def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, gtsv=_gtsv):
+def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, gtsv=_gtsv,
+             work=None):
     """Leading-order pressure: (R^4 p0')' = 16 nu rho0 R dR/dt.
 
     Takes the bare nodal radius and its rate on a grid of spacing h, and
     the boundary values ``PressureBC.p0_at`` gives at the solve's time, so
     the wall fixed point can call it without building a WallState or
-    reading the boundary data again.  Returns the solved p0; ``gtsv`` is
-    :func:`solve_flux_bvp`'s.  R and dR_dt may be any sequences of floats.
+    reading the boundary data again.  Returns the solved p0; ``gtsv`` and
+    ``work`` are :func:`solve_flux_bvp`'s, and R^4 and the source are
+    written into the workspace, the source straight into the interior of
+    its grid.  R and dR_dt may be any sequences of floats.
     """
     R = np.asarray(R, dtype=float)
     dR_dt = np.asarray(dR_dt, dtype=float)
     if dR_dt.size != R.size:
         raise SolverError(f"rate has {dR_dt.size} nodes, radius has "
                           f"{R.size}")
-    if R.size and any_nonpositive(R):   # empty: solve_flux_bvp's error
+    if R.size and any_nonpositive(R):   # empty: the workspace's error
         raise SolverError("wall radius must stay positive")
-    return solve_flux_bvp(R**4, h, _p0_source(R, dR_dt, fluid), p_in, p_out,
-                          gtsv)
+    work = _workspace(work, R.size, h)
+    work.coef = np.power(R, 4, out=work.coef)
+    _p0_source(R[1:-1], dR_dt[1:-1], fluid, work.b)
+    return solve_flux_bvp(work.coef, h, work.p, p_in, p_out, gtsv, work)
 
 
 def p02_bracket(wall: "WallState", r_data, fluid: "FluidParams", kappa,

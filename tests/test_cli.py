@@ -21,7 +21,12 @@ from tubeflow.cli import (
     run_pipeline,
     sample_fields,
 )
-from tubeflow.coupling import WallState, advance_time_step, wall_law_residual
+from tubeflow.coupling import (
+    MAX_SWEEPS,
+    WallState,
+    advance_time_step,
+    wall_law_residual,
+)
 from tubeflow.geometry import CenterCurve
 from tubeflow.errors import ConfigurationError, MapError
 from tubeflow.polydisc import DiscPoly
@@ -684,6 +689,31 @@ class TestCommandLine:
                      str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error [ConfigurationError]" in err and "time.dt = inf" in err
+
+    def test_divergent_wall_prints_its_step_time_and_history(self, tmp_path,
+                                                             capsys):
+        # the elastic_pulse preset at E = 100 does not converge on its
+        # first step (t = 0.05): the error line is followed by that time
+        # and the residual of each sweep, and no bundle is written
+        root = Path(__file__).resolve().parent.parent
+        text = (root / "presets" / "elastic_pulse.cfg").read_text()
+        cfg = tmp_path / "soft.cfg"
+        cfg.write_text(text.replace("wall.E = 2e3", "wall.E = 100"))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(
+            f"error [CouplingDivergenceError] (config {cfg}): wall coupling "
+            f"did not converge in {MAX_SWEEPS} iterations")
+        assert lines[1] == "the failing wall step ends at t = 0.05"
+        assert lines[2] == (f"residual (max |R_law - R|) of each of its "
+                            f"{MAX_SWEEPS} sweeps:")
+        sweeps = lines[3:]
+        assert [line.split(":")[0] for line in sweeps] \
+            == [f"  sweep {k}" for k in range(1, MAX_SWEEPS + 1)]
+        resids = [float(line.split(":")[1]) for line in sweeps]
+        assert resids[-1] == pytest.approx(1.392e-10, rel=1e-3)
+        assert not out.exists()
 
     @pytest.mark.parametrize("rows, says", [
         ("s;x;y;z\n0;0;0;0\n", "expected header 's,x,y,z'"),

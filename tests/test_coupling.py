@@ -20,6 +20,7 @@ from tubeflow.coupling import (
 )
 from tubeflow.errors import (
     CouplingDivergenceError,
+    SolverError,
     TubeflowError,
     WallCollapseError,
 )
@@ -215,6 +216,10 @@ class TestWallLaw:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert law.constants is law.constants
+        # written into a sweep's buffer, the same bits
+        out = np.full(N, np.nan)
+        assert apply_wall_law(law, p0, out) is out
+        assert out.tobytes() == want.tobytes()
 
     def test_residual_measure(self):
         law = ElasticWall(E=1000.0, h0=0.01, R0=1.0)
@@ -292,6 +297,7 @@ class TestTimeStepping:
             advance_time_step(state, law, FLUID, PressureBC(1.0, 0.0),
                               dt=0.05)
         assert len(err.value.history) == MAX_SWEEPS
+        assert err.value.t == 0.05   # the end time of the failing step
 
     def test_steady_divergence_raises_with_history(self):
         # dt = None (steady) runs the same loop and reports the same way:
@@ -302,6 +308,7 @@ class TestTimeStepping:
         with pytest.raises(CouplingDivergenceError) as err:
             advance_time_step(state, law, FLUID, PressureBC(5.0, 0.0))
         assert len(err.value.history) == MAX_SWEEPS
+        assert err.value.t == 0.0
 
     def test_steady_rigid_step_is_one_pressure_solve(self):
         # dt = None: the rigid step keeps the wall, so the pressures on it
@@ -366,6 +373,31 @@ class TestTimeStepping:
             advance_time_step(state, object(), FLUID,
                               PressureBC(1.0, 0.0), dt=0.1)
 
+    def test_consecutive_states_share_no_memory(self):
+        # each step relaxes its wall in arrays of its own: the state it
+        # returns keeps neither the previous state's arrays nor its sweep
+        # buffers, and a solve_p0 of one wall leaves the other as it was
+        law = ElasticWall(E=1e3, h0=0.1, R0=1.0)
+        bc = PressureBC(5.0, 0.0)
+        states = [WallState.from_radius(grid(), 1.0)]
+        for dt in (0.05, 0.05, None):
+            states.append(advance_time_step(states[-1], law, FLUID, bc, dt))
+        for a, b in zip(states, states[1:]):
+            kept = a.R.tobytes(), a.dR_dt.tobytes()
+            for x in (a.R, a.dR_dt, b.R):
+                for y in (b.R, b.dR_dt):
+                    assert x is y or not np.shares_memory(x, y)
+            p0_on(b, bc)
+            assert (a.R.tobytes(), a.dR_dt.tobytes()) == kept
+
+    def test_too_coarse_grid_rejected_before_any_sweep_ends(self):
+        # the step's workspace checks the grid as the first solve did
+        law = ElasticWall(E=1e3, h0=0.1, R0=1.0)
+        state = WallState.from_radius(np.linspace(0.0, 1.0, 5), 1.0)
+        with pytest.raises(SolverError,
+                           match="^grid too coarse: need at least 8 nodes$"):
+            advance_time_step(state, law, FLUID, PressureBC(1.0, 0.0), 0.1)
+
     def test_residual_monotone_after_burn_in(self):
         # shipped regression config: moderate stiffness, pressure ramp
         law = ElasticWall(E=1e3, h0=0.1, R0=1.0)
@@ -375,8 +407,8 @@ class TestTimeStepping:
         import tubeflow.coupling as coupling_mod
         original = coupling_mod.apply_wall_law
 
-        def spy(law_, p0):
-            r = original(law_, p0)
+        def spy(law_, p0, out=None):
+            r = original(law_, p0, out)
             history.append(r.copy())
             return r
 
@@ -385,6 +417,8 @@ class TestTimeStepping:
             advance_time_step(state, law, FLUID, PressureBC(5.0, 0.0), dt=0.05)
         finally:
             coupling_mod.apply_wall_law = original
+        # all() of an empty list is True: the spy must have seen the sweeps
+        assert len(history) > 4
         resids = [np.max(np.abs(history[i + 1] - history[i]))
                   for i in range(len(history) - 1)]
         assert all(r2 <= r1 * (1 + 1e-12)

@@ -20,6 +20,7 @@ from tubeflow.errors import (
 )
 from tubeflow.expansion import BodyForce, FluidParams
 from tubeflow.pressure import (
+    FluxWorkspace,
     PressureBC,
     TimeSeries,
     _gtsv,
@@ -289,6 +290,68 @@ class TestDgtsvPort:
         with pytest.raises(SolverError, match="^singular matrix$"):
             solve_flux_bvp(np.full(n, 1e-300), 1e100, np.zeros(n), 0.0,
                            1.0, gtsv)
+
+
+# -- one workspace for many solves: the bits of a fresh solve each time
+
+class TestWorkspace:
+    @pytest.mark.parametrize("gtsv", [_gtsv, lapack_gtsv],
+                             ids=["port", "lapack"])
+    @pytest.mark.parametrize("n", [8, 33, 257, 1025])
+    def test_reused_workspace_gives_the_bits_of_a_fresh_one(self, n, gtsv):
+        # solves of different systems, flux and p0 in turn, in one
+        # workspace: each has the bytes of the same solve in a fresh
+        # workspace, and of the p0 solve in fresh arrays (mask_solve_p0)
+        rng = np.random.default_rng(n)
+        h = 1.0 / (n - 1)
+        work = FluxWorkspace(n, h)
+        for _ in range(3):
+            coef, rhs = rng.uniform(0.05, 20.0, n), rng.normal(size=n)
+            R, rate = rng.uniform(0.5, 2.0, n), rng.normal(size=n)
+            p = solve_flux_bvp(coef, h, rhs, 1.0, -0.5, gtsv, work)
+            assert p.tobytes() == solve_flux_bvp(coef, h, rhs, 1.0, -0.5,
+                                                 gtsv).tobytes()
+            p0 = solve_p0(R, rate, h, FLUID, 2.0, 0.5, gtsv, work)
+            assert p0.tobytes() == solve_p0(R, rate, h, FLUID, 2.0, 0.5,
+                                            gtsv).tobytes()
+            assert p0.tobytes() == mask_solve_p0(R, rate, h, FLUID, 2.0,
+                                                 0.5).tobytes()
+            assert p0 is p   # the workspace's grid, written over
+
+    @pytest.mark.parametrize("byte_offset", [0, 8, 24, 56, 1, 4])
+    def test_power_into_a_buffer_has_the_bits_of_the_power(self, byte_offset):
+        # an array power and a scalar power can differ in the last bit on
+        # AVX-512, so R^4 written into the workspace is held to R**4 of
+        # the same array, also into slices off any vector alignment and,
+        # at an odd byte offset, off float alignment
+        R = np.linspace(0.5, 2.0, 10001)
+        raw = np.empty(8 * R.size + 64, dtype=np.uint8)
+        out = raw[byte_offset:byte_offset + 8 * R.size].view(np.float64)
+        assert out.flags.aligned == (byte_offset % 8 == 0)
+        np.power(R, 4, out=out)
+        assert out.tobytes() == (R**4).tobytes()
+
+    def test_workspace_of_another_system_rejected(self):
+        work = FluxWorkspace(33, 1.0 / 32)
+        with pytest.raises(SolverError, match="^workspace is for 33 nodes"):
+            solve_flux_bvp(np.ones(17), 1.0 / 16, np.zeros(17), 1.0, 0.0,
+                           work=work)
+        with pytest.raises(SolverError, match="^workspace is for 33 nodes"):
+            solve_p0(np.ones(33), np.zeros(33), 0.5, FLUID, 1.0, 0.0,
+                     work=work)
+
+    def test_solve_pressures_grids_are_distinct_arrays(self):
+        # each solve runs in a fresh workspace, so no grid the expansion
+        # keeps is written over by a later solve
+        wall, s = make_wall(33, radius=lambda x: 1 + 0.2 * x,
+                            rate=lambda x: 0.1 * x)
+        prev = WallState.from_radius(s, 1 + 0.19 * s, t=-0.1)
+        pexp = solve_pressures(wall, FLUID, PressureBC(1.0, 0.0),
+                               np.full(33, 0.3), BodyForce(), prev, 0.1)
+        grids = (pexp.p0, pexp.p1, pexp.p02)
+        for i, a in enumerate(grids):
+            for b in grids[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestP1:
