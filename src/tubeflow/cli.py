@@ -10,8 +10,9 @@ Subcommands: ``solve`` (full pipeline), ``fields`` (sample/export only),
 ``verify`` (verification suites only), ``tables`` (secondary-flow
 coefficient-table check), ``sweep`` (kappa/tau/eps parameter grid: one
 axis solve per (kappa, tau) curve, the tube-map invertibility check for
-each eps); the run subcommands take ``--config``, ``--out`` and
-``--order`` only.
+each eps); each run subcommand takes ``--config`` and ``--out``, and
+``solve`` and ``fields``, which write the assembled solution, also take
+``--order``; every other setting is a config key.
 Exit codes: 0 success, 2 verification failure (its report keys on stderr),
 1 error, a usage error included; a wall coupling that does not converge
 adds its step's end time and the residual of each sweep on stderr.
@@ -109,7 +110,6 @@ class _Key(NamedTuple):
     default: object      # the field's default
     parse: object        # text -> value
     check: tuple = None  # on each value, or each of a tuple (see _check)
-    slot: int = None     # body.b1-b3 each set one slot of the body tuple
 
 
 # Every config key, in the order of the RunConfig fields and of the checks,
@@ -136,9 +136,7 @@ _KEYS = {
     "bc.p1.outlet": _Key("bc_p1_outlet", 0.0, float, _FINITE),
     "bc.p02.inlet": _Key("bc_p02_inlet", 0.0, float, _FINITE),
     "bc.p02.outlet": _Key("bc_p02_outlet", 0.0, float, _FINITE),
-    "body.b1": _Key("body", (0.0, 0.0, 0.0), float, _FINITE, 0),
-    "body.b2": _Key("body", (0.0, 0.0, 0.0), float, _FINITE, 1),
-    "body.b3": _Key("body", (0.0, 0.0, 0.0), float, _FINITE, 2),
+    "body": _Key("body", (0.0, 0.0, 0.0), _floats, _FINITE),
     "grid.n_s1": _Key("n_s1", 64, int, _AT_LEAST_8),
     "grid.n_disc": _Key("n_disc", 16, int, _AT_LEAST_8),
     "time.steady": _Key("steady", True, lambda v: _FLAGS[v.lower()]),
@@ -157,21 +155,22 @@ _KEYS = {
 
 def _check(key, value):
     """Raise a ConfigurationError naming ``key`` and the value unless the
-    value, or each value of a tuple, passes the key's check in _KEYS."""
+    value, or each value of a tuple or list, passes the key's check in
+    _KEYS."""
     must_be, ok = _KEYS[key].check
-    for v in value if isinstance(value, tuple) else (value,):
+    for v in value if isinstance(value, (tuple, list)) else (value,):
         if not ok(v):
             raise ConfigurationError(f"{key} = {v!r} must be {must_be}")
 
 
-# one frozen field per attribute, the body slots share one; the generated
-# __init__ calls __post_init__ only if make_dataclass's namespace holds it
+# one frozen field per key; the generated __init__ calls __post_init__
+# only if make_dataclass's namespace holds it
 class RunConfig(make_dataclass("_ConfigFields", [
         (key.attr, object, dc_field(default=key.default))
-        for key in {key.attr: key for key in _KEYS.values()}.values()],
+        for key in _KEYS.values()],
         frozen=True, namespace={"__post_init__": lambda cfg: cfg.validate()})):
     """Run description, valid by construction: one field per ``_KEYS``
-    attribute, with its default (see the shipped presets for examples)."""
+    key, with its default (see the shipped presets for examples)."""
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -187,26 +186,22 @@ class RunConfig(make_dataclass("_ConfigFields", [
         for key, text in kv.items():
             if key not in _KEYS:
                 raise ConfigurationError(f"unknown config key {key!r}")
-            attr, default, parse, _, slot = _KEYS[key]
+            attr, _, parse, _ = _KEYS[key]
             try:
-                value = parse(text)
+                values[attr] = parse(text)
             except (TypeError, ValueError, KeyError) as exc:
                 raise ConfigurationError(f"bad value for {key}: {text!r}") from exc
             except ConfigurationError as exc:  # e.g. a bad time series
                 raise ConfigurationError(f"{key}: {exc}") from exc
-            if slot is not None:
-                body = values.get(attr, default)
-                value = (*body[:slot], value, *body[slot + 1:])
-            values[attr] = value
         return cls(**values)
 
     def validate(self):
         """Each key's own check in _KEYS, then the rules no single value
-        decides: the whole direction tuple and the rules that join keys."""
-        for key, (attr, _, _, check, slot) in _KEYS.items():
+        decides: the length of the direction and body tuples and the rules
+        that join keys."""
+        for key, (attr, _, _, check) in _KEYS.items():
             if check is not None:
-                value = getattr(self, attr)
-                _check(key, value if slot is None else value[slot])
+                _check(key, getattr(self, attr))
         if self.geometry_kind == "sampled" and not self.curve_file:
             raise ConfigurationError(
                 "geometry.kind = 'sampled' needs geometry.file")
@@ -216,6 +211,8 @@ class RunConfig(make_dataclass("_ConfigFields", [
         if not np.any(self.direction):
             raise ConfigurationError(f"geometry.direction {self.direction!r}"
                                      " must not be the zero vector")
+        if len(self.body) != 3:
+            raise ConfigurationError(f"body {self.body!r} needs 3 components")
         if not self.steady:  # steps of dt from 0 reach t_end exactly
             steps = self.t_end / self.dt if self.dt > 0 else np.nan
             if not (self.t_end > 0 and np.isfinite(steps)):
@@ -642,7 +639,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--order", type=int, choices=(0, 1, 2), default=2)
+        if name in ("solve", "fields"):  # they write the assembled solution
+            p.add_argument("--order", type=int, choices=(0, 1, 2), default=2)
     p = sub.add_parser("tables")
     p.add_argument("--out", default=None)
 
@@ -654,7 +652,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(cfg, args.out)
         result = run_pipeline(cfg)
-        export_bundle(result, args.out, order=args.order,
+        # verify has no --order: it writes no solution
+        export_bundle(result, args.out, order=getattr(args, "order", 2),
                       fields=args.command in ("solve", "fields"),
                       reports=args.command in ("solve", "verify"))
         if args.command == "fields":

@@ -37,7 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CouplingDivergenceError, TubeflowError, WallCollapseError
-from .pressure import FluxWorkspace, PressureBC, any_nonpositive, solve_p0
+from .pressure import (FluxWorkspace, PressureBC, _any_nonpositive,
+                       solve_p0)
 
 # sweeps of the wall fixed point before a step is reported as divergent
 MAX_SWEEPS = 100
@@ -153,7 +154,7 @@ def apply_wall_law(law: ElasticWall, p0, out=None):
     r = np.subtract(p0, law.p_e, out=out)
     r *= compliance
     r += r0
-    if r.size and any_nonpositive(r):
+    if r.size and _any_nonpositive(r):
         raise WallCollapseError(
             f"elastic law collapsed the wall (min R = {r.min():.3g})"
         )
@@ -226,14 +227,13 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
         np.abs(change, out=gap)
         resid = float(gap[gap.argmax()])
         history.append(resid)
-        if resid <= tol * float(r_cur[r_cur.argmax()]):
-            change *= omega
-            r_cur += change
-            return WallState(state.s1, r_cur, wall_rate(), t)
-        if len(history) > 3 and history[-1] > history[-2]:
+        converged = resid <= tol * float(r_cur[r_cur.argmax()])
+        if not converged and len(history) > 3 and history[-1] > history[-2]:
             omega *= 0.5
         change *= omega
         r_cur += change
+        if converged:
+            return WallState(state.s1, r_cur, wall_rate(), t)
     raise CouplingDivergenceError(
         f"wall coupling did not converge in {MAX_SWEEPS} iterations "
         f"(last residual {history[-1]:.3e})", history, t,

@@ -294,7 +294,7 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_gtsv, work=None):
                           f"coefficient has {n}")
     a_mid = np.add(coef[:-1], coef[1:], out=work.a_mid)
     a_mid *= 0.5
-    if any_nonpositive(a_mid):
+    if _any_nonpositive(a_mid):
         raise SolverError("singular flux coefficient (R -> 0?)")
     p, diag, b = work.p, work.diag, work.b
     b[:] = rhs[1:-1]
@@ -321,7 +321,7 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_gtsv, work=None):
     return p
 
 
-def any_nonpositive(x):
+def _any_nonpositive(x):
     """(x <= 0).any() of a non-empty 1-D array, NaN skipped as the mask
     does.  x[x.argmin()] is the least entry at a third of the cost of a
     reduction; argmin stops at a NaN, and then fmin, which skips it,
@@ -371,7 +371,7 @@ def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, gtsv=_gtsv,
     if dR_dt.size != R.size:
         raise SolverError(f"rate has {dR_dt.size} nodes, radius has "
                           f"{R.size}")
-    if R.size and any_nonpositive(R):   # empty: the workspace's error
+    if R.size and _any_nonpositive(R):   # empty: the workspace's error
         raise SolverError("wall radius must stay positive")
     work = _workspace(work, R.size, h)
     work.coef = np.power(R, 4, out=work.coef)

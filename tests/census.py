@@ -56,9 +56,7 @@ def _config(rng, max_n):
         "bc.p1.outlet": rng.uniform(-1.0, 1.0),
         "bc.p02.inlet": rng.uniform(-1.0, 1.0),
         "bc.p02.outlet": rng.uniform(-1.0, 1.0),
-        "body.b1": rng.uniform(-1.0, 1.0),
-        "body.b2": rng.uniform(-1.0, 1.0),
-        "body.b3": rng.uniform(-1.0, 1.0),
+        "body": ", ".join(repr(rng.uniform(-1.0, 1.0)) for _ in range(3)),
         "grid.n_s1": rng.randint(9, max_n),
         "output.stations": length / 2,
     }

@@ -66,18 +66,18 @@ def write_soft_wall_config(where):
     return cfg
 
 
-# case -> (subcommand, preset name | script name | config writer, --order,
-# glob of the pinned files, exit code)
+# case -> (subcommand, preset name | script name | config writer, --order
+# (solve and fields only), glob of the pinned files, exit code)
 CASES = {
     **{name: ("solve", name, 2, "*", 0)
        for name in ("curved_rigid", "elastic_pulse", "helix_swirl",
                     "straight_rigid")},
     **{f"{name}_order{k}": ("solve", name, k, "solution_station*.csv", 0)
        for name in ("curved_rigid", "helix_swirl") for k in (0, 1)},
-    "helix_swirl_sweep": ("sweep", "helix_swirl", 2, "sweep.csv", 0),
+    "helix_swirl_sweep": ("sweep", "helix_swirl", None, "sweep.csv", 0),
     "tables": ("tables", None, None, "tables_report.txt", 0),
     "sampled_parabola": ("solve", write_parabola_config, 2, "*", 0),
-    "soft_wall_verify": ("verify", write_soft_wall_config, 2,
+    "soft_wall_verify": ("verify", write_soft_wall_config, None,
                          "verify_report.txt", 2),
     **{f"script_{p.stem}": ("script", p.stem, None, "*", 0)
        for p in sorted((ROOT / "scripts").glob("*.py"))},
@@ -100,8 +100,9 @@ def run_case(case, out):
             skip = ("run_meta.txt",)  # it records the paths in the config
         else:
             cfg = ROOT / "presets" / f"{preset}.cfg"
+        order = () if order is None else ("--order", str(order))
         code = main([command, "--config", str(cfg), "--out", str(out),
-                     "--order", str(order)])
+                     *order])
     return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in sorted(out.glob(pattern)) if p.name not in skip}
 

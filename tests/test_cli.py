@@ -29,6 +29,7 @@ from tubeflow.coupling import (
 )
 from tubeflow.geometry import CenterCurve
 from tubeflow.errors import ConfigurationError, MapError
+from tubeflow.expansion import BodyForce
 from tubeflow.polydisc import DiscPoly
 from tubeflow.pressure import solve_pressures
 from tubeflow.verify import bounds
@@ -107,8 +108,11 @@ class TestConfigParsing:
             RunConfig.from_file(path)
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigurationError):
-            RunConfig.from_mapping({"geometry.radius_typo": "1"})
+        # body.b1-b3 are the components of the one key body, not keys
+        for key in ("geometry.radius_typo", "body.b1", "body.b2", "body.b3"):
+            with pytest.raises(ConfigurationError,
+                               match=f"^unknown config key '{key}'$"):
+                RunConfig.from_mapping({key: "1"})
 
     def test_validation(self):
         # the grid, kind and law errors named neither key nor value
@@ -133,9 +137,8 @@ class TestConfigParsing:
     def test_bad_value_reported_with_key(self):
         with pytest.raises(ConfigurationError, match="fluid.nu"):
             RunConfig.from_mapping({"fluid.nu": "viscous"})
-        # body values were converted outside the check: a raw ValueError
-        with pytest.raises(ConfigurationError, match="body.b2"):
-            RunConfig.from_mapping({"body.b2": "heavy"})
+        with pytest.raises(ConfigurationError, match="body"):
+            RunConfig.from_mapping({"body": "0, heavy, 0"})
 
     @pytest.mark.parametrize("station", ["1.5", "-2"])
     def test_station_outside_pipe_rejected(self, station):
@@ -184,8 +187,8 @@ class TestConfigParsing:
             RunConfig.from_mapping({key: value})
 
     @pytest.mark.parametrize("key, value", [
-        ("wall.p_e", "nan"), ("geometry.b", "inf"), ("body.b1", "nan"),
-        ("body.b2", "inf"), ("body.b3", "-inf"), ("bc.p1.inlet", "nan"),
+        ("wall.p_e", "nan"), ("geometry.b", "inf"), ("body", "0, 0, nan"),
+        ("body", "0.3, inf"), ("body", "-inf"), ("bc.p1.inlet", "nan"),
         ("bc.p1.outlet", "inf"), ("bc.p02.inlet", "nan"),
         ("bc.p02.outlet", "-inf"), ("bc.p0.inlet", "inf"),
         ("bc.p0.outlet", "nan"), ("sweep.tau", "0, inf")])
@@ -215,6 +218,22 @@ class TestConfigParsing:
     def test_direction_needs_three_components(self, direction):
         with pytest.raises(ConfigurationError, match="direction"):
             RunConfig.from_mapping({"geometry.direction": direction})
+
+    def test_body_is_one_key_of_three_components(self):
+        cfg = RunConfig.from_mapping({"body": "0.3, 0, 0"})
+        assert cfg.body == (0.3, 0.0, 0.0)
+        assert cfg.build_body() == BodyForce(0.3, 0.0, 0.0)
+        # a list built in code is checked as each component was
+        assert RunConfig(body=[0.3, 0.0, 0.0]).build_body() == \
+            cfg.build_body()
+        with pytest.raises(ConfigurationError, match="^body = nan must be"):
+            RunConfig(body=[0.3, float("nan"), 0.0])
+
+    @pytest.mark.parametrize("body", ["0.3, 0", "", "1, 2, 3, 4"])
+    def test_body_needs_three_components(self, body):
+        with pytest.raises(ConfigurationError,
+                           match=r"^body \(.*\) needs 3 components$"):
+            RunConfig.from_mapping({"body": body})
 
     @pytest.mark.parametrize("t_end", ["0", "-1"])
     def test_unsteady_end_time_must_be_positive(self, t_end):
@@ -496,6 +515,14 @@ class TestCommandLine:
         assert not (out / "verify_report.txt").exists()
         assert (out / "grids.csv").exists()
 
+    def test_body_run_meta_line(self, tmp_path):
+        # the line that body.b1 = 0.3 wrote when each component was a key
+        cfg = write_cfg(tmp_path, {**STRAIGHT, "body": "0.3, 0, 0"})
+        out = tmp_path / "out"
+        assert main(["fields", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = (out / "run_meta.txt").read_text().splitlines()
+        assert "body = (0.3, 0.0, 0.0)" in meta
+
     def test_verify_subcommand_reports_only(self, tmp_path):
         cfg = write_cfg(tmp_path, STRAIGHT)
         out = tmp_path / "out"
@@ -662,7 +689,7 @@ class TestCommandLine:
         assert "error [ConfigurationError]" in err and key in err
 
     @pytest.mark.parametrize("entries", [
-        {"wall.R0": "nan"}, {"body.b1": "nan"}, {"bc.p02.inlet": "nan"},
+        {"wall.R0": "nan"}, {"body": "nan, 0, 0"}, {"bc.p02.inlet": "nan"},
         {"geometry.length": "0", "output.stations": "0"},
         {"bc.p0.outlet": "nan"}, {"geometry.kind": "sampled"},
         {"geometry.direction": "0, 0, 0"}, {"time.steady": "Ture"}])
@@ -781,7 +808,13 @@ class TestCommandLine:
         (["bogus"], "invalid choice: 'bogus'"),
         (["solve", "--config", "run.cfg", "--order", "5"],
          "argument --order: invalid choice: 5"),
-    ], ids=["no_config", "unknown_command", "order_5"])
+        # only solve and fields write the solution that --order truncates
+        (["verify", "--config", "run.cfg", "--order", "1"],
+         "unrecognized arguments: --order 1"),
+        (["sweep", "--config", "run.cfg", "--order", "1"],
+         "unrecognized arguments: --order 1"),
+    ], ids=["no_config", "unknown_command", "order_5", "verify_order",
+            "sweep_order"])
     def test_usage_error_exits_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -944,16 +977,27 @@ class TestSvgEmission:
         assert "line" in quiv
 
 
-def test_import_leaves_slow_scipy_modules_out():
-    # scipy.interpolate and scipy.integrate cost about 0.3 s to import; the
-    # first serves only sampled curves, and only the tests use the second
+def run_fresh(*args, cwd=None):
+    """``python *args`` in a new interpreter that imports this checkout."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_slow_scipy_modules_out():
+    # scipy.interpolate and scipy.integrate cost about 0.3 s to import; the
+    # first serves only sampled curves, and only the tests use the second
     code = ("import sys, tubeflow, tubeflow.cli; print(sorted(m for m in "
             "('scipy.interpolate', 'scipy.integrate') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_python_m_tubeflow_runs_the_command_line(tmp_path):
+    proc = run_fresh("-m", "tubeflow", "tables", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "total 50 coefficients, all match" in proc.stdout

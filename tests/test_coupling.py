@@ -467,6 +467,26 @@ class TestTimeStepping:
         orders = np.log2(np.divide(diffs[:-1], diffs[1:]))
         assert np.all((orders >= 0.8) & (orders <= 1.2)), orders
 
+    @pytest.mark.parametrize("E", [2e3, 100.0])
+    def test_steady_elastic_wall_is_second_order_in_space(self, E):
+        # steady, uniform R0: R^4 p0' is constant and p0' is a multiple of
+        # R', so R^5 is linear in s1 between the law's radii at p_in and
+        # p_out.  Past n = 257 the stiff wall's error nears the 1e-12
+        # coupling tolerance.
+        law = ElasticWall(E=E, h0=0.1, R0=1.0)
+        bc = PressureBC(8.0, 0.0)
+        r_in, r_out = (1.0 + (p - law.p_e) / (E * law.h0)
+                       for p in bc.p0_at(0.0))
+        errors = []
+        for n in (33, 65, 129, 257):
+            s = np.linspace(0.0, 1.0, n)
+            state = advance_time_step(WallState.from_radius(s, 1.0), law,
+                                      FLUID, bc, dt=None)
+            exact = (r_in**5 + (r_out**5 - r_in**5) * s) ** 0.2
+            errors.append(np.abs(state.R - exact).max())
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert np.all((orders >= 1.9) & (orders <= 2.1)), orders
+
 
 # -- the wall fixed point as a plain loop: the reference for the one-buffer
 # solve and the in-place relaxation of advance_time_step

@@ -216,7 +216,7 @@ class TestP02BracketIsOrderTwoFlow:
         # all enter the bracket
         edits = {"wall.law": "elastic", "wall.E": "2e3", "wall.h0": "0.1",
                  "time.steady": "false", "time.t_end": "0.2",
-                 "time.dt": "0.05", "body.b1": "0.3",
+                 "time.dt": "0.05", "body": "0.3, 0, 0",
                  "bc.p0.inlet": "0:0, 0.2:8, 0.4:0, 1:0"} if elastic else {}
         r = helix_preset_run(edits)
         if elastic:
