@@ -12,11 +12,13 @@ exact evaluation needs the standard library alone; numpy loads with
 ``nodes`` (node arrays, polar grids) or when a float path of ``expansion``
 runs.  No submodule loads scipy at import.  The exact layer never loads
 it, nor does ``verify``, which rests on it and ``nodes`` alone.
-``pressure`` solves the axial problems with a Python port of LAPACK's
-``dgtsv``, so a rigid ``tubeflow solve`` or ``sweep`` loads no scipy;
-building an ``ElasticWall`` loads scipy's LAPACK, whose ``dgtsv`` solves
-the wall's fixed point, and a sampled center curve loads
-``scipy.interpolate``.
+Every axial solve, rigid or in the elastic wall's fixed point, calls
+LAPACK's ``dgtsv`` from the LAPACK numpy itself loads (``pressure``
+binds it with ctypes); where numpy exports no 64-bit-int ``dgtsv``, the
+Python port ``pressure._gtsv``, with the same bits, solves instead.  So
+``tubeflow solve`` loads no scipy on any preset.  scipy serves only a
+sampled center curve (``CubicSpline``, from ``scipy.interpolate``) and
+the tests.
 """
 
 import importlib

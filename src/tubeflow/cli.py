@@ -629,12 +629,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Command(_Parser):
+    """A subcommand's parser: it reports arguments it does not take with
+    its own usage, which names its options, not with the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="tubeflow",
         description="Reduced-order curved-pipe flow solver and verifier",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Command)
     for name in ("solve", "fields", "verify", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)

@@ -10,9 +10,9 @@ by one under-relaxed fixed point.  Each step reads the p0 boundary values
 of :class:`~tubeflow.pressure.PressureBC` once, at its end time, and
 hands them to every sweep: one :func:`~tubeflow.pressure.solve_p0`, which
 returns the p0 grid alone, and one :func:`apply_wall_law`.  The sweeps
-solve with LAPACK's ``dgtsv``, which gives the bits of the Python port
-the other solves use; this module is the one place that knows scipy's
-call, and building an :class:`ElasticWall` imports it, in set-up.  A
+solve as every axial solve does, with LAPACK's ``dgtsv`` from numpy's
+own LAPACK, or with the Python port that has its bits where numpy
+exports none (see :mod:`tubeflow.pressure`); neither loads scipy.  A
 step makes its arrays once: a :class:`~tubeflow.pressure.FluxWorkspace`
 for the p0 system, the wall rate, the law's new radius (``out`` of
 :func:`apply_wall_law`) and the residual.  Every sweep writes into them
@@ -130,8 +130,6 @@ class ElasticWall:
                 and np.isfinite(self.p_e)):
             raise TubeflowError("elastic wall needs finite positive E, h0, "
                                 "R0 and a finite p_e")
-        # taken in set-up: advance_time_step solves every sweep with it
-        from scipy.linalg.lapack import dgtsv  # noqa: F401
 
     @cached_property
     def constants(self):
@@ -193,11 +191,6 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
         return WallState(state.s1, state.R, np.zeros_like(state.R), t)
     if not isinstance(law, ElasticWall):
         raise TubeflowError(f"unknown wall law {law!r}")
-    from scipy.linalg.lapack import dgtsv   # loaded when law was built
-
-    def gtsv(off, diag, b):
-        return dgtsv(off, diag, off, b, overwrite_d=True, overwrite_b=True)[-1]
-
     r_old, h = state.R, state.h
     tol = 1e-12 if dt is None else 1e-10
     p_in, p_out = bc.p0_at(t)
@@ -219,7 +212,7 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
     omega = 0.5
     history = []
     for _ in range(MAX_SWEEPS):
-        p0 = solve_p0(r_cur, wall_rate(), h, fluid, p_in, p_out, gtsv, work)
+        p0 = solve_p0(r_cur, wall_rate(), h, fluid, p_in, p_out, work)
         apply_wall_law(law, p0, change)
         change -= r_cur
         # x[x.argmax()] is the bits of x.max(), a NaN included, at a third

@@ -19,21 +19,27 @@ conservative too.  The interior system is symmetric tridiagonal.
 :func:`solve_flux_bvp` lays it out in the one buffer of a
 :class:`FluxWorkspace`: the grid (p_in, the interior right side, p_out)
 followed by the diagonal.  It tests the whole buffer for finiteness
-once, lets a ``gtsv`` solve the interior in place and returns the head
-of the buffer, so a solve copies neither its right side nor the solved
+once, solves the interior in place and returns the head of the
+buffer, so a solve copies neither its right side nor the solved
 interior, and never writes into its inputs.
 
-That ``gtsv`` is, by default, :func:`_gtsv`, a Python port of LAPACK's
-``dgtsv`` that gives LAPACK's bits without loading scipy: a run makes
-three or four solves, the elastic wall's fixed point thousands, and for
-those :func:`tubeflow.coupling.advance_time_step` passes LAPACK's own.
-The fixed point also passes one workspace for all the sweeps of a step:
-it holds R^4, the midpoint coefficients, the off-diagonal, the buffer,
-the finiteness mask and 1/h^2, and :func:`solve_p0` writes its source
-straight into the buffer's right-side slots.  Every solve writes them
-with the float operations, in the order, of a solve in fresh arrays, so
-a reused workspace gives the bits of a fresh one; a solve called without
-one makes a fresh one, and what it returns is its own.
+Every solve, the rigid run's three or four and the elastic wall's
+thousands alike, calls LAPACK's ``dgtsv`` from the library numpy's own
+``numpy.linalg`` already links, bound once with ctypes when this module
+is imported: only a name that takes 64-bit ints (ILP64) is accepted,
+``scipy_dgtsv_64_`` in numpy's wheels.  Where numpy's LAPACK exports no
+such name, every solve runs :func:`_gtsv`, a Python port of ``dgtsv``
+with LAPACK's bits, so the two back ends write the same bytes; neither
+loads scipy.  A :class:`FluxWorkspace` binds the call's arguments to its
+own arrays when it is built, so a solve passes no pointer it has to
+make.  The wall's fixed point passes one workspace for all the sweeps
+of a step: it holds R^4, the midpoint coefficients, the off-diagonal,
+the buffer, the finiteness mask and 1/h^2, and :func:`solve_p0` writes
+its source straight into the buffer's right-side slots.  Every solve
+writes them with the float operations, in the order, of a solve in
+fresh arrays, so a reused workspace gives the bits of a fresh one; a
+solve called without one makes a fresh one, and what it returns is its
+own.
 
 :func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid alone;
 :func:`midpoint_flux` forms its flux.  :func:`solve_p0` takes bare radius
@@ -52,7 +58,9 @@ once, on its final wall.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -221,6 +229,73 @@ def _gtsv(off, diag, b):
     return 0
 
 
+# dgtsv under the names that take 64-bit ints: numpy's scipy-openblas64
+# prefixes and suffixes its symbols, an ILP64 OpenBLAS suffixes them.  A
+# plain dgtsv_ may take 32-bit ints, so it is never used.
+_ILP64_DGTSV = ("scipy_dgtsv_64_", "dgtsv_64_")
+
+
+def _resolve_dgtsv():
+    """LAPACK's ILP64 dgtsv from the library numpy.linalg links, or None.
+
+    dlsym on the handle of numpy's ``_umath_linalg`` searches the
+    libraries it depends on too, numpy's LAPACK among them; loading it
+    again only takes another reference.  No ``argtypes``: every argument
+    is a pointer :func:`_bind_gtsv` makes with ``byref``, which ctypes
+    passes as it is, where declared argtypes would convert each of the
+    eight on every call: 0.8 us a call, against about 5 us for a whole
+    solve at n = 257.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in _ILP64_DGTSV:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype = None
+            return fn
+    return None
+
+
+# the dgtsv every FluxWorkspace binds; None: the port _gtsv
+_DGTSV = _resolve_dgtsv()
+
+
+def _bind_gtsv(work):
+    """The solve of ``work``'s interior system (off, diag, off) x = b, with
+    its arguments bound now: a call writes x into ``b`` and returns INFO.
+
+    LAPACK's dgtsv overwrites the off-diagonals it is given, so the call
+    copies ``off`` into the two rows (dl, du) of a scratch array first;
+    N, NRHS, LDB and INFO sit in one block of 64-bit ints, and ``b`` and
+    ``diag`` are read where they sit in ``buf``, from node 1 and node n.
+    A ``byref`` pointer keeps its memory alive, so the call stays valid
+    for as long as it is held.  Without that dgtsv, the port
+    :func:`_gtsv`.
+    """
+    if _DGTSV is None:
+        return partial(_gtsv, work.off, work.diag, work.b)
+    n, off, byref = work.n, work.off, ctypes.byref
+    pair = np.empty((2, n - 3))
+    ints = (ctypes.c_int64 * 4)(n - 2, 1, n - 2, 0)
+    buf, scratch = (ctypes.c_double.from_buffer(a) for a in (work.buf, pair))
+    f8, i8 = work.buf.itemsize, ctypes.sizeof(ctypes.c_int64)
+    # dgtsv(N, NRHS, DL, D, DU, B, LDB, INFO)
+    args = (byref(ints), byref(ints, i8), byref(scratch), byref(buf, f8 * n),
+            byref(scratch, f8 * (n - 3)), byref(buf, f8), byref(ints, 2 * i8),
+            byref(ints, 3 * i8))
+    dgtsv = _DGTSV
+
+    def gtsv():
+        pair[:] = off
+        dgtsv(*args)
+        return ints[3]
+
+    return gtsv
+
+
 def bracket_derivative(bracket, h):
     """Nodal d/ds1 of a bracket: the difference of its midpoint averages.
 
@@ -239,8 +314,9 @@ class FluxWorkspace:
     Built once, it serves every solve of that system: the midpoint
     coefficients, the off-diagonal, the (grid | diagonal) buffer, whose
     grid head a solve returns, and the finiteness mask; 1/h^2 is taken
-    once, here.  The p0 coefficient R^4 (``coef``) is made by the first
-    :func:`solve_p0` in the workspace.  Building it checks the
+    once, here, and ``gtsv`` is the interior solve, bound to these arrays
+    (:func:`_bind_gtsv`).  The p0 coefficient R^4 (``coef``) is made by
+    the first :func:`solve_p0` in the workspace.  Building it checks the
     grid: h finite and positive, at least 8 nodes.  A solve overwrites
     every array, so what it returned holds only until the next solve in
     the same workspace.
@@ -260,6 +336,7 @@ class FluxWorkspace:
         self.p, self.diag = self.buf[:n], self.buf[n:]
         self.b = self.p[1:-1]
         self.finite = np.empty(2 * n - 2, dtype=bool)
+        self.gtsv = _bind_gtsv(self)
 
 
 def _workspace(work, n, h):
@@ -272,7 +349,7 @@ def _workspace(work, n, h):
     return work
 
 
-def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_gtsv, work=None):
+def solve_flux_bvp(coef, h, rhs, p_in, p_out, work=None):
     """Solve (coef u')' = rhs with Dirichlet data, conservative flux form.
 
     coef and rhs are nodal; midpoint coefficients are arithmetic averages
@@ -281,8 +358,8 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_gtsv, work=None):
     The solve runs in ``work`` (a :class:`FluxWorkspace` for coef's nodes
     and h; a fresh one when None): its buffer holds the grid (p_in, the
     interior right side, p_out) followed by the diagonal, is tested for
-    finiteness once, and ``gtsv(off, diag, b)`` solves the interior ``b``
-    in place and returns LAPACK's INFO.  coef and rhs are only read; the
+    finiteness once, and the workspace's ``gtsv`` solves the interior in
+    place and returns LAPACK's INFO.  coef and rhs are only read; the
     solve writes into the workspace alone.
     """
     coef = np.asarray(coef, dtype=float)
@@ -301,9 +378,9 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_gtsv, work=None):
     p[0], p[-1] = p_in, p_out
 
     # Dirichlet unknowns eliminated up front: solve the interior system so
-    # the boundary data is held exactly.  Symmetric tridiagonal: gtsv.
+    # the boundary data is held exactly.  Symmetric tridiagonal: dgtsv.
     inv_h2 = work.inv_h2
-    off = np.multiply(a_mid[1:-1], inv_h2, out=work.off)
+    np.multiply(a_mid[1:-1], inv_h2, out=work.off)
     np.add(a_mid[:-1], a_mid[1:], out=diag)
     diag *= -inv_h2
     b[0] -= a_mid[0] * p_in * inv_h2
@@ -312,7 +389,7 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, gtsv=_gtsv, work=None):
     finite = work.finite
     if np.count_nonzero(np.isfinite(work.buf, out=finite)) < finite.size:
         raise SolverError("tridiagonal system contains infs or NaNs")
-    info = gtsv(off, diag, b)
+    info = work.gtsv()
     if info:
         raise SolverError("singular matrix" if info > 0 else
                           f"illegal value in argument {-info} of gtsv")
@@ -354,15 +431,14 @@ def _p0_source(R, dR_dt, fluid: "FluidParams", out=None):
     return src
 
 
-def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, gtsv=_gtsv,
-             work=None):
+def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, work=None):
     """Leading-order pressure: (R^4 p0')' = 16 nu rho0 R dR/dt.
 
     Takes the bare nodal radius and its rate on a grid of spacing h, and
     the boundary values ``PressureBC.p0_at`` gives at the solve's time, so
     the wall fixed point can call it without building a WallState or
-    reading the boundary data again.  Returns the solved p0; ``gtsv`` and
-    ``work`` are :func:`solve_flux_bvp`'s, and R^4 and the source are
+    reading the boundary data again.  Returns the solved p0; ``work`` is
+    :func:`solve_flux_bvp`'s, and R^4 and the source are
     written into the workspace, the source straight into the interior of
     its grid.  R and dR_dt may be any sequences of floats.
     """
@@ -376,7 +452,7 @@ def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, gtsv=_gtsv,
     work = _workspace(work, R.size, h)
     work.coef = np.power(R, 4, out=work.coef)
     _p0_source(R[1:-1], dR_dt[1:-1], fluid, work.b)
-    return solve_flux_bvp(work.coef, h, work.p, p_in, p_out, gtsv, work)
+    return solve_flux_bvp(work.coef, h, work.p, p_in, p_out, work)
 
 
 def p02_bracket(wall: "WallState", r_data, fluid: "FluidParams", kappa,
@@ -413,8 +489,7 @@ def solve_pressures(wall: "WallState", fluid: "FluidParams", bc: PressureBC,
     The only place derivatives are taken, the wall's R' and R'' too.  The
     mixed time derivative dt_dp0 is the backward difference of dp0 against
     dp0 of the previous step's wall ``prev``, solved at ``prev.t`` (zero
-    without ``prev``, on the first step, and in steady mode).  Its three
-    or four solves use the port :func:`_gtsv`.
+    without ``prev``, on the first step, and in steady mode).
     """
     h = wall.h
     dR, d2R = fd_derivative(wall.R, h), fd_second_derivative(wall.R, h)

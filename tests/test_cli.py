@@ -808,11 +808,14 @@ class TestCommandLine:
         (["bogus"], "invalid choice: 'bogus'"),
         (["solve", "--config", "run.cfg", "--order", "5"],
          "argument --order: invalid choice: 5"),
-        # only solve and fields write the solution that --order truncates
+        # only solve and fields write the solution that --order truncates;
+        # the subcommand's own usage names the options it does take
         (["verify", "--config", "run.cfg", "--order", "1"],
-         "unrecognized arguments: --order 1"),
+         "usage: tubeflow verify [-h] --config CONFIG [--out OUT]\n"
+         "tubeflow verify: error: unrecognized arguments: --order 1"),
         (["sweep", "--config", "run.cfg", "--order", "1"],
-         "unrecognized arguments: --order 1"),
+         "usage: tubeflow sweep [-h] --config CONFIG [--out OUT]\n"
+         "tubeflow sweep: error: unrecognized arguments: --order 1"),
     ], ids=["no_config", "unknown_command", "order_5", "verify_order",
             "sweep_order"])
     def test_usage_error_exits_1(self, capsys, argv, message):

@@ -1,10 +1,15 @@
 """Pressure boundary-value solvers and their derivative machinery."""
 
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
+import tubeflow.pressure as pressure
 from tubeflow.cli import RunConfig, run_pipeline
 from tubeflow.coupling import (
     ElasticWall,
@@ -39,6 +44,7 @@ from tubeflow.pressure import (
 from oracles import quadrature_bvp
 
 FLUID = FluidParams(1.0, 1.0)
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def make_wall(n=101, radius=None, rate=None, length=1.0):
@@ -216,7 +222,32 @@ class TestFluxSolver:
         assert np.abs(p0 - np.linspace(1.0, 0.0, 9)).max() < 1e-15
 
 
-# -- the Python dgtsv port against LAPACK's own
+# -- the one dgtsv: LAPACK's, bound from numpy's own library, or the port
+
+NO_ILP64 = "numpy's LAPACK exports no dgtsv that takes 64-bit ints"
+
+
+def numpy_links_ilp64_openblas():
+    """True where numpy's wheel carries scipy-openblas64 on Linux, whose
+    scipy_dgtsv_64_ the solves must bind."""
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except TypeError:   # numpy before 1.26 only prints its configuration
+        return False
+    return (sys.platform.startswith("linux")
+            and lapack.get("name") == "scipy-openblas"
+            and "USE64BITINT" in lapack.get("openblas configuration", ""))
+
+
+@pytest.fixture(params=["port", "lapack"])
+def back_end(request, monkeypatch):
+    """Every FluxWorkspace built in the test solves with this back end."""
+    if request.param == "port":
+        monkeypatch.setattr(pressure, "_DGTSV", None)
+    elif pressure._DGTSV is None:
+        pytest.skip(NO_ILP64)
+    return request.param
+
 
 def symmetric_system(rng, n):
     """(off, diag, b) of a random symmetric tridiagonal whose off-diagonal
@@ -235,23 +266,33 @@ def flux_system(rng, n):
     return off, diag, rng.normal(size=n)
 
 
-def lapack_gtsv(off, diag, b):
-    """scipy's dgtsv under the port's call, as the wall sweeps use it."""
-    return dgtsv(off, diag, off, b, overwrite_d=True, overwrite_b=True)[-1]
+def bound_gtsv(off, diag, b):
+    """(x, INFO) of the bound LAPACK call on (off, diag, off) x = b, made
+    in a workspace of b's interior size; off, diag and b are only read."""
+    if pressure._DGTSV is None:
+        pytest.skip(NO_ILP64)
+    work = FluxWorkspace(b.size + 2, 1.0)
+    work.off[:], work.diag[:], work.b[:] = off, diag, b
+    info = work.gtsv()
+    return work.b.copy(), info
 
 
 class TestDgtsvPort:
     @pytest.mark.parametrize("n", [6, 63, 255, 1023])
     @pytest.mark.parametrize("make", [symmetric_system, flux_system])
     def test_bits_of_lapack(self, n, make):
-        # the solution written into b and INFO, against LAPACK's x and INFO
+        # the bound call's solution and INFO, and the port's (written into
+        # b), against scipy's LAPACK x and INFO
         rng = np.random.default_rng(n)
         interchanges = 0
         for _ in range(25):
             off, diag, b = make(rng, n)
             kept = off.tobytes(), diag.tobytes()
             du2, *_, x, info = dgtsv(off, diag, off, b)
-            assert _gtsv(off, diag, b) == info == 0
+            bound, bound_info = bound_gtsv(off, diag, b)
+            assert bound_info == info == 0
+            assert bound.tobytes() == x.tobytes()
+            assert _gtsv(off, diag, b) == info
             assert b.tobytes() == x.tobytes()
             assert (off.tobytes(), diag.tobytes()) == kept
             # LAPACK zeroes du2 where it kept the rows and writes U's second
@@ -270,35 +311,121 @@ class TestDgtsvPort:
         diag[row] = 0.0
         off[max(row - 1, 0):row + 1] = 0.0
         assert dgtsv(off, diag, off, b)[-1] == row + 1
+        assert bound_gtsv(off, diag, b)[1] == row + 1
         kept = b.tobytes()
         assert _gtsv(off, diag, b) == row + 1
         assert b.tobytes() == kept
 
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_pivot_eliminated_to_zero_gives_lapack_info(self, row):
+        # the block [[1, 1], [1, 1]] cut off from its neighbours: the
+        # elimination leaves the zero pivot in its second row
+        rng = np.random.default_rng(row)
+        off, diag, b = symmetric_system(rng, 8)
+        diag[row:row + 2] = 1.0
+        off[row] = 1.0
+        off[row + 1:row + 2] = 0.0
+        off[max(row - 1, 0):row] = 0.0
+        assert dgtsv(off, diag, off, b)[-1] == row + 2
+        assert bound_gtsv(off, diag, b)[1] == row + 2
+        assert _gtsv(off, diag, b) == row + 2
+
     @pytest.mark.parametrize("n", [8, 65, 257, 1025])
-    def test_flux_solve_same_bits_with_either_back_end(self, n):
+    def test_flux_solve_same_bits_with_either_back_end(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         h = 1.0 / (n - 1)
         coef, rhs = rng.uniform(0.05, 20.0, n), rng.normal(size=n)
-        assert solve_flux_bvp(coef, h, rhs, 1.0, -0.5).tobytes() \
-            == solve_flux_bvp(coef, h, rhs, 1.0, -0.5, lapack_gtsv).tobytes()
+        bound = solve_flux_bvp(coef, h, rhs, 1.0, -0.5).tobytes()
+        monkeypatch.setattr(pressure, "_DGTSV", None)
+        assert solve_flux_bvp(coef, h, rhs, 1.0, -0.5).tobytes() == bound
 
-    @pytest.mark.parametrize("gtsv", [_gtsv, lapack_gtsv],
-                             ids=["port", "lapack"])
-    def test_zero_pivot_is_a_singular_matrix(self, gtsv):
+    def test_zero_pivot_is_a_singular_matrix(self, back_end):
         # a_mid / h^2 underflows to zero: the first pivot is 0, INFO = 1
         n = 17
         with pytest.raises(SolverError, match="^singular matrix$"):
             solve_flux_bvp(np.full(n, 1e-300), 1e100, np.zeros(n), 0.0,
-                           1.0, gtsv)
+                           1.0)
+
+    def test_numpy_wheel_lapack_is_bound(self):
+        # numpy's Linux wheels link scipy-openblas64, whose ILP64 dgtsv the
+        # solves call; elsewhere the port may be the one routine
+        if not numpy_links_ilp64_openblas():
+            pytest.skip("numpy links another LAPACK")
+        assert pressure._DGTSV is not None
+        assert pressure._DGTSV.__name__ == "scipy_dgtsv_64_"
+        assert FluxWorkspace(9, 0.125).gtsv.__name__ == "gtsv"
+
+
+class TestPortFallback:
+    """Where numpy's LAPACK exports no ILP64 dgtsv, every solve runs the
+    port, and every output has the bits of the LAPACK path."""
+
+    @pytest.fixture
+    def switch_to_port(self, monkeypatch):
+        """A call sets the module's dgtsv to what the resolver finds when
+        it looks for a name no library exports: None."""
+        monkeypatch.setattr(pressure, "_ILP64_DGTSV", ("tubeflow_none_64_",))
+        resolved = pressure._resolve_dgtsv()
+        assert resolved is None
+        return lambda: monkeypatch.setattr(pressure, "_DGTSV", resolved)
+
+    def test_only_ilp64_names_are_looked_up(self):
+        # a plain dgtsv_ may take 32-bit ints
+        assert all(name.endswith("_64_") for name in pressure._ILP64_DGTSV)
+
+    def test_workspace_binds_the_port(self, switch_to_port):
+        switch_to_port()
+        gtsv = FluxWorkspace(9, 0.125).gtsv
+        assert gtsv.func is _gtsv
+
+    def test_elastic_pulse_steps_same_bytes(self, switch_to_port):
+        cfg = RunConfig.from_file(PRESETS / "elastic_pulse.cfg")
+        law, fluid, bc = (cfg.build_wall_law(), cfg.build_fluid(),
+                          cfg.build_bc())
+
+        def four_steps():
+            state = WallState.from_radius(np.linspace(0.0, cfg.length, 257),
+                                          cfg.wall_R0)
+            out = []
+            for _ in range(4):
+                state = advance_time_step(state, law, fluid, bc, 0.0025)
+                out.append(state.R.tobytes() + state.dR_dt.tobytes())
+            return out
+
+        bound = four_steps()
+        switch_to_port()
+        assert four_steps() == bound
+
+    def test_rigid_helix_pressures_same_bytes(self, switch_to_port):
+        # a rigid wall of varying radius on a helix, with the previous
+        # step's wall: all four solves of solve_pressures
+        kappa = np.full(65, 1.6 / (1.6**2 + 0.8**2))
+        wall, s = make_wall(65, radius=lambda x: 1 + 0.2 * x * (1 - x),
+                            rate=lambda x: 0.1 * x)
+        prev = WallState.from_radius(s, 1 + 0.19 * s * (1 - s), t=-0.1)
+
+        def solve():
+            pexp = solve_pressures(wall, FLUID, PressureBC(1.0, 0.0, 0.3,
+                                                           -0.2, 0.1, 0.4),
+                                   kappa, BodyForce(0.3, 0.1, 0.0), prev,
+                                   0.1)
+            return [(f.name, getattr(pexp, f.name)) for f in fields(pexp)]
+
+        bound = solve()
+        switch_to_port()
+        for (name, a), (_, b) in zip(bound, solve()):
+            if name == "residuals":
+                assert a == b
+            else:
+                assert a.tobytes() == b.tobytes(), name
 
 
 # -- one workspace for many solves: the bits of a fresh solve each time
 
 class TestWorkspace:
-    @pytest.mark.parametrize("gtsv", [_gtsv, lapack_gtsv],
-                             ids=["port", "lapack"])
     @pytest.mark.parametrize("n", [8, 33, 257, 1025])
-    def test_reused_workspace_gives_the_bits_of_a_fresh_one(self, n, gtsv):
+    def test_reused_workspace_gives_the_bits_of_a_fresh_one(self, n,
+                                                            back_end):
         # solves of different systems, flux and p0 in turn, in one
         # workspace: each has the bytes of the same solve in a fresh
         # workspace, and of the p0 solve in fresh arrays (mask_solve_p0)
@@ -308,12 +435,12 @@ class TestWorkspace:
         for _ in range(3):
             coef, rhs = rng.uniform(0.05, 20.0, n), rng.normal(size=n)
             R, rate = rng.uniform(0.5, 2.0, n), rng.normal(size=n)
-            p = solve_flux_bvp(coef, h, rhs, 1.0, -0.5, gtsv, work)
-            assert p.tobytes() == solve_flux_bvp(coef, h, rhs, 1.0, -0.5,
-                                                 gtsv).tobytes()
-            p0 = solve_p0(R, rate, h, FLUID, 2.0, 0.5, gtsv, work)
-            assert p0.tobytes() == solve_p0(R, rate, h, FLUID, 2.0, 0.5,
-                                            gtsv).tobytes()
+            p = solve_flux_bvp(coef, h, rhs, 1.0, -0.5, work)
+            assert p.tobytes() == solve_flux_bvp(coef, h, rhs, 1.0,
+                                                 -0.5).tobytes()
+            p0 = solve_p0(R, rate, h, FLUID, 2.0, 0.5, work)
+            assert p0.tobytes() == solve_p0(R, rate, h, FLUID, 2.0,
+                                            0.5).tobytes()
             assert p0.tobytes() == mask_solve_p0(R, rate, h, FLUID, 2.0,
                                                  0.5).tobytes()
             assert p0 is p   # the workspace's grid, written over

@@ -122,7 +122,7 @@ print(len(before), before == reprs())
 
 def test_verdict_layer_loads_no_axial_solver():
     # the verdict checks read solved arrays only, so they rest on the exact
-    # layer and need neither the axial solves nor scipy's LAPACK
+    # layer and need neither the axial solves nor their LAPACK
     code = """
 import sys
 from tubeflow import check_compatibility, check_mass_conservation, flow_rates
@@ -132,16 +132,17 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'
     assert _fresh(code) == "[]"
 
 
-# a rigid run's three or four axial solves use the Python dgtsv port, so
-# neither a rigid solve nor the rigid sweep loads scipy; the elastic wall's
-# fixed point solves with LAPACK's, imported while its wall law is built
+# every axial solve calls the dgtsv of the LAPACK numpy has loaded, or the
+# port with its bits, so no command that solves loads scipy: not a rigid
+# solve, not the rigid sweep, not the elastic wall's fixed point
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 @pytest.mark.parametrize("command,preset", [("solve", "straight_rigid"),
-                                            ("sweep", "helix_swirl")])
-def test_rigid_commands_load_no_scipy(command, preset, tmp_path):
+                                            ("sweep", "helix_swirl"),
+                                            ("solve", "elastic_pulse")])
+def test_solve_and_sweep_load_no_scipy(command, preset, tmp_path):
     config = PRESETS / f"{preset}.cfg"
     code = f"""
 import sys
@@ -153,16 +154,21 @@ print({SCIPY_MODULES})
     assert _fresh(code) == "[]"
 
 
-def test_elastic_wall_law_loads_lapack_in_set_up():
+def test_elastic_wall_law_binds_lapack_without_scipy():
+    # the set-up of an elastic run binds numpy's LAPACK dgtsv, as it is
+    # bound in this process, and loads no scipy module to do it
+    from tubeflow import pressure
     code = f"""
 import sys
 from tubeflow.cli import RunConfig
+from tubeflow import pressure
 cfg = RunConfig.from_file({str(PRESETS / "elastic_pulse.cfg")!r})
-before = {SCIPY_MODULES}
 cfg.build_wall_law()
-print(before, "scipy.linalg.lapack" in sys.modules)
+bound = pressure._DGTSV
+print(bound is not None and bound.__name__, {SCIPY_MODULES})
 """
-    assert _fresh(code) == "[] True"
+    name = pressure._DGTSV is not None and pressure._DGTSV.__name__
+    assert _fresh(code) == f"{name} []"
 
 
 def _fresh(code):
