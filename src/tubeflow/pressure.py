@@ -30,16 +30,17 @@ is imported: only a name that takes 64-bit ints (ILP64) is accepted,
 ``scipy_dgtsv_64_`` in numpy's wheels.  Where numpy's LAPACK exports no
 such name, every solve runs :func:`_gtsv`, a Python port of ``dgtsv``
 with LAPACK's bits, so the two back ends write the same bytes; neither
-loads scipy.  A :class:`FluxWorkspace` binds the call's arguments to its
-own arrays when it is built, so a solve passes no pointer it has to
-make.  The wall's fixed point passes one workspace for all the sweeps
-of a step: it holds R^4, the midpoint coefficients, the off-diagonal,
-the buffer, the finiteness mask and 1/h^2, and :func:`solve_p0` writes
-its source straight into the buffer's right-side slots.  Every solve
-writes them with the float operations, in the order, of a solve in
-fresh arrays, so a reused workspace gives the bits of a fresh one; a
-solve called without one makes a fresh one, and what it returns is its
-own.
+loads scipy.  The port is about 14 times slower a solve, which an
+elastic wall's thousands of sweeps feel.  A :class:`FluxWorkspace`
+binds the call's arguments to its own arrays when it is built, so a
+solve passes no pointer it has to make.  The wall's fixed point passes
+one workspace for all the sweeps of a step: it holds R^4, the midpoint
+coefficients, the off-diagonal, the buffer, the finiteness mask and
+1/h^2, and :func:`solve_p0` writes its source straight into the
+buffer's right-side slots.  Every solve writes them with the float
+operations, in the order, of a solve in fresh arrays, so a reused
+workspace gives the bits of a fresh one; a solve called without one
+makes a fresh one, and what it returns is its own.
 
 :func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid alone;
 :func:`midpoint_flux` forms its flux.  :func:`solve_p0` takes bare radius
