@@ -9,15 +9,23 @@ in which case the leading-order pressure and the law are solved together
 by one under-relaxed fixed point.  Each step reads the p0 boundary values
 of :class:`~tubeflow.pressure.PressureBC` once, at its end time, and
 hands them to every sweep: one :func:`~tubeflow.pressure.solve_p0`, which
-returns the p0 grid alone, and one :func:`apply_wall_law`.  The sweeps
-solve as every axial solve does, with LAPACK's ``dgtsv`` from numpy's
-own LAPACK, or with the Python port that has its bits where numpy
-exports none (see :mod:`tubeflow.pressure`); neither loads scipy.  A
-step makes its arrays once: a :class:`~tubeflow.pressure.FluxWorkspace`
-for the p0 system, the wall rate, the law's new radius (``out`` of
-:func:`apply_wall_law`) and the residual.  Every sweep writes into them
-in place, with the float operations of a sweep in fresh arrays; the
-WallState a step returns owns its R and dR/dt.
+returns the p0 grid alone, and one run of the law's kernel
+:func:`_elastic_law`.  The sweeps solve as every axial solve does, with
+LAPACK's ``dgtsv`` from numpy's own LAPACK, or with the Python port that
+has its bits where numpy exports none (see :mod:`tubeflow.pressure`);
+neither loads scipy.  The kernel writes R = (p0 - p_e) c + R0 into an
+array it is given and raises :class:`WallCollapseError` if some R is not
+positive; its operands are p_e, c = R0^2 / (E h0) and R0 as float
+arrays, the last two made once by an :class:`ElasticWall`.  :func:`apply_wall_law` checks the law
+and p0's nodes, then runs the kernel; a step makes those checks once,
+against its grid, and runs the kernel, with its collapse check, every
+sweep.  A step makes its arrays once: a
+:class:`~tubeflow.pressure.FluxWorkspace` for the p0 system, the wall
+rate, the law's new radius and the residual.  Every sweep writes into
+them in place, with the float operations of a sweep in fresh arrays: it
+solves, runs the kernel, relaxes the radius in place and writes the rate
+of the relaxed radius for the next sweep; the WallState a step returns
+owns its R and dR/dt.
 
 The model is quasi-static: the wall radius R(t, s1) is the only state
 carried from one time step to the next.  :func:`advance_time_step` takes
@@ -133,23 +141,28 @@ class ElasticWall:
 
     @cached_property
     def constants(self):
-        """(R0, R0^2 / (E h0)) as floats, one per node for a per-node R0;
-        R0^2 is R0 * R0, the bits of numpy's array square."""
+        """(R0, R0^2 / (E h0)) as float arrays, 0-d for a scalar R0 and
+        one value per node for a per-node R0; R0^2 is R0 * R0, the bits of
+        numpy's array square."""
         r0 = np.asarray(self.R0, dtype=float)
-        return r0, r0 * r0 / (self.E * self.h0)
+        return r0, np.asarray(r0 * r0 / (self.E * self.h0))
 
 
-def apply_wall_law(law: ElasticWall, p0, out=None):
-    """Radius from the elastic law: R = R0 + (R0^2 / E h0)(p0 - p_e),
-    written into ``out`` when it is given (an array of p0's length)."""
-    if not isinstance(law, ElasticWall):
-        raise TubeflowError("apply_wall_law needs the elastic variant")
+def _law_operands(law: ElasticWall, n):
+    """The operands (p_e, R0^2 / (E h0), R0) of ``law``'s kernel, as float
+    arrays, which a ufunc reads without converting, for a p0 of ``n``
+    nodes, after checking that a per-node R0 has ``n`` rest radii."""
     r0, compliance = law.constants
-    p0 = np.asarray(p0, dtype=float)
-    if r0.ndim and p0.size != r0.size:
-        raise TubeflowError(f"p0 has {p0.size} nodes, elastic law has "
+    if r0.ndim and n != r0.size:
+        raise TubeflowError(f"p0 has {n} nodes, elastic law has "
                             f"{r0.size} rest radii")
-    r = np.subtract(p0, law.p_e, out=out)
+    return np.asarray(law.p_e, dtype=float), compliance, r0
+
+
+def _elastic_law(p0, p_e, compliance, r0, out):
+    """The law kernel, on checked operands: R = (p0 - p_e) c + R0, written
+    into ``out`` (None: a new array); raises if some R is not positive."""
+    r = np.subtract(p0, p_e, out=out)
     r *= compliance
     r += r0
     if r.size and _any_nonpositive(r):
@@ -157,6 +170,16 @@ def apply_wall_law(law: ElasticWall, p0, out=None):
             f"elastic law collapsed the wall (min R = {r.min():.3g})"
         )
     return r
+
+
+def apply_wall_law(law: ElasticWall, p0, out=None):
+    """Radius from the elastic law: R = R0 + (R0^2 / E h0)(p0 - p_e),
+    written into ``out`` when it is given (an array of p0's length).
+    Checks the law and p0's nodes, then runs the law's kernel."""
+    if not isinstance(law, ElasticWall):
+        raise TubeflowError("apply_wall_law needs the elastic variant")
+    p0 = np.asarray(p0, dtype=float)
+    return _elastic_law(p0, *_law_operands(law, p0.size), out)
 
 
 def wall_law_residual(law: ElasticWall, p0, R):
@@ -197,23 +220,22 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
 
     # the step's workspace, written over by every sweep: the p0 system,
     # the wall rate (0 when steady), the law's radius less the current one
-    # and its magnitude; building it checks the grid
+    # and its magnitude; building it checks the grid, and the law is
+    # checked against the grid once, here
     work = FluxWorkspace(r_old.size, h)
+    operands = _law_operands(law, r_old.size)
     rate = np.zeros_like(r_old)
     change, gap = np.empty_like(r_old), np.empty_like(r_old)
 
-    def wall_rate():
-        if dt is not None:
-            np.subtract(r_cur, r_old, out=rate)
-            np.divide(rate, dt, out=rate)
-        return rate
-
+    # the rate of r_cur = r_old is (r_old - r_old)/dt, +0.0 at every node;
+    # omega and dt are 0-d arrays, which a ufunc reads without converting
     r_cur = r_old.copy()
-    omega = 0.5
+    omega = np.array(0.5)
+    step = None if dt is None else np.array(dt, dtype=float)
     history = []
     for _ in range(MAX_SWEEPS):
-        p0 = solve_p0(r_cur, wall_rate(), h, fluid, p_in, p_out, work)
-        apply_wall_law(law, p0, change)
+        p0 = solve_p0(r_cur, rate, h, fluid, p_in, p_out, work)
+        _elastic_law(p0, *operands, change)
         change -= r_cur
         # x[x.argmax()] is the bits of x.max(), a NaN included, at a third
         # of the cost of a reduction over a few hundred nodes
@@ -225,8 +247,11 @@ def advance_time_step(state: WallState, law, fluid, bc: PressureBC,
             omega *= 0.5
         change *= omega
         r_cur += change
+        if step is not None:
+            np.subtract(r_cur, r_old, out=rate)
+            rate /= step
         if converged:
-            return WallState(state.s1, r_cur, wall_rate(), t)
+            return WallState(state.s1, r_cur, rate, t)
     raise CouplingDivergenceError(
         f"wall coupling did not converge in {MAX_SWEEPS} iterations "
         f"(last residual {history[-1]:.3e})", history, t,

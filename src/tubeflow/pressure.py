@@ -32,15 +32,20 @@ such name, every solve runs :func:`_gtsv`, a Python port of ``dgtsv``
 with LAPACK's bits, so the two back ends write the same bytes; neither
 loads scipy.  The port is about 14 times slower a solve, which an
 elastic wall's thousands of sweeps feel.  A :class:`FluxWorkspace`
-binds the call's arguments to its own arrays when it is built, so a
-solve passes no pointer it has to make.  The wall's fixed point passes
-one workspace for all the sweeps of a step: it holds R^4, the midpoint
-coefficients, the off-diagonal, the buffer, the finiteness mask and
-1/h^2, and :func:`solve_p0` writes its source straight into the
-buffer's right-side slots.  Every solve writes them with the float
-operations, in the order, of a solve in fresh arrays, so a reused
-workspace gives the bits of a fresh one; a solve called without one
-makes a fresh one, and what it returns is its own.
+binds, when it is built, everything a solve reads: an R^4 array and
+views of its halves, the midpoint coefficients and views of theirs,
+1/2, 1/h^2 and -1/h^2 as 0-d arrays, the buffer, the finiteness mask,
+and the off-diagonal as the two rows of one array, the DL and DU that
+dgtsv overwrites.  The assembly writes the off-diagonal into both rows,
+so the bound call passes them as they are, and passes no pointer it has
+to make; the port reads the first.  The wall's fixed point passes one
+workspace for all the sweeps of a step, and :func:`solve_p0` writes R^4
+into its array and its source straight into the buffer's right-side
+slots, which :func:`solve_flux_bvp` then copies from nowhere.  Every
+solve writes them with the float operations, in the order, of a solve
+in fresh arrays, so a reused workspace gives the bits of a fresh one; a
+solve called without one makes a fresh one, and what it returns is its
+own.
 
 :func:`solve_flux_bvp` and :func:`solve_p0` return the solved grid alone;
 :func:`midpoint_flux` forms its flux.  :func:`solve_p0` takes bare radius
@@ -268,29 +273,28 @@ def _bind_gtsv(work):
     """The solve of ``work``'s interior system (off, diag, off) x = b, with
     its arguments bound now: a call writes x into ``b`` and returns INFO.
 
-    LAPACK's dgtsv overwrites the off-diagonals it is given, so the call
-    copies ``off`` into the two rows (dl, du) of a scratch array first;
-    N, NRHS, LDB and INFO sit in one block of 64-bit ints, and ``b`` and
-    ``diag`` are read where they sit in ``buf``, from node 1 and node n.
-    A ``byref`` pointer keeps its memory alive, so the call stays valid
-    for as long as it is held.  Without that dgtsv, the port
-    :func:`_gtsv`.
+    LAPACK's dgtsv overwrites the off-diagonals it is given, so
+    :func:`solve_flux_bvp` writes the off-diagonal into both rows of
+    ``work.off``, ``dl`` and ``du``, which dgtsv reads as DL and DU, and
+    the call copies nothing; N, NRHS, LDB and INFO sit in one block of
+    64-bit ints, and ``b`` and ``diag`` are read where they sit in
+    ``buf``, from node 1 and node n.  A ``byref`` pointer keeps its memory
+    alive, so the call stays valid for as long as it is held.  Without
+    that dgtsv, the port :func:`_gtsv`, which reads ``dl`` alone.
     """
     if _DGTSV is None:
-        return partial(_gtsv, work.off, work.diag, work.b)
-    n, off, byref = work.n, work.off, ctypes.byref
-    pair = np.empty((2, n - 3))
+        return partial(_gtsv, work.dl, work.diag, work.b)
+    n, byref = work.n, ctypes.byref
     ints = (ctypes.c_int64 * 4)(n - 2, 1, n - 2, 0)
-    buf, scratch = (ctypes.c_double.from_buffer(a) for a in (work.buf, pair))
+    buf, off = (ctypes.c_double.from_buffer(a) for a in (work.buf, work.off))
     f8, i8 = work.buf.itemsize, ctypes.sizeof(ctypes.c_int64)
     # dgtsv(N, NRHS, DL, D, DU, B, LDB, INFO)
-    args = (byref(ints), byref(ints, i8), byref(scratch), byref(buf, f8 * n),
-            byref(scratch, f8 * (n - 3)), byref(buf, f8), byref(ints, 2 * i8),
+    args = (byref(ints), byref(ints, i8), byref(off), byref(buf, f8 * n),
+            byref(off, f8 * (n - 3)), byref(buf, f8), byref(ints, 2 * i8),
             byref(ints, 3 * i8))
     dgtsv = _DGTSV
 
     def gtsv():
-        pair[:] = off
         dgtsv(*args)
         return ints[3]
 
@@ -312,15 +316,19 @@ def bracket_derivative(bracket, h):
 class FluxWorkspace:
     """The arrays of one flux-form system on ``n`` nodes of step ``h``.
 
-    Built once, it serves every solve of that system: the midpoint
-    coefficients, the off-diagonal, the (grid | diagonal) buffer, whose
-    grid head a solve returns, and the finiteness mask; 1/h^2 is taken
-    once, here, and ``gtsv`` is the interior solve, bound to these arrays
-    (:func:`_bind_gtsv`).  The p0 coefficient R^4 (``coef``) is made by
-    the first :func:`solve_p0` in the workspace.  Building it checks the
-    grid: h finite and positive, at least 8 nodes.  A solve overwrites
-    every array, so what it returned holds only until the next solve in
-    the same workspace.
+    Built once, it serves every solve of that system, and binds all a
+    solve reads: the coefficient array ``coef`` (R^4 for :func:`solve_p0`)
+    and views of its two halves, the midpoint coefficients and views of
+    their halves and interior, the off-diagonal ``off``, whose two rows
+    ``dl`` and ``du`` are the DL and DU that dgtsv overwrites, the
+    (grid | diagonal) buffer, whose grid head a solve returns, and the
+    finiteness mask and a view of it for the solved interior.  1/h^2 is taken once, here, and 1/2, 1/h^2 and
+    -1/h^2 are kept as 0-d arrays too, which a ufunc reads without
+    converting a Python float.  ``gtsv`` is the interior solve, bound to
+    these arrays (:func:`_bind_gtsv`).  Building it checks the grid: h
+    finite and positive, at least 8 nodes.  A solve overwrites every
+    array, so what it returned holds only until the next solve in the
+    same workspace.
     """
 
     def __init__(self, n, h):
@@ -330,13 +338,20 @@ class FluxWorkspace:
         if n < 8:
             raise SolverError("grid too coarse: need at least 8 nodes")
         self.n, self.h, self.inv_h2 = n, h, 1.0 / h**2
-        self.coef = None
+        self.half, self.inv_h2_op, self.neg_inv_h2_op = (
+            np.array(v) for v in (0.5, self.inv_h2, -self.inv_h2))
+        self.coef = np.empty(n)
+        self.coef_lo, self.coef_hi = self.coef[:-1], self.coef[1:]
         self.a_mid = np.empty(n - 1)
-        self.off = np.empty(n - 3)
+        self.a_lo, self.a_hi = self.a_mid[:-1], self.a_mid[1:]
+        self.a_in = self.a_mid[1:-1]
+        self.off = np.empty((2, n - 3))
+        self.dl, self.du = self.off
         self.buf = np.empty(2 * n - 2)
         self.p, self.diag = self.buf[:n], self.buf[n:]
         self.b = self.p[1:-1]
         self.finite = np.empty(2 * n - 2, dtype=bool)
+        self.finite_b = self.finite[:n - 2]
         self.gtsv = _bind_gtsv(self)
 
 
@@ -357,11 +372,13 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, work=None):
     and the right side is read at the interior nodes.  Returns the grid.
 
     The solve runs in ``work`` (a :class:`FluxWorkspace` for coef's nodes
-    and h; a fresh one when None): its buffer holds the grid (p_in, the
-    interior right side, p_out) followed by the diagonal, is tested for
-    finiteness once, and the workspace's ``gtsv`` solves the interior in
-    place and returns LAPACK's INFO.  coef and rhs are only read; the
-    solve writes into the workspace alone.
+    and h; a fresh one when None): coef is copied into the workspace's
+    coefficient array, and the right side into its grid, each unless it
+    already is that array; the buffer holds the grid (p_in, the interior
+    right side, p_out) followed by the diagonal, is tested for finiteness
+    once, and the workspace's ``gtsv`` solves the interior in place and
+    returns LAPACK's INFO.  coef and rhs are only read; the solve writes
+    into the workspace alone.
     """
     coef = np.asarray(coef, dtype=float)
     work = _workspace(work, coef.size, h)
@@ -370,31 +387,40 @@ def solve_flux_bvp(coef, h, rhs, p_in, p_out, work=None):
     if rhs.size != n:
         raise SolverError(f"right side has {rhs.size} nodes, "
                           f"coefficient has {n}")
-    a_mid = np.add(coef[:-1], coef[1:], out=work.a_mid)
-    a_mid *= 0.5
+    if coef is not work.coef:
+        work.coef[:] = coef
+    a_mid = np.add(work.coef_lo, work.coef_hi, out=work.a_mid)
+    a_mid *= work.half
     if _any_nonpositive(a_mid):
         raise SolverError("singular flux coefficient (R -> 0?)")
-    p, diag, b = work.p, work.diag, work.b
-    b[:] = rhs[1:-1]
+    p, b = work.p, work.b
+    if rhs is not p:
+        b[:] = rhs[1:-1]
     p[0], p[-1] = p_in, p_out
 
     # Dirichlet unknowns eliminated up front: solve the interior system so
-    # the boundary data is held exactly.  Symmetric tridiagonal: dgtsv.
+    # the boundary data is held exactly.  Symmetric tridiagonal: dgtsv,
+    # which overwrites both off-diagonals, so both rows are written; a
+    # multiply into row 0 and a copy cost less than one multiply broadcast
+    # into both rows
+    np.multiply(work.a_in, work.inv_h2_op, out=work.dl)
+    work.du[:] = work.dl
+    diag = np.add(work.a_lo, work.a_hi, out=work.diag)
+    diag *= work.neg_inv_h2_op
     inv_h2 = work.inv_h2
-    np.multiply(a_mid[1:-1], inv_h2, out=work.off)
-    np.add(a_mid[:-1], a_mid[1:], out=diag)
-    diag *= -inv_h2
     b[0] -= a_mid[0] * p_in * inv_h2
     b[-1] -= a_mid[-1] * p_out * inv_h2
-    # counting finite entries costs less than an all() reduction
-    finite = work.finite
-    if np.count_nonzero(np.isfinite(work.buf, out=finite)) < finite.size:
+    # a mask's least entry, m[m.argmin()], is False iff some entry is: a
+    # third less than counting its True entries, a third of an all()
+    finite = np.isfinite(work.buf, out=work.finite)
+    if not finite[finite.argmin()]:
         raise SolverError("tridiagonal system contains infs or NaNs")
     info = work.gtsv()
     if info:
         raise SolverError("singular matrix" if info > 0 else
                           f"illegal value in argument {-info} of gtsv")
-    if np.count_nonzero(np.isfinite(b, out=finite[:n - 2])) < n - 2:
+    finite = np.isfinite(b, out=work.finite_b)
+    if not finite[finite.argmin()]:
         raise SolverError("tridiagonal solve produced non-finite values")
     return p
 
@@ -451,7 +477,7 @@ def solve_p0(R, dR_dt, h, fluid: "FluidParams", p_in, p_out, work=None):
     if R.size and _any_nonpositive(R):   # empty: the workspace's error
         raise SolverError("wall radius must stay positive")
     work = _workspace(work, R.size, h)
-    work.coef = np.power(R, 4, out=work.coef)
+    np.power(R, 4, out=work.coef)
     _p0_source(R[1:-1], dR_dt[1:-1], fluid, work.b)
     return solve_flux_bvp(work.coef, h, work.p, p_in, p_out, work)
 

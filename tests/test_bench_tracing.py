@@ -44,16 +44,28 @@ def smoke_config():
     return workloads.make_inputs("pulse_elastic", 1, smoke=True)["config"]
 
 
-def test_elastic_run_counts_steps_and_solves(smoke_config, tmp_path):
+def test_elastic_run_counts_steps_and_solves(smoke_config, tmp_path,
+                                            monkeypatch):
+    # an independent count of the sweeps: each runs the law kernel once
+    import tubeflow.coupling as coupling_mod
+    kernel, sweeps_seen = coupling_mod._elastic_law, []
+
+    def spy(*args):
+        sweeps_seen.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(coupling_mod, "_elastic_law", spy)
     result, m = traced_pass(smoke_config, tmp_path / "out")
     assert result.failed == 0
     assert m["coupling.steps"] == 20  # t_end 1 at dt 0.05
     assert m["coupling.p0_solves_per_step"] > 0
     assert m["coupling.divergences"] == 0
     # every p0 solve is a wall sweep, except the two of the one final
-    # pressure solve (the final wall and the wall before it)
+    # pressure solve (the final wall and the wall before it); a sweep that
+    # skipped or doubled its solve_p0 would move the tracer's count
     sweeps = round(m["coupling.p0_solves_per_step"] * m["coupling.steps"])
-    assert m["pressure.p0_solves"] == sweeps + 2
+    assert sweeps == len(sweeps_seen) > 0
+    assert m["pressure.p0_solves"] == len(sweeps_seen) + 2
     # besides the p0 solves, one p1 and one p02 solve per pipeline
     assert m["pressure.bvp_solves"] == m["pressure.p0_solves"] + 2
     assert m["cli.pipelines"] == 1

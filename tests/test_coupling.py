@@ -404,25 +404,67 @@ class TestTimeStepping:
         state = WallState.from_radius(grid(), 1.0)
         history = []
 
+        # every sweep runs the law kernel once, on the sweep's p0
         import tubeflow.coupling as coupling_mod
-        original = coupling_mod.apply_wall_law
+        original = coupling_mod._elastic_law
 
-        def spy(law_, p0, out=None):
-            r = original(law_, p0, out)
+        def spy(p0, *operands):
+            r = original(p0, *operands)
             history.append(r.copy())
             return r
 
-        coupling_mod.apply_wall_law = spy
+        coupling_mod._elastic_law = spy
         try:
             advance_time_step(state, law, FLUID, PressureBC(5.0, 0.0), dt=0.05)
         finally:
-            coupling_mod.apply_wall_law = original
+            coupling_mod._elastic_law = original
         # all() of an empty list is True: the spy must have seen the sweeps
         assert len(history) > 4
         resids = [np.max(np.abs(history[i + 1] - history[i]))
                   for i in range(len(history) - 1)]
         assert all(r2 <= r1 * (1 + 1e-12)
                    for r1, r2 in zip(resids[2:], resids[3:]))
+
+    @pytest.mark.parametrize("E,min_r", [("20", "-3.74"), ("100", "-85.3")])
+    def test_soft_pulse_collapses_as_the_law_on_the_sweep_p0(self, E, min_r,
+                                                            monkeypatch):
+        # the seed-0 bench pulse (n_s1 = 257, dt = 0.0025) with a soft wall
+        # overshoots on step 1: the step raises the collapse that
+        # apply_wall_law raises on the p0 of the sweep that collapsed
+        import tubeflow.coupling as coupling_mod
+        from tubeflow.cli import parse_config_text
+        root = Path(__file__).resolve().parent.parent
+        text = (root / "presets" / "elastic_pulse.cfg").read_text()
+        cfg = RunConfig.from_mapping({
+            **parse_config_text(text), "wall.E": E, "grid.n_s1": "257",
+            "time.dt": "0.0025", "bc.p0.inlet": "0:0, 0.2:7.75, 0.4:0, 1:0"})
+        law = cfg.build_wall_law()
+        solved = []
+        original = coupling_mod.solve_p0
+
+        def spy(*args):
+            p0 = original(*args)
+            solved.append(p0.copy())
+            return p0
+
+        monkeypatch.setattr(coupling_mod, "solve_p0", spy)
+        state = WallState.from_radius(np.linspace(0.0, cfg.length, 257),
+                                      cfg.wall_R0)
+        with pytest.raises(WallCollapseError) as step_error:
+            advance_time_step(state, law, cfg.build_fluid(), cfg.build_bc(),
+                              cfg.dt)
+        with pytest.raises(WallCollapseError) as law_error:
+            apply_wall_law(law, solved[-1])
+        assert str(step_error.value) == str(law_error.value)
+        assert str(law_error.value) == (
+            f"elastic law collapsed the wall (min R = {min_r})")
+
+    def test_per_node_rest_radius_of_another_grid_rejected(self):
+        law = ElasticWall(E=1e3, h0=0.1, R0=np.ones(N + 1))
+        state = WallState.from_radius(grid(), 1.0)
+        with pytest.raises(TubeflowError, match=f"^p0 has {N} nodes, "
+                           f"elastic law has {N + 1} rest radii$"):
+            advance_time_step(state, law, FLUID, PressureBC(1.0, 0.0), 0.1)
 
     def test_elastic_pulse_p0_solves_per_step(self, monkeypatch):
         # a step's bits depend on its iteration path, so the number of

@@ -273,7 +273,10 @@ def bound_gtsv(off, diag, b):
     if pressure._DGTSV is None:
         return None
     work = FluxWorkspace(b.size + 2, 1.0)
-    work.off[:], work.diag[:], work.b[:] = off, diag, b
+    # the call reads DL and DU from the two rows of work.off and overwrites
+    # both, so off goes into each row, as solve_flux_bvp writes them
+    work.dl[:], work.du[:] = off, off
+    work.diag[:], work.b[:] = diag, b
     info = work.gtsv()
     return work.b.copy(), info
 
