@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
-from tubeflow.cli import RunConfig, run_pipeline
+from tubeflow.cli import RunConfig, parse_config_text, run_pipeline
 from tubeflow.coupling import (
     MAX_SWEEPS,
     ElasticWall,
@@ -432,7 +432,6 @@ class TestTimeStepping:
         # overshoots on step 1: the step raises the collapse that
         # apply_wall_law raises on the p0 of the sweep that collapsed
         import tubeflow.coupling as coupling_mod
-        from tubeflow.cli import parse_config_text
         root = Path(__file__).resolve().parent.parent
         text = (root / "presets" / "elastic_pulse.cfg").read_text()
         cfg = RunConfig.from_mapping({
